@@ -74,21 +74,15 @@ def _config_lines(config: ModelConfig) -> list[str]:
 
 def _parse_config(lines: list[str]) -> ModelConfig:
     kwargs = {}
-    types = {f.name: f.type for f in fields(ModelConfig)}
+    names = {f.name for f in fields(ModelConfig)}
     for line in lines:
         key, _, raw = line.partition("=")
-        if key not in types:
-            raise CheckpointError(f"unknown config key {key!r}")
         if key == "full_scale":
-            kwargs[key] = raw == "True"
-        elif key == "dropout_rate":
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = int(raw)
-    cfg = ModelConfig(**{k: v for k, v in kwargs.items() if k != "full_scale"})
-    # dims were already resolved at save time; keep them authoritative
-    cfg.full_scale = kwargs.get("full_scale", False)
-    return cfg
+            continue  # older files; their dims were resolved at save time
+        if key not in names:
+            raise CheckpointError(f"unknown config key {key!r}")
+        kwargs[key] = float(raw) if key == "dropout_rate" else int(raw)
+    return ModelConfig(**kwargs)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from dxpipe import orient as orient_mod
 from dxpipe import synth as synth_mod
 from dxpipe import trainer as trainer_mod
 from dxpipe.image import load_pgm, save_pgm
-from dxpipe.nnet import ModelConfig
+from dxpipe.nnet import ModelConfig, to_input
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--branch-b-dim", type=int, default=96)
         p.add_argument("--fusion-dim", type=int, default=128)
         p.add_argument("--dropout", type=float, default=0.5)
-        p.add_argument("--full-scale", action="store_true", help="use the full-size 1056/1536/2048 feature dims")
+        p.add_argument("--full-scale", action="store_true", help="preset: 1056/1536/2048 dims")
         if name == "train":
             p.add_argument("--uniform-loss", action="store_true", help="disable class weighting")
             p.add_argument(
@@ -110,14 +111,11 @@ def _print_config(args: argparse.Namespace) -> None:
 
 
 def _model_config(args) -> ModelConfig:
-    return ModelConfig(
-        input_size=args.input_size,
-        branch_a_dim=args.branch_a_dim,
-        branch_b_dim=args.branch_b_dim,
-        fusion_dim=args.fusion_dim,
-        dropout_rate=args.dropout,
-        full_scale=args.full_scale,
-    )
+    if args.full_scale:  # preset; overrides the three dim flags
+        dims = (1056, 1536, 2048)
+    else:
+        dims = (args.branch_a_dim, args.branch_b_dim, args.fusion_dim)
+    return ModelConfig(args.input_size, *dims, dropout_rate=args.dropout)
 
 
 def _train_config(args) -> trainer_mod.TrainConfig:
@@ -201,7 +199,8 @@ def _cmd_train(args) -> int:
     synth_mod.save_manifest(train_m, args.out_dir / "train_manifest.csv")
     synth_mod.save_manifest(val_m, args.out_dir / "val_manifest.csv")
     if args.weighting_report is not None:
-        comparison = trainer_mod.compare_weighting(manifest, model_cfg, t)
+        trained = {"uniform" if args.uniform_loss else "weighted": ckpt}
+        comparison = trainer_mod.compare_weighting(manifest, model_cfg, t, **trained)
         args.weighting_report.write_text(
             json.dumps(comparison.to_dict(), indent=2) + "\n", encoding="ascii"
         )
@@ -231,54 +230,52 @@ def _cmd_orient_train(args) -> int:
     return 0
 
 
+def _basenames(paths) -> list[str]:
+    """The file names that outputs are keyed by; they must be unique."""
+    names = [Path(p).name for p in paths]
+    dupes = sorted(name for name, n in Counter(names).items() if n > 1)
+    if dupes:
+        raise ValueError(f"duplicate input basenames: {', '.join(dupes)}")
+    return names
+
+
 def _cmd_orient(args) -> int:
+    names = _basenames(args.inputs)
     model = ckpt_io.load_model(args.checkpoint)
+    results = orient_mod.correct_orientation(model, [load_pgm(p) for p in args.inputs])
     args.out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "detected_turns", "confidence"])
-    for path in args.inputs:
-        corrected, detected, confidence = orient_mod.correct_orientation(model, load_pgm(path))
-        save_pgm(corrected, args.out_dir / path.name)
-        writer.writerow([path.name, int(detected), f"{confidence:.6f}"])
+    for name, (corrected, detected, confidence) in zip(names, results):
+        save_pgm(corrected, args.out_dir / name)
+        writer.writerow([name, int(detected), f"{confidence:.6f}"])
     (args.out_dir / "orientation.csv").write_text(buf.getvalue(), encoding="ascii")
     print(f"corrected {len(args.inputs)} image(s) -> {args.out_dir}")
     return 0
 
 
-def _load_eval_inputs(args):
+def _predict_paths(args) -> list:
     if args.manifest is not None:
         manifest = synth_mod.load_manifest(args.manifest)
-        paths = [manifest.resolve(e) for e in manifest.entries]
-        labels = np.array([e.class_id for e in manifest.entries], dtype=np.int64)
-    else:
-        if not args.inputs:
-            raise ValueError("provide --manifest or image paths")
-        paths = list(args.inputs)
-        labels = None
-    return paths, labels
-
-
-def _scores_for(model, paths) -> np.ndarray:
-    arrays = np.stack([load_pgm(p).to_array() for p in paths])
-    inputs = arrays.astype(np.float32)[:, None] / 255.0
-    scores = []
-    for start in range(0, len(inputs), 128):
-        scores.append(model.predict(inputs[start : start + 128]))
-    return np.concatenate(scores)
+        return [manifest.resolve(e) for e in manifest.entries]
+    if not args.inputs:
+        raise ValueError("provide --manifest or image paths")
+    return list(args.inputs)
 
 
 def _cmd_predict(args) -> int:
     model = ckpt_io.load_model(args.checkpoint)
-    paths, _ = _load_eval_inputs(args)
-    scores = _scores_for(model, paths)
+    paths = _predict_paths(args)
+    names = _basenames(paths)
+    scores = model.predict(to_input(np.stack([load_pgm(p).to_array() for p in paths])))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     c = scores.shape[1]
     writer.writerow(["path", "predicted"] + [f"score_{i}" for i in range(c)])
-    for p, row in zip(paths, scores):
-        writer.writerow([Path(p).name, int(row.argmax())] + [f"{v:.6f}" for v in row])
+    for name, row in zip(names, scores):
+        writer.writerow([name, int(row.argmax())] + [f"{v:.6f}" for v in row])
     (args.out_dir / "predictions.csv").write_text(buf.getvalue(), encoding="ascii")
     print(f"predicted {len(paths)} image(s) -> {args.out_dir / 'predictions.csv'}")
     return 0
@@ -287,10 +284,18 @@ def _cmd_predict(args) -> int:
 def _read_predictions(path: Path) -> dict[str, np.ndarray]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    header = rows[0]
-    if header[:2] != ["path", "predicted"]:
-        raise ValueError(f"bad predictions header {header!r}")
-    return {row[0]: np.array([float(v) for v in row[2:]], dtype=np.float64) for row in rows[1:]}
+    if not rows or rows[0][:2] != ["path", "predicted"]:
+        raise ValueError(f"{path}: expected a 'path,predicted,score_...' header")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no prediction rows")
+    by_name = {}
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            raise ValueError(f"{path}: blank line {line}")
+        if row[0] in by_name:
+            raise ValueError(f"{path}: duplicate prediction rows for {row[0]!r}")
+        by_name[row[0]] = np.array([float(v) for v in row[2:]], dtype=np.float64)
+    return by_name
 
 
 def _cmd_eval(args) -> int:
@@ -300,13 +305,13 @@ def _cmd_eval(args) -> int:
     labels = np.array([e.class_id for e in manifest.entries], dtype=np.int64)
     if args.checkpoint is not None:
         model = ckpt_io.load_model(args.checkpoint)
-        paths = [manifest.resolve(e) for e in manifest.entries]
-        scores = _scores_for(model, paths)
+        scores = model.predict(to_input(trainer_mod.load_image_array(manifest)))
         num_classes = model.config.num_classes
     else:
         by_name = _read_predictions(args.predictions)
+        names = _basenames(e.path for e in manifest.entries)
         try:
-            scores = np.stack([by_name[Path(e.path).name] for e in manifest.entries])
+            scores = np.stack([by_name[name] for name in names])
         except KeyError as exc:
             raise ValueError(f"predictions missing manifest entry {exc}") from None
         num_classes = scores.shape[1]

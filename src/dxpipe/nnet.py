@@ -29,13 +29,8 @@ class ModelConfig:
     fusion_dim: int = 128
     num_classes: int = 6
     dropout_rate: float = 0.5
-    full_scale: bool = False
 
     def __post_init__(self) -> None:
-        if self.full_scale:
-            self.branch_a_dim = 1056
-            self.branch_b_dim = 1536
-            self.fusion_dim = 2048
         for name in ("input_size", "branch_a_dim", "branch_b_dim", "fusion_dim", "num_classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -43,6 +38,14 @@ class ModelConfig:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         if self.input_size < 16:
             raise ValueError(f"input_size must be >= 16, got {self.input_size}")
+
+
+EVAL_BATCH = 128  # rows per eval-mode forward pass
+
+
+def to_input(images: np.ndarray) -> np.ndarray:
+    """uint8 images (N, S, S) as float32 model input (N, 1, S, S) in [0, 1]."""
+    return images.astype(np.float32)[:, None] / 255.0
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -368,10 +371,15 @@ class FusionNet:
         self._backward_branch("b", dfused_in[:, a_dim:], cache, grads)
         return grads
 
+    def eval_logits(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode logits for (N, 1, S, S) inputs, EVAL_BATCH rows per pass."""
+        return np.concatenate(
+            [self.forward(x[i : i + EVAL_BATCH])[0] for i in range(0, len(x), EVAL_BATCH)]
+        )
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode softmax scores for (N, 1, S, S) inputs."""
-        logits, _ = self.forward(x, train_mode=False)
-        return softmax(logits)
+        """Eval-mode softmax scores (N, C) for (N, 1, S, S) inputs."""
+        return softmax(self.eval_logits(x))
 
 
 def config_for_orientation(cfg: ModelConfig) -> ModelConfig:

@@ -13,7 +13,7 @@ import numpy as np
 
 from dxpipe.checkpoint import Checkpoint
 from dxpipe.image import Image, Rotation, rotate, rotate_array
-from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation, softmax
+from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation, to_input
 from dxpipe.synth import DatasetManifest
 from dxpipe.trainer import TrainConfig, TrainLog, _fit, load_image_array, split_for_config
 
@@ -28,15 +28,8 @@ def orientation_stream(n_images: int, seed) -> list[tuple[int, int, int]]:
 
 def _all_turn_inputs(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every image under every quarter-turn, normalized, with turn labels."""
-    n, s = len(images), images.shape[1]
-    inputs = np.empty((4 * n, 1, s, s), dtype=np.float32)
-    labels = np.empty(4 * n, dtype=np.int64)
-    for i in range(n):
-        for t in range(4):
-            inputs[4 * i + t, 0] = rotate_array(images[i], t)
-            labels[4 * i + t] = t
-    inputs /= 255.0
-    return inputs, labels
+    posed = np.stack([rotate_array(img, t) for img in images for t in range(4)])
+    return to_input(posed), np.tile(np.arange(4, dtype=np.int64), len(images))
 
 
 def train_orient(
@@ -60,17 +53,19 @@ def train_orient(
     return _fit(model, images, stream_fn, val_inputs, val_labels, weights, t)
 
 
-def correct_orientation(model: FusionNet, img: Image) -> tuple[Image, Rotation, float]:
-    """Detect the quarter-turn pose and rotate back to canonical.
+def correct_orientation(
+    model: FusionNet, images: list[Image]
+) -> list[tuple[Image, Rotation, float]]:
+    """Detect each image's quarter-turn pose and rotate it back to canonical.
 
-    Returns (corrected image, detected rotation, confidence), where the
+    All images are scored together by the batched eval loop.  Returns one
+    (corrected image, detected rotation, confidence) per image, where the
     confidence is the max softmax score.  Ties resolve to the lowest index.
     """
     if model.config.num_classes != 4:
         raise ValueError("pose model must have 4 output classes")
-    x = img.to_array().astype(np.float32)[None, None] / 255.0
-    logits, _ = model.forward(x, train_mode=False)
-    scores = softmax(logits)[0]
-    detected = Rotation(int(np.argmax(scores)))
-    corrected = rotate(img, detected.inverse())
-    return corrected, detected, float(scores.max())
+    scores = model.predict(to_input(np.stack([img.to_array() for img in images])))
+    turns = [Rotation(int(t)) for t in scores.argmax(axis=1)]
+    return [
+        (rotate(img, r.inverse()), r, float(row.max())) for img, r, row in zip(images, turns, scores)
+    ]

@@ -261,7 +261,3 @@ def load_manifest(path: Path | str) -> DatasetManifest:
         seen.add(rel)
         entries.append(ManifestEntry(rel, cid, Rotation(rot)))
     return DatasetManifest(entries=entries, seed=seed, root=path.parent)
-
-
-def load_images(manifest: DatasetManifest) -> list[Image]:
-    return [load_pgm(manifest.resolve(e)) for e in manifest.entries]

@@ -19,7 +19,7 @@ import numpy as np
 from dxpipe.checkpoint import Checkpoint, checkpoint_from_model, model_from_checkpoint
 from dxpipe.image import Rotation, load_pgm, rotate_array
 from dxpipe.metrics import confusion, per_class_metrics
-from dxpipe.nnet import FusionNet, ModelConfig, sgd_step, softmax, weighted_ce
+from dxpipe.nnet import EVAL_BATCH, FusionNet, ModelConfig, sgd_step, softmax, to_input, weighted_ce
 from dxpipe.synth import DatasetManifest
 
 
@@ -136,33 +136,25 @@ def load_image_array(manifest: DatasetManifest) -> np.ndarray:
     return np.stack(imgs)
 
 
-def _batch_inputs(images: np.ndarray, picks: list[tuple[int, int]]) -> np.ndarray:
-    """Stack rotated, normalized samples: picks are (image index, turns)."""
-    stack = np.empty((len(picks), 1, images.shape[1], images.shape[2]), dtype=np.float32)
-    for row, (i, t) in enumerate(picks):
-        stack[row, 0] = rotate_array(images[i], t)
-    stack /= 255.0
-    return stack
-
-
 def evaluate_arrays(
     model: FusionNet,
     images: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    batch_size: int = 128,
+    batch_size: int = EVAL_BATCH,
 ) -> tuple[float, float, np.ndarray]:
-    """Eval-mode (loss, accuracy, softmax scores) over normalized images."""
+    """Eval-mode (loss, accuracy, softmax scores) over normalized images.
+
+    The loss is the mean of per-batch weighted losses, weighted by batch size.
+    """
     n = len(images)
-    scores = np.empty((n, model.config.num_classes), dtype=np.float32)
+    logits = model.eval_logits(images)
     loss_sum = 0.0
     for start in range(0, n, batch_size):
-        xb = images[start : start + batch_size]
         yb = labels[start : start + batch_size]
-        logits, _ = model.forward(xb, train_mode=False)
-        loss, _ = weighted_ce(logits, yb, weights)
-        loss_sum += loss * len(xb)
-        scores[start : start + batch_size] = softmax(logits)
+        loss, _ = weighted_ce(logits[start : start + batch_size], yb, weights)
+        loss_sum += loss * len(yb)
+    scores = softmax(logits)
     acc = float((scores.argmax(axis=1) == labels).mean())
     return loss_sum / n, acc, scores
 
@@ -188,7 +180,7 @@ def _fit(
         loss_sum = 0.0
         for start in range(0, len(stream), t.batch_size):
             chunk = stream[start : start + t.batch_size]
-            xb = _batch_inputs(images, [(i, turn) for i, turn, _ in chunk])
+            xb = to_input(np.stack([rotate_array(images[i], turn) for i, turn, _ in chunk]))
             yb = np.array([label for _, _, label in chunk], dtype=np.int64)
             logits, cache = model.forward(xb, train_mode=True, rng=dropout_rng)
             loss, dlogits = weighted_ce(logits, yb, weights)
@@ -228,7 +220,7 @@ def train(
 
     images = load_image_array(train_m)
     labels = np.array([e.class_id for e in train_m.entries], dtype=np.int64)
-    val_images = load_image_array(val_m).astype(np.float32)[:, None] / 255.0
+    val_images = to_input(load_image_array(val_m))
     val_labels = np.array([e.class_id for e in val_m.entries], dtype=np.int64)
 
     def stream_fn(epoch: int):
@@ -277,25 +269,31 @@ class WeightingComparison:
 
 
 def compare_weighting(
-    manifest: DatasetManifest, model_cfg: ModelConfig, t: TrainConfig
+    manifest: DatasetManifest,
+    model_cfg: ModelConfig,
+    t: TrainConfig,
+    weighted: Checkpoint | None = None,
+    uniform: Checkpoint | None = None,
 ) -> WeightingComparison:
     """Train twice with the same seed (inverse-frequency vs uniform weights)
-    and report per-class validation recall side by side.
+    and report per-class validation recall side by side.  A mode whose
+    train() checkpoint for these arguments is passed in is not retrained.
 
     Both recall columns come from the same confusion-matrix pipeline on the
     same validation partition.
     """
     _, val_m = split_for_config(manifest, t)
-    val_images = load_image_array(val_m).astype(np.float32)[:, None] / 255.0
+    val_images = to_input(load_image_array(val_m))
     val_labels = np.array([e.class_id for e in val_m.entries], dtype=np.int64)
-    uniform = np.ones(model_cfg.num_classes)
+    ones = np.ones(model_cfg.num_classes)
 
     recalls = {}
     accs = {}
-    for mode, weights in (("weighted", None), ("uniform", uniform)):
-        ckpt, _ = train(manifest, model_cfg, t, class_weights=weights)
+    for mode, ckpt, weights in (("weighted", weighted, None), ("uniform", uniform, ones)):
+        if ckpt is None:
+            ckpt, _ = train(manifest, model_cfg, t, class_weights=weights)
         model = model_from_checkpoint(ckpt)
-        _, acc, scores = evaluate_arrays(model, val_images, val_labels, uniform)
+        _, acc, scores = evaluate_arrays(model, val_images, val_labels, ones)
         cm = confusion(val_labels, scores.argmax(axis=1), model_cfg.num_classes)
         recalls[mode] = [float(r) for r in per_class_metrics(cm).sensitivity]
         accs[mode] = acc

@@ -371,7 +371,7 @@ def test_criterion_7_orientation(default_dataset):
         img = load_pgm(val_m.resolve(e))
         for turns in range(4):
             posed = rotate(img, Rotation(turns))
-            fixed, detected, confidence = correct_orientation(model, posed)
+            fixed, detected, confidence = correct_orientation(model, [posed])[0]
             total += 1
             if int(detected) == turns:
                 hits += 1

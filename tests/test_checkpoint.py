@@ -109,6 +109,22 @@ def test_orientation_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(model.forward(x)[0], loaded.forward(x)[0])
 
 
+@pytest.mark.parametrize("flag", ["True", "False"])
+def test_legacy_full_scale_line_ignored(model, tmp_path, flag):
+    # older v1 files carry a full_scale= config line; their dims are authoritative
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", data, 12)
+    meta = data[20 : 20 + meta_len]
+    legacy = meta.replace(b"[tensors]\n", f"full_scale={flag}\n[tensors]\n".encode())
+    path.write_bytes(data[:12] + struct.pack("<Q", len(legacy)) + legacy + data[20 + meta_len :])
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    for name, arr in model.params.items():
+        np.testing.assert_array_equal(loaded.tensors[name], arr)
+
+
 def test_checkpoint_version_field():
     model = FusionNet(ModelConfig(), seed=0)
     ckpt = checkpoint_from_model(model)

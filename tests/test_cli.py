@@ -1,10 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import constant_image
+from dxpipe import trainer
+from dxpipe.checkpoint import save_model
 from dxpipe.cli import run
 from dxpipe.image import save_pgm
 from dxpipe.metrics import EvalReport
+from dxpipe.nnet import FusionNet, ModelConfig
+from dxpipe.synth import load_manifest
 
 
 def tree_bytes(root):
@@ -240,3 +246,94 @@ def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
     code = run(["--out-dir", str(tmp_path), "predict", "--checkpoint", str(tmp_path / "no.bin")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def standalone_report(trained):
+    data, _ = trained
+    t = trainer.TrainConfig(epochs=2, seed=5)
+    manifest = load_manifest(data / "manifest.csv")
+    return trainer.compare_weighting(manifest, ModelConfig(), t).to_dict()
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_weighting_report_trains_each_mode_once(
+    trained, standalone_report, tmp_path, monkeypatch, uniform
+):
+    data, _ = trained
+    calls = []
+    real_train = trainer.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(kwargs.get("class_weights"))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", counting_train)
+    report = tmp_path / "weighting.json"
+    argv = ["--seed", "5", "--out-dir", str(tmp_path / "run"), "train",
+            "--manifest", str(data / "manifest.csv"), "--epochs", "2",
+            "--weighting-report", str(report)]
+    assert run(argv + (["--uniform-loss"] if uniform else [])) == 0
+    # one training per weighting mode: default weights (None) and all-ones
+    assert sorted("weighted" if w is None else "uniform" for w in calls) == ["uniform", "weighted"]
+    assert json.loads(report.read_text()) == standalone_report
+
+
+def _two_same_named_images(root):
+    paths = []
+    for sub, value in (("d1", 10), ("d2", 200)):
+        (root / sub).mkdir()
+        paths.append(root / sub / "x.pgm")
+        save_pgm(constant_image(32, 32, value), paths[-1])
+    return paths
+
+
+def test_orient_rejects_duplicate_basenames(tmp_path, capsys):
+    ckpt = tmp_path / "pose.bin"
+    save_model(FusionNet(ModelConfig(num_classes=4), seed=0), ckpt)
+    inputs = [str(p) for p in _two_same_named_images(tmp_path)]
+    out = tmp_path / "fixed"
+    assert run(["--out-dir", str(out), "orient", "--checkpoint", str(ckpt)] + inputs) == 1
+    assert "error: duplicate input basenames: x.pgm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_rejects_duplicate_basenames(trained, tmp_path, capsys):
+    _, out = trained
+    d1, d2 = _two_same_named_images(tmp_path)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("# seed=0\npath,class_id,rotation\nd1/x.pgm,0,0\nd2/x.pgm,1,0\n")
+    pred_dir = tmp_path / "pred"
+    base = ["--out-dir", str(pred_dir), "predict", "--checkpoint", str(out / "checkpoint.bin")]
+    for extra in ([str(d1), str(d2)], ["--manifest", str(manifest)]):
+        assert run(base + extra) == 1
+        assert "error: duplicate input basenames: x.pgm" in capsys.readouterr().err
+    assert not pred_dir.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda lines: lines + [lines[1]], "duplicate prediction rows"),
+    (lambda lines: lines[:2] + [""] + lines[2:], "blank line 3"),
+])
+def test_eval_rejects_malformed_prediction_rows(trained, tmp_path, capsys, bad, message):
+    _, out = trained
+    pred_dir = tmp_path / "pred"
+    val = str(out / "val_manifest.csv")
+    assert run(["--out-dir", str(pred_dir), "predict", "--checkpoint", str(out / "checkpoint.bin"),
+                "--manifest", val]) == 0
+    preds = pred_dir / "predictions.csv"
+    preds.write_text("\n".join(bad(preds.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "ev"), "eval", "--predictions", str(preds),
+                "--manifest", val]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "path,predicted,score_0\n"])
+def test_eval_rejects_empty_predictions(trained, tmp_path, capsys, text):
+    _, out = trained
+    preds = tmp_path / "predictions.csv"
+    preds.write_text(text)
+    assert run(["--out-dir", str(tmp_path / "ev"), "eval", "--predictions", str(preds),
+                "--manifest", str(out / "val_manifest.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dxpipe import nnet
 from dxpipe.nnet import (
     FusionNet,
     ModelConfig,
@@ -18,6 +19,7 @@ from dxpipe.nnet import (
     relu_forward,
     sgd_step,
     softmax,
+    to_input,
     weighted_ce,
 )
 
@@ -309,7 +311,13 @@ def test_argmax_invariant_under_constant_shift():
 
 
 def test_full_scale_dims():
-    cfg = ModelConfig(full_scale=True)
+    from dxpipe.cli import _build_parser, _model_config
+
+    # the --full-scale preset overrides the three dim flags
+    args = _build_parser().parse_args(
+        ["train", "--manifest", "m.csv", "--full-scale", "--branch-a-dim", "7", "--fusion-dim", "9"]
+    )
+    cfg = _model_config(args)
     assert (cfg.branch_a_dim, cfg.branch_b_dim, cfg.fusion_dim) == (1056, 1536, 2048)
     assert cfg.branch_a_dim * 16 == cfg.branch_b_dim * 11  # 11:16 branch ratio
     model = FusionNet(cfg, seed=0)
@@ -320,3 +328,22 @@ def test_full_scale_dims():
 def test_default_dims_keep_branch_ratio():
     cfg = ModelConfig()
     assert cfg.branch_a_dim * 16 == cfg.branch_b_dim * 11
+
+
+def test_to_input_normalizes_uint8():
+    images = np.arange(2 * 32 * 32, dtype=np.int64).reshape(2, 32, 32).astype(np.uint8)
+    x = to_input(images)
+    assert x.dtype == np.float32 and x.shape == (2, 1, 32, 32)
+    np.testing.assert_array_equal(x[:, 0] * np.float32(255.0), images.astype(np.float32))
+
+
+def test_eval_logits_chunks_match_forward(monkeypatch):
+    monkeypatch.setattr(nnet, "EVAL_BATCH", 2)
+    model = FusionNet(ModelConfig(), seed=6)
+    x = np.random.default_rng(6).random((5, 1, 32, 32)).astype(np.float32)
+    chunked = model.eval_logits(x)
+    assert chunked.shape == (5, 6)
+    for start in range(0, 5, 2):
+        logits, _ = model.forward(x[start : start + 2])
+        np.testing.assert_array_equal(chunked[start : start + 2], logits)
+    np.testing.assert_array_equal(model.predict(x), softmax(model.eval_logits(x)))

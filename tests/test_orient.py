@@ -32,7 +32,7 @@ def test_correct_orientation_requires_pose_model():
     model = FusionNet(ModelConfig(num_classes=6), seed=0)
     img = load_img_stub()
     with pytest.raises(ValueError, match="4 output"):
-        correct_orientation(model, img)
+        correct_orientation(model, [img])
 
 
 def load_img_stub():
@@ -46,17 +46,22 @@ def test_correct_orientation_confidence_and_inverse():
     # untrained model: prediction is arbitrary but the contract still holds
     model = FusionNet(ModelConfig(num_classes=4), seed=1)
     img = load_img_stub()
-    corrected, detected, confidence = correct_orientation(model, img)
+    [(corrected, detected, confidence)] = correct_orientation(model, [img])
     assert 0.0 <= confidence <= 1.0
     assert corrected == rotate(img, detected.inverse())
     if int(detected) == 0:
         assert corrected == img
 
 
-def test_trained_model_restores_rotated_images(tiny_dataset):
+@pytest.fixture(scope="module")
+def pose_model(tiny_dataset):
     t = TrainConfig(epochs=4, batch_size=32, seed=13)
     ckpt, log = train_orient(tiny_dataset, ModelConfig(), t)
-    model = model_from_checkpoint(ckpt)
+    return model_from_checkpoint(ckpt)
+
+
+def test_trained_model_restores_rotated_images(tiny_dataset, pose_model):
+    model = pose_model
     assert model.config.num_classes == 4
 
     hits = 0
@@ -66,7 +71,7 @@ def test_trained_model_restores_rotated_images(tiny_dataset):
         img = load_pgm(tiny_dataset.resolve(e))
         for turns in range(4):
             posed = rotate(img, Rotation(turns))
-            fixed, detected, _ = correct_orientation(model, posed)
+            [(fixed, detected, _)] = correct_orientation(model, [posed])
             total += 1
             if int(detected) == turns:
                 hits += 1
@@ -82,3 +87,18 @@ def test_train_orient_deterministic(tiny_dataset):
     ckpt2, _ = train_orient(tiny_dataset, ModelConfig(), t)
     for name in ckpt1.tensors:
         np.testing.assert_array_equal(ckpt1.tensors[name], ckpt2.tensors[name])
+
+
+def test_batched_correction_matches_single_image_calls(tiny_dataset, pose_model):
+    posed = [
+        rotate(load_pgm(tiny_dataset.resolve(e)), Rotation(i % 4))
+        for i, e in enumerate(tiny_dataset.entries[::3])
+    ]
+    batched = correct_orientation(pose_model, posed)
+    assert len(batched) == len(posed)
+    for img, (fixed, detected, confidence) in zip(posed, batched):
+        [(fixed1, detected1, confidence1)] = correct_orientation(pose_model, [img])
+        assert detected == detected1
+        assert fixed == fixed1
+        # one-row and many-row BLAS kernels round differently
+        assert abs(confidence - confidence1) < 1e-5
