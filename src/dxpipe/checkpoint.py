@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dxpipe.nnet import FusionNet, ModelConfig
+from dxpipe.nnet import FusionNet, ModelConfig, param_shapes
 
 MAGIC = b"DXPCKPT1"
 VERSION = 1
@@ -50,18 +50,18 @@ def checkpoint_from_model(model: FusionNet) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, validate: bool = True) -> FusionNet:
-    model = FusionNet(ckpt.config, seed=0)
     if validate:
-        missing = set(model.params) - set(ckpt.tensors)
+        shapes = param_shapes(ckpt.config)
+        missing = set(shapes) - set(ckpt.tensors)
         if missing:
             raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
-        for name, ref in model.params.items():
-            if ckpt.tensors[name].shape != ref.shape:
+        for name, shape in shapes.items():
+            if ckpt.tensors[name].shape != shape:
                 raise CheckpointError(
-                    f"tensor {name} has shape {ckpt.tensors[name].shape}, expected {ref.shape}"
+                    f"tensor {name} has shape {ckpt.tensors[name].shape}, expected {shape}"
                 )
-    model.params = {k: np.array(v, dtype=np.float32) for k, v in ckpt.tensors.items()}
-    return model
+    params = {k: np.array(v, dtype=np.float32) for k, v in ckpt.tensors.items()}
+    return FusionNet(ckpt.config, params=params)
 
 
 def _config_lines(config: ModelConfig) -> list[str]:

@@ -257,6 +257,8 @@ def _cmd_orient(args) -> int:
 
 def _predict_paths(args) -> list:
     if args.manifest is not None:
+        if args.inputs:
+            raise ValueError("give --manifest or image paths, not both")
         manifest = synth_mod.load_manifest(args.manifest)
         return [manifest.resolve(e) for e in manifest.entries]
     if not args.inputs:
@@ -362,7 +364,7 @@ def run(argv: list[str]) -> int:
     _print_config(args)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

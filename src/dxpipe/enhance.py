@@ -9,6 +9,7 @@ floor(x + 0.5)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +57,62 @@ def sharpen(img: Image) -> Image:
 
 
 def median_filter(img: Image, radius: int) -> Image:
-    """Exact median over the (2*radius+1)^2 window, edge-replicated."""
+    """Exact median over the (2*radius+1)^2 window, edge-replicated.
+
+    An odd window's median is one of its own pixels, so a comparator network
+    selects it exactly: the n = (2*radius+1)^2 shifted views of the padded
+    image run through Batcher's merge-exchange sorting network, pruned to the
+    comparators that the middle output depends on, with each comparator an
+    elementwise uint8 np.minimum / np.maximum.  Slot n // 2 is the median.
+    """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     a = img.to_array()
+    h, w = a.shape
     p = np.pad(a, radius, mode="edge")
     win = 2 * radius + 1
-    windows = np.lib.stride_tricks.sliding_window_view(p, (win, win))
-    # odd window size -> the median is an actual pixel value
-    med = np.median(windows.reshape(a.shape[0], a.shape[1], win * win), axis=2)
-    return Image.from_array(med.astype(np.uint8))
+    # the views overlap in the pad, so comparators allocate their outputs
+    slots = [p[i : i + h, j : j + w] for i in range(win) for j in range(win)]
+    for i, j, keep_lo, keep_hi in _median_network(win * win):
+        x, y = slots[i], slots[j]
+        if keep_lo:
+            slots[i] = np.minimum(x, y)
+        if keep_hi:
+            slots[j] = np.maximum(x, y)
+    return Image.from_array(slots[win * win // 2])
+
+
+def _merge_exchange(n: int) -> list[tuple[int, int]]:
+    """Batcher's merge-exchange sorting network for n keys, as (i, j) pairs
+    with i < j that put the smaller key in slot i (Knuth, TAOCP vol. 3,
+    5.3.4, Algorithm M)."""
+    t = (n - 1).bit_length()
+    pairs = []
+    p = 1 << (t - 1)
+    while p > 0:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The merge-exchange comparators that output n // 2 depends on, each as
+    (i, j, keep_lo, keep_hi): keep_lo / keep_hi say whether a later kept
+    comparator (or the output) reads the min in slot i / the max in slot j."""
+    live = {n // 2}
+    kept = []
+    for i, j in reversed(_merge_exchange(n)):
+        keep_lo, keep_hi = i in live, j in live
+        if keep_lo or keep_hi:
+            kept.append((i, j, keep_lo, keep_hi))
+            live |= {i, j}
+    return tuple(reversed(kept))
 
 
 def equalize_lut(hist: np.ndarray, total: int) -> np.ndarray:
@@ -158,16 +205,27 @@ def clahe(img: Image, p: ClaheParams) -> Image:
     ix0, ix1, wx = _interp_axis(np.arange(w), cx)
     iy0, iy1, wy = _interp_axis(np.arange(h), cy)
 
+    flat = luts.reshape(-1)
+
+    def mapped(iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+        """luts[iy[:, None], ix[None, :], a] as one gather from the flat table."""
+        idx = (iy * (p.tiles_x * 256))[:, None] + (ix * 256)[None, :]
+        idx += a
+        return flat[idx]
+
+    def lerp(weight: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """(1 - weight) * lo + weight * hi, summed in place."""
+        out = (1.0 - weight) * lo
+        out += weight * hi
+        return out
+
     wx = wx[None, :]
     wy = wy[:, None]
-    top = (1.0 - wx) * luts[iy0[:, None], ix0[None, :], a] + wx * luts[
-        iy0[:, None], ix1[None, :], a
-    ]
-    bot = (1.0 - wx) * luts[iy1[:, None], ix0[None, :], a] + wx * luts[
-        iy1[:, None], ix1[None, :], a
-    ]
-    out = (1.0 - wy) * top + wy * bot
-    return Image.from_array(np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8))
+    top = lerp(wx, mapped(iy0, ix0), mapped(iy0, ix1))
+    bot = lerp(wx, mapped(iy1, ix0), mapped(iy1, ix1))
+    out = lerp(wy, top, bot)
+    out += 0.5
+    return Image.from_array(np.clip(np.floor(out, out=out), 0, 255).astype(np.uint8))
 
 
 def _interp_axis(coords: np.ndarray, centers: np.ndarray):

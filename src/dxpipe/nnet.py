@@ -16,6 +16,7 @@ it is handed, so gradient checks can run the whole model in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,41 +229,54 @@ def _branch_flat_dim(input_size: int, branch: str) -> int:
     return f2 * s * s
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every FusionNet parameter, in initialisation order."""
+    layers = []
+    for branch in ("a", "b"):
+        (k1, f1), (k2, f2) = _BRANCHES[branch]
+        out = config.branch_a_dim if branch == "a" else config.branch_b_dim
+        layers += [
+            (f"branch_{branch}.conv1", (f1, 1, k1, k1)),
+            (f"branch_{branch}.conv2", (f2, f1, k2, k2)),
+            (f"branch_{branch}.fc", (out, _branch_flat_dim(config.input_size, branch))),
+        ]
+    layers.append(("fusion", (config.fusion_dim, config.branch_a_dim + config.branch_b_dim)))
+    layers.append(("head", (config.num_classes, config.fusion_dim)))
+    shapes = {}
+    for name, w_shape in layers:
+        shapes[f"{name}.w"] = w_shape
+        shapes[f"{name}.b"] = w_shape[:1]
+    return shapes
+
+
 class FusionNet:
     """Dual-branch feature-fusion classifier over (N, 1, S, S) inputs in [0, 1]."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(
+        self,
+        config: ModelConfig,
+        seed: int = 0,
+        params: dict[str, np.ndarray] | None = None,
+    ):
+        """Given params are used as they are; otherwise every weight is drawn
+        (He-normal, in param_shapes order) from seed and every bias is zero."""
         self.config = config
-        self.params: dict[str, np.ndarray] = {}
-        rng = np.random.default_rng(seed)
-        for branch in ("a", "b"):
-            (k1, f1), (k2, f2) = _BRANCHES[branch]
-            self._init_conv(rng, f"branch_{branch}.conv1", f1, 1, k1)
-            self._init_conv(rng, f"branch_{branch}.conv2", f2, f1, k2)
-            flat = _branch_flat_dim(config.input_size, branch)
-            out = config.branch_a_dim if branch == "a" else config.branch_b_dim
-            self._init_dense(rng, f"branch_{branch}.fc", out, flat)
-        self._init_dense(rng, "fusion", config.fusion_dim, config.branch_a_dim + config.branch_b_dim)
-        self._init_dense(rng, "head", config.num_classes, config.fusion_dim)
-
-    def _init_conv(self, rng, name: str, f: int, c: int, k: int) -> None:
-        fan_in = c * k * k
-        self.params[f"{name}.w"] = (
-            rng.standard_normal((f, c, k, k)) * np.sqrt(2.0 / fan_in)
-        ).astype(np.float32)
-        self.params[f"{name}.b"] = np.zeros(f, dtype=np.float32)
-
-    def _init_dense(self, rng, name: str, out: int, fan_in: int) -> None:
-        self.params[f"{name}.w"] = (
-            rng.standard_normal((out, fan_in)) * np.sqrt(2.0 / fan_in)
-        ).astype(np.float32)
-        self.params[f"{name}.b"] = np.zeros(out, dtype=np.float32)
+        if params is None:
+            rng = np.random.default_rng(seed)
+            params = {}
+            for name, shape in param_shapes(config).items():
+                if name.endswith(".w"):
+                    fan_in = math.prod(shape[1:])
+                    params[name] = (
+                        rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+                    ).astype(np.float32)
+                else:
+                    params[name] = np.zeros(shape, dtype=np.float32)
+        self.params: dict[str, np.ndarray] = params
 
     def astype(self, dtype) -> "FusionNet":
         """Copy with parameters cast to dtype (float64 for gradient checks)."""
-        clone = FusionNet(self.config, seed=0)
-        clone.params = {k: v.astype(dtype) for k, v in self.params.items()}
-        return clone
+        return FusionNet(self.config, params={k: v.astype(dtype) for k, v in self.params.items()})
 
     def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
         p = self.params

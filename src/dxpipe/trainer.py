@@ -178,17 +178,23 @@ def _fit(
         lr = t.lr * t.lr_decay_factor ** (epoch // t.lr_decay_every)
         stream = stream_fn(epoch)
         loss_sum = 0.0
-        for start in range(0, len(stream), t.batch_size):
+        for batch, start in enumerate(range(0, len(stream), t.batch_size)):
             chunk = stream[start : start + t.batch_size]
             xb = to_input(np.stack([rotate_array(images[i], turn) for i, turn, _ in chunk]))
             yb = np.array([label for _, _, label in chunk], dtype=np.int64)
-            logits, cache = model.forward(xb, train_mode=True, rng=dropout_rng)
+            try:
+                logits, cache = model.forward(xb, train_mode=True, rng=dropout_rng)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"epoch {epoch} batch {batch}: {exc}") from None
             loss, dlogits = weighted_ce(logits, yb, weights)
             grads = model.backward(cache, dlogits)
             sgd_step(model.params, grads, velocity, lr, t.momentum)
             loss_sum += loss * len(chunk)
         train_loss = loss_sum / len(stream)
-        val_loss, val_acc, _ = evaluate_arrays(model, val_inputs, val_labels, weights)
+        try:
+            val_loss, val_acc, _ = evaluate_arrays(model, val_inputs, val_labels, weights)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"epoch {epoch} validation: {exc}") from None
         log.epochs.append(EpochStats(epoch, train_loss, val_loss, val_acc, lr))
         if val_acc > best_acc:
             best_acc = val_acc

@@ -98,6 +98,15 @@ def test_wrong_shape_rejected(model, tmp_path):
         model_from_checkpoint(load_checkpoint(path))
 
 
+def test_load_draws_no_random_weights(model, tmp_path, monkeypatch):
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
+    loaded = load_model(path)
+    for name, arr in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name], arr)
+
+
 def test_orientation_checkpoint_round_trip(tmp_path):
     cfg = ModelConfig(num_classes=4)
     model = FusionNet(cfg, seed=1)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,3 +338,27 @@ def test_eval_rejects_empty_predictions(trained, tmp_path, capsys, text):
     assert run(["--out-dir", str(tmp_path / "ev"), "eval", "--predictions", str(preds),
                 "--manifest", str(out / "val_manifest.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_predict_rejects_manifest_with_image_paths(trained, tmp_path, capsys):
+    data, out = trained
+    image = sorted(data.glob("*.pgm"))[0]
+    pred_dir = tmp_path / "pred"
+    code = run(["--out-dir", str(pred_dir), "predict", "--checkpoint", str(out / "checkpoint.bin"),
+                "--manifest", str(out / "val_manifest.csv"), str(image)])
+    assert code == 1
+    assert "error: give --manifest or image paths, not both" in capsys.readouterr().err
+    assert not pred_dir.exists()
+
+
+def test_diverging_train_fails_cleanly(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = run(["--out-dir", str(out), "train", "--manifest", str(data / "manifest.csv"),
+                "--epochs", "1", "--batch-size", "4", "--lr", "1e6"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: epoch 0 batch \d+: non-finite values in \S+$", err, re.M)
+    assert not out.exists()

@@ -4,6 +4,7 @@ import pytest
 from conftest import constant_image, random_image
 from dxpipe.enhance import (
     ClaheParams,
+    _median_network,
     clahe,
     clip_histogram,
     enhance_chain,
@@ -100,6 +101,48 @@ def test_median_clears_sparse_random_impulses():
 def test_median_rejects_zero_radius():
     with pytest.raises(ValueError, match="radius"):
         median_filter(constant_image(4, 4, 0), 0)
+
+
+def _median_oracle(arr, radius):
+    """np.median over every edge-replicated window (a sort oracle)."""
+    win = 2 * radius + 1
+    padded = np.pad(arr, radius, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
+    return np.median(windows.reshape(*arr.shape, win * win), axis=2).astype(np.uint8)
+
+
+_FILLS = {
+    "random": lambda rng, shape: rng.integers(0, 256, size=shape, dtype=np.uint8),
+    "all0": lambda rng, shape: np.zeros(shape, dtype=np.uint8),
+    "all255": lambda rng, shape: np.full(shape, 255, dtype=np.uint8),
+    "salt": lambda rng, shape: np.where(rng.random(shape) < 0.5, 0, 255).astype(np.uint8),
+}
+
+
+@pytest.mark.parametrize("fill", sorted(_FILLS))
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 3), (5, 5), (32, 32), (33, 47)])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_median_matches_np_median_oracle(radius, shape, fill):
+    rng = np.random.default_rng(radius * 1000 + shape[0] * 50 + shape[1])
+    arr = _FILLS[fill](rng, shape)
+    out = median_filter(Image.from_array(arr), radius).to_array()
+    np.testing.assert_array_equal(out, _median_oracle(arr, radius))
+
+
+def test_median_r1_network_selects_median_of_every_binary_window():
+    # 0-1 principle: a min/max network that selects the median of every 0/1
+    # input selects it for every input.  One 3x3 block per pattern, side by
+    # side; each block's centre window is exactly that block.
+    bits = (np.arange(512)[:, None] >> np.arange(9)) & 1
+    blocks = bits.reshape(512, 3, 3).astype(np.uint8) * 255
+    arr = np.concatenate(list(blocks), axis=1)
+    out = median_filter(Image.from_array(arr), 1).to_array()
+    expected = np.where(bits.sum(axis=1) >= 5, 255, 0)
+    np.testing.assert_array_equal(out[1, 1::3], expected)
+
+
+def test_median_network_comparator_counts():
+    assert [len(_median_network((2 * r + 1) ** 2)) for r in (1, 2, 3)] == [22, 113, 313]
 
 
 def test_hist_equalize_constant_unchanged():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from dxpipe.nnet import (
     dropout_forward,
     maxpool2_backward,
     maxpool2_forward,
+    param_shapes,
     relu_backward,
     relu_forward,
     sgd_step,
@@ -347,3 +349,29 @@ def test_eval_logits_chunks_match_forward(monkeypatch):
         logits, _ = model.forward(x[start : start + 2])
         np.testing.assert_array_equal(chunked[start : start + 2], logits)
     np.testing.assert_array_equal(model.predict(x), softmax(model.eval_logits(x)))
+
+
+def test_param_shapes_match_initialised_params():
+    for cfg in (ModelConfig(), ModelConfig(input_size=16, num_classes=4, fusion_dim=7)):
+        model = FusionNet(cfg, seed=0)
+        assert list(param_shapes(cfg).items()) == [(k, v.shape) for k, v in model.params.items()]
+
+
+def test_init_draw_is_pinned():
+    # digest of the seed-3 default parameters, in insertion order
+    model = FusionNet(ModelConfig(), seed=3)
+    h = hashlib.sha256()
+    for name, arr in model.params.items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == "269ff97f7c8c57c94b321b86f83542a6201f49a8985f93cb49a94bc24b33b722"
+
+
+def test_astype_casts_without_drawing(monkeypatch):
+    model = FusionNet(ModelConfig(), seed=1)
+    monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
+    clone = model.astype(np.float64)
+    assert clone.config is model.config
+    for name, arr in model.params.items():
+        assert clone.params[name].dtype == np.float64
+        np.testing.assert_array_equal(clone.params[name], arr)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dxpipe import trainer as trainer_mod
 from dxpipe.checkpoint import model_from_checkpoint
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import ClassSpec, DatasetManifest, ManifestEntry, SynthParams, generate_dataset
@@ -105,6 +106,15 @@ def test_zero_lr_keeps_initial_weights(tiny_dataset):
     fresh = FusionNet(ModelConfig(), seed=5)
     for name, tensor in ckpt.tensors.items():
         np.testing.assert_array_equal(tensor, fresh.params[name])
+
+
+def test_non_finite_validation_names_the_epoch(tiny_dataset, monkeypatch):
+    def diverged(*args, **kwargs):
+        raise FloatingPointError("non-finite values in logits")
+
+    monkeypatch.setattr(trainer_mod, "evaluate_arrays", diverged)
+    with pytest.raises(FloatingPointError, match="^epoch 0 validation: non-finite values in logits$"):
+        train(tiny_dataset, ModelConfig(), TrainConfig(epochs=1, seed=3))
 
 
 def test_train_deterministic_per_seed(tiny_dataset):
