@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dxpipe.fileio import write_atomic
 from dxpipe.nnet import FusionNet, ModelConfig, param_shapes
 
 MAGIC = b"DXPCKPT1"
@@ -86,6 +87,7 @@ def _parse_config(lines: list[str]) -> ModelConfig:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
+    """Write ckpt to path atomically (see fileio.write_atomic)."""
     meta_lines = ["[config]"]
     meta_lines += _config_lines(ckpt.config)
     meta_lines.append("[tensors]")
@@ -98,13 +100,8 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
         payloads.append(arr.tobytes())
         offset += arr.nbytes
     meta = ("\n".join(meta_lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
-        fh.write(struct.pack("<Q", len(meta)))
-        fh.write(meta)
-        for blob in payloads:
-            fh.write(blob)
+    header = MAGIC + struct.pack("<I", ckpt.version) + struct.pack("<Q", len(meta))
+    write_atomic(path, b"".join([header, meta, *payloads]))
 
 
 def save_model(model: FusionNet, path: Path | str) -> None:

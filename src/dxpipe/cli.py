@@ -241,6 +241,8 @@ def _basenames(paths) -> list[str]:
 
 def _cmd_orient(args) -> int:
     names = _basenames(args.inputs)
+    if "orientation.csv" in names:
+        raise ValueError("an input is named orientation.csv, the name of orient's results file")
     model = ckpt_io.load_model(args.checkpoint)
     results = orient_mod.correct_orientation(model, [load_pgm(p) for p in args.inputs])
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -80,14 +80,20 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, cols
 
 
+def conv2d_param_grads(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
+    """(dw, db) of a conv2d_forward call, from its output gradient and cols."""
+    n, f = dout.shape[:2]
+    dw = np.einsum("nfp,nkp->fk", dout.reshape(n, f, -1), cols).reshape(w.shape)
+    db = dout.sum(axis=(0, 2, 3))
+    return dw, db
+
+
 def conv2d_backward(dout: np.ndarray, cols: np.ndarray, x_shape, w: np.ndarray):
     n, c, h, wd = x_shape
     f, _, kh, kw = w.shape
     oh, ow = h - kh + 1, wd - kw + 1
-    dm = dout.reshape(n, f, oh * ow)
-    dw = np.einsum("nfp,nkp->fk", dm, cols).reshape(w.shape)
-    db = dout.sum(axis=(0, 2, 3))
-    dcols = np.matmul(w.reshape(f, -1).T[None], dm)
+    dw, db = conv2d_param_grads(dout, cols, w)
+    dcols = np.matmul(w.reshape(f, -1).T[None], dout.reshape(n, f, oh * ow))
     dcols = dcols.reshape(n, c, kh, kw, oh, ow)
     dx = np.zeros(x_shape, dtype=dout.dtype)
     for i in range(kh):
@@ -104,30 +110,45 @@ def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dout * (x > 0)
 
 
+def _pool_taps(shape) -> list[tuple[slice, ...]]:
+    """Each 2x2-window position as a strided view index, in window order."""
+    h2, w2 = shape[2] // 2, shape[3] // 2
+    return [
+        (slice(None), slice(None), slice(i, 2 * h2, 2), slice(j, 2 * w2, 2))
+        for i in (0, 1)
+        for j in (0, 1)
+    ]
+
+
 def maxpool2_forward(x: np.ndarray):
-    """2x2 max pooling, stride 2; odd trailing rows/cols are dropped."""
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    xc = x[:, :, : 2 * h2, : 2 * w2]
-    windows = (
-        xc.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    )
-    idx = np.argmax(windows, axis=4)
-    out = np.take_along_axis(windows, idx[..., None], axis=4)[..., 0]
-    return out, (idx, x.shape)
+    """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
+
+    Each window's output is its first maximum in window order (0,0), (0,1),
+    (1,0), (1,1), the element np.argmax over the window picks; the cache
+    holds that element's index (0-3) per window.  np.maximum returns its
+    second operand when the two compare equal (x86 max semantics, pinned
+    by the tests), so every pair passes the earlier tap second: a window
+    whose maximum is both -0.0 and +0.0 yields the earlier zero.  x must be
+    finite.
+    """
+    t00, t01, t10, t11 = (x[tap] for tap in _pool_taps(x.shape))
+    out = np.maximum(np.maximum(t11, t10), np.maximum(t01, t00))
+    # first = (t00 != out) * (1 + (t01 != out) * (1 + (t10 != out)))
+    first = (t10 != out).astype(np.uint8)
+    first += 1
+    first *= t01 != out
+    first += 1
+    first *= t00 != out
+    return out, (first, x.shape)
 
 
 def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
-    idx, x_shape = cache
-    n, c, h, w = x_shape
-    h2, w2 = h // 2, w // 2
-    dwin = np.zeros((n, c, h2, w2, 4), dtype=dout.dtype)
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=4)
-    dxc = dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, 2 * h2, 2 * w2
-    )
+    """Sends each window's gradient to its first maximum; every other
+    element of dx, odd trailing rows/cols included, is +0.0."""
+    first, x_shape = cache
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    dx[:, :, : 2 * h2, : 2 * w2] = dxc
+    for k, tap in enumerate(_pool_taps(x_shape)):
+        dx[tap] = np.where(first == k, dout, 0)
     return dx
 
 
@@ -293,7 +314,6 @@ class FusionNet:
         feat = dense_forward(flat, p[f"{name}.fc.w"], p[f"{name}.fc.b"])
         _require_finite(f"{name}.fc", feat)
         cache[name] = {
-            "x_shape": x.shape,
             "cols1": cols1,
             "c1": c1,
             "pool1": pool1,
@@ -359,8 +379,8 @@ class FusionNet:
         )
         dr1 = maxpool2_backward(dp1, c["pool1"])
         dc1 = relu_backward(dr1, c["c1"])
-        _, grads[f"{name}.conv1.w"], grads[f"{name}.conv1.b"] = conv2d_backward(
-            dc1, c["cols1"], c["x_shape"], p[f"{name}.conv1.w"]
+        grads[f"{name}.conv1.w"], grads[f"{name}.conv1.b"] = conv2d_param_grads(
+            dc1, c["cols1"], p[f"{name}.conv1.w"]
         )
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from dxpipe.enhance import hist_equalize
+from dxpipe.fileio import write_atomic
 from dxpipe.image import Image, Rotation, load_pgm, save_pgm
 
 NUM_CLASSES = 6
@@ -228,9 +229,10 @@ def manifest_to_csv(manifest: DatasetManifest, relative_to: Path | None = None) 
 
 
 def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
-    """Write the manifest so its image paths resolve from the file's directory."""
+    """Write the manifest so its image paths resolve from the file's
+    directory; the write is atomic (fileio.write_atomic)."""
     path = Path(path)
-    path.write_text(manifest_to_csv(manifest, relative_to=path.parent), encoding="ascii")
+    write_atomic(path, manifest_to_csv(manifest, relative_to=path.parent).encode("ascii"))
 
 
 def load_manifest(path: Path | str) -> DatasetManifest:

@@ -159,6 +159,9 @@ def evaluate_arrays(
     return loss_sum / n, acc, scores
 
 
+# Divergence is reported by _require_finite (layer, epoch and batch) as one
+# error; numpy's overflow warnings would only precede it on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(
     model: FusionNet,
     images: np.ndarray,

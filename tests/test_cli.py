@@ -299,6 +299,24 @@ def test_orient_rejects_duplicate_basenames(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_orient_rejects_input_named_like_its_results_file(tmp_path, capsys):
+    # the corrected copy of in/orientation.csv would be overwritten by the CSV
+    ckpt = tmp_path / "pose.bin"
+    save_model(FusionNet(ModelConfig(num_classes=4), seed=0), ckpt)
+    (tmp_path / "in").mkdir()
+    named = tmp_path / "in" / "orientation.csv"
+    save_pgm(constant_image(32, 32, 10), named)
+    other = tmp_path / "x.pgm"
+    save_pgm(constant_image(32, 32, 200), other)
+    out = tmp_path / "fixed"
+    code = run(["--out-dir", str(out), "orient", "--checkpoint", str(ckpt), str(named), str(other)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: an input is named orientation.csv, the name of orient's results file\n"
+    )
+    assert not out.exists()
+
+
 def test_predict_rejects_duplicate_basenames(trained, tmp_path, capsys):
     _, out = trained
     d1, d2 = _two_same_named_images(tmp_path)
@@ -351,7 +369,7 @@ def test_predict_rejects_manifest_with_image_paths(trained, tmp_path, capsys):
     assert not pred_dir.exists()
 
 
-def test_diverging_train_fails_cleanly(tmp_path, capsys):
+def test_diverging_train_fails_cleanly(tmp_path, capsys, recwarn):
     data = tmp_path / "data"
     assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
     capsys.readouterr()
@@ -361,4 +379,8 @@ def test_diverging_train_fails_cleanly(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert re.search(r"^error: epoch 0 batch \d+: non-finite values in \S+$", err, re.M)
+    # the error line is all that reaches stderr: numpy's overflow warnings,
+    # which pytest would otherwise take out of stderr, are not raised
+    assert err.count("\n") == 1
+    assert [str(w.message) for w in recwarn] == []
     assert not out.exists()

@@ -10,6 +10,7 @@ from dxpipe.nnet import (
     ModelConfig,
     conv2d_backward,
     conv2d_forward,
+    conv2d_param_grads,
     dense_backward,
     dense_forward,
     dropout_backward,
@@ -108,6 +109,85 @@ def test_maxpool_odd_edges_get_zero_gradient():
     assert out.shape == (1, 1, 2, 2)
     dx = maxpool2_backward(np.ones_like(out), cache)
     assert (dx[:, :, 4, :] == 0).all() and (dx[:, :, :, 4] == 0).all()
+
+
+def _maxpool_oracle(x, dout):
+    """The reshape/argmax/put_along_axis pooling that maxpool2_forward and
+    maxpool2_backward replaced: (out, dx), the reference they must match bit
+    for bit."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    windows = (
+        x[:, :, : 2 * h2, : 2 * w2]
+        .reshape(n, c, h2, 2, w2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h2, w2, 4)
+    )
+    idx = np.argmax(windows, axis=4)
+    out = np.take_along_axis(windows, idx[..., None], axis=4)[..., 0]
+    dwin = np.zeros((n, c, h2, w2, 4), dtype=dout.dtype)
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=4)
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    dx[:, :, : 2 * h2, : 2 * w2] = (
+        dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
+    )
+    return out, dx
+
+
+def _pool_input(kind, shape, dtype, rng):
+    n, c, h, w = shape
+    if kind == "random":
+        return rng.standard_normal(shape).astype(dtype)
+    if kind == "equal_windows":  # every 2x2 window holds one value four times
+        v = rng.standard_normal((n, c, (h + 1) // 2, (w + 1) // 2)).astype(dtype)
+        return np.repeat(np.repeat(v, 2, axis=2), 2, axis=3)[:, :, :h, :w].copy()
+    if kind == "relu_ties":  # ReLU'd small integers: many windows tied at 0 or above
+        return np.maximum(rng.integers(-3, 3, size=shape), 0).astype(dtype)
+    if kind == "signed_zeros":  # 0.0 and -0.0 in one window, tied at the maximum
+        return rng.choice(np.array([0.0, -0.0, -1.0], dtype=dtype), size=shape)
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["random", "equal_windows", "relu_ties", "signed_zeros"])
+@pytest.mark.parametrize("hw", [(30, 30), (15, 15), (13, 13), (5, 5), (2, 2), (30, 13), (5, 2)])
+def test_maxpool_matches_argmax_oracle_bytes(dtype, kind, hw):
+    rng = np.random.default_rng(sum(hw))
+    x = _pool_input(kind, (2, 3, *hw), dtype, rng)
+    # negative gradients, and -0.0 ones that must land as -0.0 on the chosen tap
+    dout = rng.standard_normal((2, 3, hw[0] // 2, hw[1] // 2)).astype(dtype)
+    dout.reshape(-1)[::5] = -0.0
+    ref_out, ref_dx = _maxpool_oracle(x, dout)
+    out, cache = maxpool2_forward(x)
+    dx = maxpool2_backward(dout, cache)
+    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+    assert out.tobytes() == ref_out.tobytes()
+    assert dx.dtype == ref_dx.dtype and dx.shape == ref_dx.shape
+    assert dx.tobytes() == ref_dx.tobytes()
+    if kind == "signed_zeros":  # the case is really there: ties of -0.0 and +0.0
+        h2, w2 = hw[0] // 2, hw[1] // 2
+        taps = [x[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+        neg = np.logical_or.reduce([(t == 0) & np.signbit(t) for t in taps])
+        pos = np.logical_or.reduce([(t == 0) & ~np.signbit(t) for t in taps])
+        assert (neg & pos).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((4, 1, 32, 32), (8, 1, 3, 3)),
+    ((4, 1, 32, 32), (8, 1, 5, 5)),
+    ((4, 8, 15, 15), (16, 8, 3, 3)),
+])
+def test_conv2d_param_grads_match_conv2d_backward_bytes(dtype, x_shape, w_shape):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    out, cols = conv2d_forward(x, w, np.zeros(w_shape[0], dtype))
+    dout = rng.standard_normal(out.shape).astype(dtype)
+    _, dw_ref, db_ref = conv2d_backward(dout, cols, x_shape, w)
+    dw, db = conv2d_param_grads(dout, cols, w)
+    assert dw.dtype == dw_ref.dtype and dw.tobytes() == dw_ref.tobytes()
+    assert db.dtype == db_ref.dtype and db.tobytes() == db_ref.tobytes()
 
 
 def test_relu_gradients_away_from_kink():
