@@ -11,13 +11,16 @@ Byte layout (all integers little-endian):
                      [tensors]
                      name=shape@offset  (shape comma-separated, offset into
                                          the payload section)
-    then         raw float32 payloads, little-endian, in directory order
+    then         raw float32 payloads, little-endian, in directory order,
+                 back to back from offset 0 to the end of the file (the
+                 loader accepts no other layout)
 
 Loading a checkpoint reproduces bit-identical eval-mode forward outputs.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -50,17 +53,21 @@ def checkpoint_from_model(model: FusionNet) -> Checkpoint:
     )
 
 
-def model_from_checkpoint(ckpt: Checkpoint, validate: bool = True) -> FusionNet:
-    if validate:
-        shapes = param_shapes(ckpt.config)
-        missing = set(shapes) - set(ckpt.tensors)
-        if missing:
-            raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
-        for name, shape in shapes.items():
-            if ckpt.tensors[name].shape != shape:
-                raise CheckpointError(
-                    f"tensor {name} has shape {ckpt.tensors[name].shape}, expected {shape}"
-                )
+def model_from_checkpoint(ckpt: Checkpoint) -> FusionNet:
+    """The model whose parameters are ckpt's tensors, which must be exactly
+    the ones its config calls for, with their shapes."""
+    shapes = param_shapes(ckpt.config)
+    missing = set(shapes) - set(ckpt.tensors)
+    if missing:
+        raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
+    extra = set(ckpt.tensors) - set(shapes)
+    if extra:
+        raise CheckpointError(f"checkpoint has unexpected tensors: {sorted(extra)}")
+    for name, shape in shapes.items():
+        if ckpt.tensors[name].shape != shape:
+            raise CheckpointError(
+                f"tensor {name} has shape {ckpt.tensors[name].shape}, expected {shape}"
+            )
     params = {k: np.array(v, dtype=np.float32) for k, v in ckpt.tensors.items()}
     return FusionNet(ckpt.config, params=params)
 
@@ -74,6 +81,8 @@ def _config_lines(config: ModelConfig) -> list[str]:
 
 
 def _parse_config(lines: list[str]) -> ModelConfig:
+    """Every ModelConfig field, once: each has been written since format
+    version 1, so a missing key means a damaged file, not an older one."""
     kwargs = {}
     names = {f.name for f in fields(ModelConfig)}
     for line in lines:
@@ -82,8 +91,19 @@ def _parse_config(lines: list[str]) -> ModelConfig:
             continue  # older files; their dims were resolved at save time
         if key not in names:
             raise CheckpointError(f"unknown config key {key!r}")
-        kwargs[key] = float(raw) if key == "dropout_rate" else int(raw)
-    return ModelConfig(**kwargs)
+        if key in kwargs:
+            raise CheckpointError(f"corrupt checkpoint: config key {key!r} given twice")
+        try:
+            kwargs[key] = float(raw) if key == "dropout_rate" else int(raw)
+        except ValueError:
+            raise CheckpointError(f"corrupt checkpoint: bad config value {line!r}") from None
+    missing = names - kwargs.keys()
+    if missing:
+        raise CheckpointError(f"corrupt checkpoint: missing config keys {sorted(missing)}")
+    try:
+        return ModelConfig(**kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from None
 
 
 def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
@@ -123,18 +143,22 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     pos += 8
     if pos + meta_len > len(data):
         raise CheckpointError("corrupt checkpoint: truncated metadata")
-    meta = data[pos : pos + meta_len].decode("utf-8")
+    try:
+        meta = data[pos : pos + meta_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("corrupt checkpoint: metadata is not UTF-8") from None
     payload = data[pos + meta_len :]
 
     lines = [ln for ln in meta.splitlines() if ln]
-    try:
-        cfg_start = lines.index("[config]") + 1
-        tens_start = lines.index("[tensors]")
-    except ValueError:
-        raise CheckpointError("corrupt checkpoint: missing metadata sections") from None
-    config = _parse_config(lines[cfg_start:tens_start])
+    if lines[:1] != ["[config]"] or "[tensors]" not in lines:
+        raise CheckpointError("corrupt checkpoint: missing metadata sections")
+    tens_start = lines.index("[tensors]")
+    config = _parse_config(lines[1:tens_start])
 
-    tensors: dict[str, np.ndarray] = {}
+    # the layout save_checkpoint writes: payloads back to back in directory
+    # order, together exactly the payload section
+    layout: dict[str, tuple[tuple[int, ...], int]] = {}
+    end = 0
     for line in lines[tens_start + 1 :]:
         name, _, rest = line.partition("=")
         shape_str, _, offset_str = rest.partition("@")
@@ -143,12 +167,25 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             offset = int(offset_str)
         except ValueError:
             raise CheckpointError(f"corrupt checkpoint: bad tensor line {line!r}") from None
-        count = int(np.prod(shape))
-        end = offset + 4 * count
-        if end > len(payload):
-            raise CheckpointError(f"corrupt checkpoint: truncated payload for {name}")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(np.float32)
+        if min(shape) < 0 or name in layout:
+            raise CheckpointError(f"corrupt checkpoint: bad tensor line {line!r}")
+        if offset != end:
+            raise CheckpointError(
+                f"corrupt checkpoint: tensor {name} at payload offset {offset}, expected {end}"
+            )
+        layout[name] = (shape, offset)
+        end += 4 * math.prod(shape)
+    if end != len(payload):
+        what = "truncated payload" if end > len(payload) else "bytes past the last tensor"
+        raise CheckpointError(
+            f"corrupt checkpoint: {what}: tensors take {end} bytes, payload has {len(payload)}"
+        )
+    tensors = {
+        name: np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=offset)
+        .reshape(shape)
+        .astype(np.float32)
+        for name, (shape, offset) in layout.items()
+    }
     return Checkpoint(version=version, config=config, tensors=tensors)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from dxpipe import checkpoint as ckpt_io
 from dxpipe import cluster as cluster_mod
 from dxpipe import enhance as enhance_mod
+from dxpipe import fileio
 from dxpipe import metrics as metrics_mod
 from dxpipe import orient as orient_mod
 from dxpipe import synth as synth_mod
@@ -132,6 +133,10 @@ def _train_config(args) -> trainer_mod.TrainConfig:
     )
 
 
+def _write_text(path: Path, text: str) -> None:
+    fileio.write_atomic(path, text.encode("ascii"))
+
+
 def _cmd_synth(args) -> int:
     params = synth_mod.SynthParams(
         image_size=args.image_size, noise_impulse_prob=args.noise, rng_seed=args.seed
@@ -143,7 +148,7 @@ def _cmd_synth(args) -> int:
         present = [c for c in range(synth_mod.NUM_CLASSES) if counts[c] > 0]
         smallest = sorted(present, key=lambda c: (counts[c], c))[:2]
         manifest = synth_mod.amplify_minority(manifest, smallest)
-        synth_mod.save_manifest(manifest, args.out_dir / "manifest.csv")
+    synth_mod.save_manifest(manifest, args.out_dir / "manifest.csv")
     counts = ", ".join(str(int(c)) for c in manifest.class_counts())
     print(f"wrote {len(manifest.entries)} images to {args.out_dir} (class counts: {counts})")
     return 0
@@ -162,7 +167,6 @@ def _cmd_enhance(args) -> int:
     inputs = sorted(args.input.glob("*.pgm")) if args.input.is_dir() else [args.input]
     if not inputs:
         raise FileNotFoundError(f"no PGM files under {args.input}")
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     for path in inputs:
         save_pgm(fn(load_pgm(path)), args.out_dir / path.name)
         if args.verbose:
@@ -174,11 +178,8 @@ def _cmd_enhance(args) -> int:
 def _cmd_cluster(args) -> int:
     manifest = synth_mod.load_manifest(args.manifest)
     report = cluster_mod.cluster_report(manifest, args.k, seed=args.seed)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    (args.out_dir / "clusters.csv").write_text(cluster_mod.report_to_csv(report), encoding="ascii")
-    (args.out_dir / "contingency.csv").write_text(
-        cluster_mod.contingency_to_csv(report), encoding="ascii"
-    )
+    _write_text(args.out_dir / "clusters.csv", cluster_mod.report_to_csv(report))
+    _write_text(args.out_dir / "contingency.csv", cluster_mod.contingency_to_csv(report))
     print(
         f"clustered {len(report.rows)} images into {args.k} groups "
         f"(inertia {report.result.inertia:.3f}, {report.result.n_iter} iterations)"
@@ -192,18 +193,15 @@ def _cmd_train(args) -> int:
     t = _train_config(args)
     weights = np.ones(model_cfg.num_classes) if args.uniform_loss else None
     ckpt, log = trainer_mod.train(manifest, model_cfg, t, class_weights=weights)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_io.save_checkpoint(ckpt, args.out_dir / "checkpoint.bin")
-    log.save(args.out_dir / "trainlog.csv")
+    _write_text(args.out_dir / "trainlog.csv", log.to_csv())
     train_m, val_m = trainer_mod.split_for_config(manifest, t)
     synth_mod.save_manifest(train_m, args.out_dir / "train_manifest.csv")
     synth_mod.save_manifest(val_m, args.out_dir / "val_manifest.csv")
     if args.weighting_report is not None:
         trained = {"uniform" if args.uniform_loss else "weighted": ckpt}
         comparison = trainer_mod.compare_weighting(manifest, model_cfg, t, **trained)
-        args.weighting_report.write_text(
-            json.dumps(comparison.to_dict(), indent=2) + "\n", encoding="ascii"
-        )
+        _write_text(args.weighting_report, json.dumps(comparison.to_dict(), indent=2) + "\n")
     if args.verbose:
         print(log.to_csv(), end="")
     best = log.epochs[log.best_epoch]
@@ -217,9 +215,8 @@ def _cmd_train(args) -> int:
 def _cmd_orient_train(args) -> int:
     manifest = synth_mod.load_manifest(args.manifest)
     ckpt, log = orient_mod.train_orient(manifest, _model_config(args), _train_config(args))
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_io.save_checkpoint(ckpt, args.out_dir / "orient_checkpoint.bin")
-    log.save(args.out_dir / "orient_trainlog.csv")
+    _write_text(args.out_dir / "orient_trainlog.csv", log.to_csv())
     if args.verbose:
         print(log.to_csv(), end="")
     best = log.epochs[log.best_epoch]
@@ -245,14 +242,13 @@ def _cmd_orient(args) -> int:
         raise ValueError("an input is named orientation.csv, the name of orient's results file")
     model = ckpt_io.load_model(args.checkpoint)
     results = orient_mod.correct_orientation(model, [load_pgm(p) for p in args.inputs])
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "detected_turns", "confidence"])
     for name, (corrected, detected, confidence) in zip(names, results):
         save_pgm(corrected, args.out_dir / name)
         writer.writerow([name, int(detected), f"{confidence:.6f}"])
-    (args.out_dir / "orientation.csv").write_text(buf.getvalue(), encoding="ascii")
+    _write_text(args.out_dir / "orientation.csv", buf.getvalue())
     print(f"corrected {len(args.inputs)} image(s) -> {args.out_dir}")
     return 0
 
@@ -273,14 +269,13 @@ def _cmd_predict(args) -> int:
     paths = _predict_paths(args)
     names = _basenames(paths)
     scores = model.predict(to_input(np.stack([load_pgm(p).to_array() for p in paths])))
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     c = scores.shape[1]
     writer.writerow(["path", "predicted"] + [f"score_{i}" for i in range(c)])
     for name, row in zip(names, scores):
         writer.writerow([name, int(row.argmax())] + [f"{v:.6f}" for v in row])
-    (args.out_dir / "predictions.csv").write_text(buf.getvalue(), encoding="ascii")
+    _write_text(args.out_dir / "predictions.csv", buf.getvalue())
     print(f"predicted {len(paths)} image(s) -> {args.out_dir / 'predictions.csv'}")
     return 0
 
@@ -322,12 +317,9 @@ def _cmd_eval(args) -> int:
     report = metrics_mod.build_report(
         labels, scores.argmax(axis=1), num_classes, score_matrix=scores
     )
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    report.save(args.out_dir / "eval_report.json")
+    _write_text(args.out_dir / "eval_report.json", report.to_json())
     for c, curve in enumerate(report.roc_curves or []):
-        (args.out_dir / f"roc_class{c}.csv").write_text(
-            metrics_mod.roc_to_csv(curve), encoding="ascii"
-        )
+        _write_text(args.out_dir / f"roc_class{c}.csv", metrics_mod.roc_to_csv(curve))
     print(metrics_mod.render_per_class_table(report), end="")
     print(f"accuracy {report.accuracy:.4f}, macro AUC {report.macro_auc:.4f}")
     return 0
@@ -342,8 +334,7 @@ def _cmd_report(args) -> int:
         model_report, annotators, model_name=args.model_name, annotators_name=args.annotators_name
     )
     text = metrics_mod.comparison_to_csv(rows)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    (args.out_dir / "comparison.csv").write_text(text, encoding="ascii")
+    _write_text(args.out_dir / "comparison.csv", text)
     print(text, end="")
     return 0
 
@@ -365,7 +356,8 @@ def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     _print_config(args)
     try:
-        return _COMMANDS[args.command](args)
+        with fileio.one_write_per_path():
+            return _COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,27 +1,55 @@
-"""Whole-file writes that never leave a partly written target."""
+"""The one function that writes files, and the CLI's one-write-per-path rule."""
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from pathlib import Path
+
+# (st_dev, st_ino, name) of each file written in the open scope, if one is open
+_written: ContextVar[set | None] = ContextVar("dxpipe_written", default=None)
+
+
+@contextmanager
+def one_write_per_path():
+    """Until the scope ends, a second write_atomic to one file (same name in
+    the same directory, however spelled) raises FileExistsError."""
+    token = _written.set(set())
+    try:
+        yield
+    finally:
+        _written.reset(token)
 
 
 def write_atomic(path: Path | str, data: bytes) -> None:
-    """Write data to a temporary file beside path, then os.replace it onto
-    path, so path never holds a partial write.  A write that raises leaves
-    an existing target as it was and removes the temporary file; a killed
-    process may leave the temporary file behind.  Nothing is fsynced: this
-    guards against a failing process, not against power loss.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    """Write data to a temporary file beside path (creating missing parent
+    directories), remove any old path, then rename the temporary file onto it:
+    a failing process leaves the old file, no file or the new file, never a
+    partial one.  A write that raises removes the temporary file.  Nothing is
+    fsynced, so power loss is not covered.  On ext4, renaming over an existing
+    file can be far slower than unlinking it first."""
+    parent, name = os.path.split(os.fspath(path))
+    parent = parent or "."
+    try:
+        st = os.stat(parent)
+    except FileNotFoundError:
+        os.makedirs(parent)
+        st = os.stat(parent)
+    if (written := _written.get()) is not None:
+        if (key := (st.st_dev, st.st_ino, name)) in written:
+            raise FileExistsError(f"{path} is written twice by one command")
+        written.add(key)
+    tmp = os.path.join(parent, f".{name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL: never clobber a file of that name; mode 0o666 less the umask,
     # as open(path, "wb") would give the target
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
             fh.write(data)
+        with suppress(FileNotFoundError):
+            os.unlink(path)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.unlink(tmp)
         raise

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dxpipe.fileio import write_atomic
+
 
 class PgmError(ValueError):
     """Raised for malformed, oversized, or truncated PGM data."""
@@ -151,8 +153,7 @@ def load_pgm(path) -> Image:
 
 
 def save_pgm(img: Image, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_pgm(img))
+    write_atomic(path, write_pgm(img))
 
 
 def rotate(img: Image, r: Rotation) -> Image:

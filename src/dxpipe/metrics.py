@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -126,18 +125,24 @@ def roc_curve(scores, labels) -> RocCurve:
     return RocCurve(points=np.column_stack([fpr, tpr]), thresholds=thresholds, auc=auc)
 
 
-def multiclass_auc(score_matrix: np.ndarray, labels) -> tuple[list[float], float]:
-    """One-vs-rest AUC per class on score columns, plus the unweighted mean."""
+def _one_vs_rest_curves(score_matrix: np.ndarray, labels) -> list[RocCurve]:
+    """One ROC curve per score column, class c against the rest."""
     scores = np.asarray(score_matrix, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or len(scores) != len(labels):
         raise ValueError("score matrix must be (N, C) with one row per label")
-    per_class = []
+    curves = []
     for c in range(scores.shape[1]):
         binary = (labels == c).astype(np.int64)
         if binary.sum() == 0 or binary.sum() == len(binary):
             raise ValueError(f"class {c} has no positives or no negatives")
-        per_class.append(roc_curve(scores[:, c], binary).auc)
+        curves.append(roc_curve(scores[:, c], binary))
+    return curves
+
+
+def multiclass_auc(score_matrix: np.ndarray, labels) -> tuple[list[float], float]:
+    """One-vs-rest AUC per class on score columns, plus the unweighted mean."""
+    per_class = [curve.auc for curve in _one_vs_rest_curves(score_matrix, labels)]
     return per_class, float(np.mean(per_class))
 
 
@@ -182,9 +187,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_json(), encoding="ascii")
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -234,16 +236,11 @@ def build_report(
         confusion=[[int(v) for v in row] for row in cm],
     )
     if score_matrix is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        per_auc, macro = multiclass_auc(score_matrix, labels)
-        report.per_class_auc = [float(a) for a in per_auc]
-        report.macro_auc = macro
-        report.roc_curves = [
-            roc_curve(np.asarray(score_matrix)[:, c], (labels == c).astype(np.int64))
-            for c in range(num_classes)
-        ]
-        for c, a in enumerate(per_auc):
-            report.per_class[c]["auc"] = float(a)
+        report.roc_curves = _one_vs_rest_curves(score_matrix, labels)
+        report.per_class_auc = [curve.auc for curve in report.roc_curves]
+        report.macro_auc = float(np.mean(report.per_class_auc))
+        for c, a in enumerate(report.per_class_auc):
+            report.per_class[c]["auc"] = a
     return report
 
 

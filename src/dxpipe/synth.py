@@ -172,11 +172,11 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
 def generate_dataset(
     specs: list[ClassSpec], p: SynthParams, out_dir: Path | str
 ) -> DatasetManifest:
-    """Generate per-class images on disk plus the manifest describing them."""
+    """Write the per-class images to out_dir and return the manifest
+    describing them (the caller saves it)."""
     if not specs:
         raise ValueError("specs must be nonempty")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = DatasetManifest(seed=p.rng_seed, root=out_dir)
     for spec in sorted(specs, key=lambda sp: sp.class_id):
         for i in range(spec.target_count):
@@ -184,7 +184,6 @@ def generate_dataset(
             name = f"class{spec.class_id}_{i:04d}.pgm"
             save_pgm(img, out_dir / name)
             manifest.entries.append(ManifestEntry(name, spec.class_id))
-    save_manifest(manifest, out_dir / "manifest.csv")
     return manifest
 
 
@@ -229,8 +228,7 @@ def manifest_to_csv(manifest: DatasetManifest, relative_to: Path | None = None) 
 
 
 def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
-    """Write the manifest so its image paths resolve from the file's
-    directory; the write is atomic (fileio.write_atomic)."""
+    """Write the manifest so its image paths resolve from the file's directory."""
     path = Path(path)
     write_atomic(path, manifest_to_csv(manifest, relative_to=path.parent).encode("ascii"))
 

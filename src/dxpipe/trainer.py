@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -73,9 +72,6 @@ class TrainLog:
                 [e.epoch, f"{e.train_loss:.6f}", f"{e.val_loss:.6f}", f"{e.val_acc:.6f}", f"{e.lr:.8g}"]
             )
         return buf.getvalue()
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_csv(), encoding="ascii")
 
 
 def compute_class_weights(manifest: DatasetManifest, num_classes: int = 6) -> np.ndarray:

@@ -1,10 +1,16 @@
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import constant_image
 from dxpipe.checkpoint import (
     MAGIC,
+    VERSION,
     Checkpoint,
     CheckpointError,
     checkpoint_from_model,
@@ -14,7 +20,9 @@ from dxpipe.checkpoint import (
     save_checkpoint,
     save_model,
 )
-from dxpipe.nnet import FusionNet, ModelConfig
+from dxpipe.cli import run
+from dxpipe.image import save_pgm
+from dxpipe.nnet import FusionNet, ModelConfig, param_shapes
 
 
 @pytest.fixture
@@ -118,16 +126,28 @@ def test_orientation_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(model.forward(x)[0], loaded.forward(x)[0])
 
 
+def _edit_meta(data: bytes, pattern: bytes, new: bytes) -> bytes:
+    """data with the first match of pattern in its metadata block replaced by
+    new, and the metadata length field updated to match."""
+    (meta_len,) = struct.unpack_from("<Q", data, 12)
+    meta, n = re.subn(pattern, new, data[20 : 20 + meta_len], count=1)
+    assert n == 1
+    return data[:12] + struct.pack("<Q", len(meta)) + meta + data[20 + meta_len :]
+
+
+def _payload_len(data: bytes) -> int:
+    (meta_len,) = struct.unpack_from("<Q", data, 12)
+    return len(data) - 20 - meta_len
+
+
 @pytest.mark.parametrize("flag", ["True", "False"])
 def test_legacy_full_scale_line_ignored(model, tmp_path, flag):
     # older v1 files carry a full_scale= config line; their dims are authoritative
     path = tmp_path / "m.bin"
     save_model(model, path)
-    data = path.read_bytes()
-    (meta_len,) = struct.unpack_from("<Q", data, 12)
-    meta = data[20 : 20 + meta_len]
-    legacy = meta.replace(b"[tensors]\n", f"full_scale={flag}\n[tensors]\n".encode())
-    path.write_bytes(data[:12] + struct.pack("<Q", len(legacy)) + legacy + data[20 + meta_len :])
+    path.write_bytes(
+        _edit_meta(path.read_bytes(), rb"\[tensors\]\n", f"full_scale={flag}\n[tensors]\n".encode())
+    )
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
     for name, arr in model.params.items():
@@ -139,3 +159,99 @@ def test_checkpoint_version_field():
     ckpt = checkpoint_from_model(model)
     assert isinstance(ckpt, Checkpoint)
     assert ckpt.version == 1
+
+
+_HOSTILE = {
+    "overlapping-offsets": (
+        lambda d: _edit_meta(d, rb"head\.b=6@\d+", b"head.b=6@0"), "head.b at payload offset 0"
+    ),
+    "negative-offset": (
+        lambda d: _edit_meta(d, rb"head\.b=6@\d+", b"head.b=6@-4"), "head.b at payload offset -4"
+    ),
+    "trailing-payload": (lambda d: d + bytes(4), "bytes past the last tensor"),
+    "non-utf8-metadata": (lambda d: _edit_meta(d, rb"fusion_dim=", b"fusion_dim=\xff"), "UTF-8"),
+    "missing-config-key": (
+        lambda d: _edit_meta(d, rb"input_size=\d+\n", b""), r"missing config keys \['input_size'\]"
+    ),
+    "non-integer-config-value": (
+        lambda d: _edit_meta(d, rb"fusion_dim=128", b"fusion_dim=12.8"), "bad config value"
+    ),
+    "extra-tensor": (
+        lambda d: _edit_meta(d, rb"\Z", f"extra.w=2@{_payload_len(d)}\n".encode()) + bytes(8),
+        r"unexpected tensors: \['extra\.w'\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_hostile_checkpoint_is_one_error_line(model, tmp_path, capsys, name):
+    make, message = _HOSTILE[name]
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    path.write_bytes(make(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_model(path)
+    image = tmp_path / "x.pgm"
+    save_pgm(constant_image(32, 32, 9), image)
+    capsys.readouterr()
+    code = run(["--out-dir", str(tmp_path / "out"), "predict", "--checkpoint", str(path), str(image)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "checkpoint" in err
+    assert not (tmp_path / "out").exists()
+
+
+_SMALL = ModelConfig(input_size=16, branch_a_dim=3, branch_b_dim=2, fusion_dim=4, num_classes=2)
+_TOKENS = [b"", b"0", b"1", b"9", b"-", b",", b"@", b"=", b"\n", b".", b"[", b"]", b"x", b"\xff"]
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "small.bin"
+    save_model(FusionNet(_SMALL, seed=1), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_header_or_metadata_loads_or_raises_checkpoint_error(small_file, data):
+    path, original = small_file
+    (meta_len,) = struct.unpack_from("<Q", original, 12)
+    head, payload = bytearray(original[: 20 + meta_len]), original[20 + meta_len :]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(head)))
+        cut = data.draw(st.integers(0, 3))
+        head[i : i + cut] = data.draw(st.sampled_from(_TOKENS) | st.binary(max_size=3))
+    if len(head) >= 20 and data.draw(st.booleans()):
+        # keep the length field true, so that the edited metadata gets parsed
+        struct.pack_into("<Q", head, 12, len(head) - 20)
+    path.write_bytes(bytes(head) + payload)
+    try:
+        load_model(path)
+    except CheckpointError:
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 4)] * 4),
+    input_size=st.integers(16, 21),
+    dropout=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_then_load_round_trips_exactly(small_file, dims, input_size, dropout, seed):
+    path = small_file[0].with_name("round_trip.bin")
+    config = ModelConfig(input_size, *dims, dropout_rate=dropout)
+    rng = np.random.default_rng(seed)
+    tensors = {  # any float32 bit pattern, NaNs and -0.0 included
+        name: np.frombuffer(rng.bytes(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        for name, shape in param_shapes(config).items()
+    }
+    save_checkpoint(Checkpoint(VERSION, config, tensors), path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == config
+    assert list(loaded.tensors) == sorted(tensors)
+    for name, arr in tensors.items():
+        assert loaded.tensors[name].dtype == np.float32
+        assert loaded.tensors[name].tobytes() == arr.tobytes()
+    model_from_checkpoint(loaded)

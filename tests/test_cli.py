@@ -27,8 +27,12 @@ def test_synth_deterministic_trees(tmp_path, capsys):
 
 
 def test_synth_amplify_adds_equalized_copies(tmp_path):
+    # exit 0 under the one-write-per-path rule: manifest.csv is written once
     assert run(["--out-dir", str(tmp_path), "synth", "--scale", "0.02", "--amplify"]) == 0
-    assert list(tmp_path.glob("*_he.pgm"))
+    copies = sorted(p.name for p in tmp_path.glob("*_he.pgm"))
+    assert copies
+    listed = [e.path for e in load_manifest(tmp_path / "manifest.csv").entries]
+    assert sorted(name for name in listed if name.endswith("_he.pgm")) == copies
 
 
 def test_enhance_constant_image_unchanged(tmp_path):
@@ -384,3 +388,35 @@ def test_diverging_train_fails_cleanly(tmp_path, capsys, recwarn):
     assert err.count("\n") == 1
     assert [str(w.message) for w in recwarn] == []
     assert not out.exists()
+
+
+def test_rerun_into_a_used_out_dir_gives_the_same_tree(tmp_path):
+    data = tmp_path / "data"
+    assert run(["--seed", "3", "--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
+    commands = [
+        ["enhance", str(data)],
+        ["train", "--manifest", str(data / "manifest.csv"), "--epochs", "1"],
+        ["eval", "--checkpoint", str(tmp_path / "train" / "checkpoint.bin"),
+         "--manifest", str(tmp_path / "train" / "val_manifest.csv")],
+    ]
+    for argv in commands:
+        out = tmp_path / argv[0]
+        assert run(["--seed", "3", "--out-dir", str(out)] + argv) == 0
+        first = tree_bytes(out)
+        assert run(["--seed", "3", "--out-dir", str(out)] + argv) == 0
+        assert tree_bytes(out) == first
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_weighting_report_onto_the_trainlog_is_refused(trained, tmp_path, capsys):
+    data, _ = trained
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = run(["--seed", "5", "--out-dir", str(out), "train", "--manifest",
+                str(data / "manifest.csv"), "--epochs", "1",
+                "--weighting-report", str(out / "trainlog.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: \S*trainlog\.csv is written twice by one command\n", err)
+    assert (out / "trainlog.csv").read_text().startswith("epoch,train_loss,val_loss,val_acc,lr\n")

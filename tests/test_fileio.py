@@ -1,13 +1,21 @@
+import ast
 import builtins
 import errno
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dxpipe import fileio
+from conftest import constant_image
+from dxpipe import cli, fileio
 from dxpipe.checkpoint import checkpoint_from_model, save_checkpoint
-from dxpipe.image import Rotation
+from dxpipe.image import Rotation, save_pgm
+from dxpipe.metrics import build_report
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import DatasetManifest, ManifestEntry, save_manifest
+from dxpipe.trainer import EpochStats, TrainLog
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dxpipe"
 
 
 class _HalfWrite:
@@ -39,7 +47,31 @@ def _save_manifest(root, seed):
     return "m.csv"
 
 
-@pytest.mark.parametrize("save", [_save_checkpoint, _save_manifest], ids=["checkpoint", "manifest"])
+def _save_pgm(root, seed):
+    save_pgm(constant_image(5, 3, seed), root / "m.pgm")
+    return "m.pgm"
+
+
+def _save_trainlog(root, seed):
+    # as the train and orient-train commands write it
+    log = TrainLog([EpochStats(0, 1.0, 0.5, 0.25 * seed, 0.01)])
+    cli._write_text(root / "trainlog.csv", log.to_csv())
+    return "trainlog.csv"
+
+
+def _save_eval_report(root, seed):
+    labels = np.array([0, 1, 1, 0])
+    scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.5 + 0.1 * seed, 0.5 - 0.1 * seed]])
+    report = build_report(labels, scores.argmax(axis=1), 2, score_matrix=scores)
+    cli._write_text(root / "eval_report.json", report.to_json())
+    return "eval_report.json"
+
+
+@pytest.mark.parametrize(
+    "save",
+    [_save_checkpoint, _save_manifest, _save_pgm, _save_trainlog, _save_eval_report],
+    ids=["checkpoint", "manifest", "pgm", "trainlog", "eval-report"],
+)
 def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch, save):
     name = save(tmp_path, 1)
     before = (tmp_path / name).read_bytes()
@@ -65,3 +97,95 @@ def test_write_atomic_replaces_with_the_mode_open_gives(tmp_path):
         pass
     assert path.stat().st_mode == plain.stat().st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "plain"]
+
+
+def test_scope_refuses_a_second_write_to_one_file(tmp_path):
+    (tmp_path / "sub").mkdir()
+    with fileio.one_write_per_path():
+        fileio.write_atomic(tmp_path / "f", b"first")
+        fileio.write_atomic(tmp_path / "g", b"other")
+        with pytest.raises(FileExistsError, match="written twice"):
+            fileio.write_atomic(tmp_path / "sub" / ".." / "f", b"second")
+    assert (tmp_path / "f").read_bytes() == b"first"
+    # nothing survives the scope: a new one, or none, writes again
+    with fileio.one_write_per_path():
+        fileio.write_atomic(tmp_path / "f", b"second")
+    fileio.write_atomic(tmp_path / "f", b"third")
+    fileio.write_atomic(tmp_path / "f", b"fourth")
+    assert (tmp_path / "f").read_bytes() == b"fourth"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "g", "sub"]
+
+
+_WRITE_METHODS = {"write_text", "write_bytes"}
+_READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW", "O_DIRECTORY"}
+
+
+def _writes(tree):
+    """(line, reason) for every call in tree that can write a file."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if name in _WRITE_METHODS:
+            found.append((node.lineno, name))
+        elif name == "open" and owner == "os":
+            args = node.args[1:] + [kw.value for kw in node.keywords]
+            flags = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for arg in args for n in ast.walk(arg)
+                     if isinstance(n, (ast.Attribute, ast.Name))}
+            if not args or not flags <= _READ_FLAGS:
+                found.append((node.lineno, "os.open for writing"))
+        elif name == "open":
+            # builtins/io open(file, mode), pathlib's path.open(mode)
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if owner in (None, "io") else node.args[:1]
+            for mode in modes:
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                    found.append((node.lineno, "open with a computed mode"))
+                elif set(mode.value) & set("wax+"):
+                    found.append((node.lineno, f"open mode {mode.value!r}"))
+    return found
+
+
+def test_only_fileio_writes_files():
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.name for p in modules} >= {"cli.py", "fileio.py", "image.py"}
+    offenders = [
+        f"{p.name}:{line}: {why}"
+        for p in modules
+        if p.name != "fileio.py"
+        for line, why in _writes(ast.parse(p.read_text(), str(p)))
+    ]
+    assert offenders == []
+    # fileio itself holds the one writer, so the scan must see it there
+    assert _writes(ast.parse((SRC / "fileio.py").read_text()))
+
+
+@pytest.mark.parametrize("code", [
+    "p.write_text('x')",
+    "Path(p).write_bytes(b'x')",
+    "open(p, 'w')",
+    "open(p, mode='ab')",
+    "open(p, 'r+b')",
+    "io.open(p, 'xb')",
+    "p.open('w')",
+    "open(p, m)",
+    "os.open(p, os.O_WRONLY | os.O_CREAT)",
+    "os.open(p, flags)",
+])
+def test_write_scan_sees_each_kind_of_write(code):
+    assert _writes(ast.parse(code))
+
+
+@pytest.mark.parametrize("code", ["open(p)", "open(p, 'rb')", "p.open()", "os.open(p, os.O_RDONLY)",
+                                  "p.read_text()", "open(p, newline='')"])
+def test_write_scan_passes_reads(code):
+    assert _writes(ast.parse(code)) == []
+
+
+def test_write_atomic_creates_missing_directories(tmp_path):
+    fileio.write_atomic(tmp_path / "a" / "b" / "f", b"x")
+    assert (tmp_path / "a" / "b" / "f").read_bytes() == b"x"

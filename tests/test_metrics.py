@@ -181,6 +181,11 @@ def test_build_report_fields_and_json_round_trip():
     assert len(report.per_class) == 3
     assert report.macro_auc is not None
     assert all(0.0 <= row["auc"] <= 1.0 for row in report.per_class)
+    # the curves written as roc_class<k>.csv carry the reported AUCs
+    per_class, macro = multiclass_auc(scores, labels)
+    assert report.per_class_auc == per_class == [curve.auc for curve in report.roc_curves]
+    assert [row["auc"] for row in report.per_class] == per_class
+    assert report.macro_auc == macro
     loaded = EvalReport.from_json(report.to_json())
     assert loaded.accuracy == report.accuracy
     assert loaded.per_class == report.per_class

@@ -117,6 +117,7 @@ def test_amplified_images_are_equalized_copies(tmp_path):
 def test_manifest_round_trip(tmp_path):
     specs = [ClassSpec(0, "ul", 2), ClassSpec(1, "ur", 1)]
     manifest = generate_dataset(specs, SynthParams(rng_seed=4), tmp_path)
+    save_manifest(manifest, tmp_path / "manifest.csv")
     loaded = load_manifest(tmp_path / "manifest.csv")
     assert loaded.seed == manifest.seed
     assert loaded.entries == manifest.entries
