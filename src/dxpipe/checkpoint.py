@@ -90,7 +90,7 @@ def _parse_config(lines: list[str]) -> ModelConfig:
         if key == "full_scale":
             continue  # older files; their dims were resolved at save time
         if key not in names:
-            raise CheckpointError(f"unknown config key {key!r}")
+            raise CheckpointError(f"corrupt checkpoint: unknown config key {key!r}")
         if key in kwargs:
             raise CheckpointError(f"corrupt checkpoint: config key {key!r} given twice")
         try:
@@ -190,4 +190,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
 
 
 def load_model(path: Path | str) -> FusionNet:
-    return model_from_checkpoint(load_checkpoint(path))
+    """The model a checkpoint file holds; a CheckpointError names the file."""
+    try:
+        return model_from_checkpoint(load_checkpoint(path))
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -187,17 +187,24 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+_TRAIN_OUTPUTS = ("checkpoint.bin", "trainlog.csv", "train_manifest.csv", "val_manifest.csv")
+
+
 def _cmd_train(args) -> int:
+    outputs = [args.out_dir / name for name in _TRAIN_OUTPUTS]
+    if args.weighting_report is not None:
+        fileio.refuse_same_file(args.weighting_report, outputs)
+    ckpt_path, log_path, train_path, val_path = outputs
     manifest = synth_mod.load_manifest(args.manifest)
     model_cfg = _model_config(args)
     t = _train_config(args)
     weights = np.ones(model_cfg.num_classes) if args.uniform_loss else None
     ckpt, log = trainer_mod.train(manifest, model_cfg, t, class_weights=weights)
-    ckpt_io.save_checkpoint(ckpt, args.out_dir / "checkpoint.bin")
-    _write_text(args.out_dir / "trainlog.csv", log.to_csv())
+    ckpt_io.save_checkpoint(ckpt, ckpt_path)
+    _write_text(log_path, log.to_csv())
     train_m, val_m = trainer_mod.split_for_config(manifest, t)
-    synth_mod.save_manifest(train_m, args.out_dir / "train_manifest.csv")
-    synth_mod.save_manifest(val_m, args.out_dir / "val_manifest.csv")
+    synth_mod.save_manifest(train_m, train_path)
+    synth_mod.save_manifest(val_m, val_path)
     if args.weighting_report is not None:
         trained = {"uniform" if args.uniform_loss else "weighted": ckpt}
         comparison = trainer_mod.compare_weighting(manifest, model_cfg, t, **trained)
@@ -207,7 +214,7 @@ def _cmd_train(args) -> int:
     best = log.epochs[log.best_epoch]
     print(
         f"trained {t.epochs} epochs; best epoch {log.best_epoch} "
-        f"(val_acc {best.val_acc:.4f}); wrote {args.out_dir / 'checkpoint.bin'}"
+        f"(val_acc {best.val_acc:.4f}); wrote {ckpt_path}"
     )
     return 0
 

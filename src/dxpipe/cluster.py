@@ -21,6 +21,10 @@ from dxpipe.phash import PHash, phash
 from dxpipe.synth import NUM_CLASSES, DatasetManifest
 
 
+class KMeansError(ValueError):
+    """Raised when a Lloyd iteration breaks its own invariant (inertia rose)."""
+
+
 @dataclass
 class ClusterResult:
     assignments: np.ndarray
@@ -76,7 +80,10 @@ def kmeans(
         new_assignments = np.argmin(d2, axis=1)  # ties -> lowest index
         inertia = float(d2[np.arange(n), new_assignments].sum())
         if history and inertia > history[-1] + 1e-9:
-            raise AssertionError("k-means inertia increased")
+            raise KMeansError(
+                f"k-means inertia increased from {history[-1]!r} to {inertia!r} "
+                f"at iteration {it}"
+            )
         history.append(inertia)
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments

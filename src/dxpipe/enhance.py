@@ -5,6 +5,11 @@ equalization (CLAHE).
 All window operations replicate edges, all outputs stay in [0, 255], and
 every stage is bit-reproducible (fixed rounding: half away from zero via
 floor(x + 0.5)).
+
+Sharpening, the median filter and CLAHE's interpolation run in row strips
+of about STRIP_PIXELS pixels, so that their temporaries stay in cache.  Each
+output pixel goes through the same integer or floating-point operations
+whatever the strip size, so the output does not depend on it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from dxpipe.image import Image
+
+# pixels per row strip: the kernels' strip temporaries then fit in L2
+STRIP_PIXELS = 1 << 16
+
+
+def _row_strips(h: int, w: int):
+    """[r0, r1) runs of max(1, STRIP_PIXELS // w) rows covering 0..h."""
+    step = max(1, STRIP_PIXELS // w)
+    for r0 in range(0, h, step):
+        yield r0, min(r0 + step, h)
 
 
 @dataclass(frozen=True)
@@ -50,9 +65,22 @@ def laplacian(img: Image) -> np.ndarray:
 
 
 def sharpen(img: Image) -> Image:
-    """Laplacian sharpening: out = clamp(s - lap(s), 0, 255)."""
-    a = img.to_array().astype(np.int32)
-    out = np.clip(a - laplacian(img), 0, 255).astype(np.uint8)
+    """Laplacian sharpening: out = clamp(s - lap(s), 0, 255).
+
+    Computed as 5*s - up - down - left - right in int16, which is exact: the
+    sum lies in -1020..1275.
+    """
+    a = img.to_array()
+    h, w = a.shape
+    p = np.pad(a, 1, mode="edge")
+    out = np.empty((h, w), dtype=np.uint8)
+    for r0, r1 in _row_strips(h, w):
+        s = np.multiply(p[r0 + 1 : r1 + 1, 1:-1], 5, dtype=np.int16)
+        s -= p[r0:r1, 1:-1]
+        s -= p[r0 + 2 : r1 + 2, 1:-1]
+        s -= p[r0 + 1 : r1 + 1, :-2]
+        s -= p[r0 + 1 : r1 + 1, 2:]
+        out[r0:r1] = np.clip(s, 0, 255, out=s)
     return Image.from_array(out)
 
 
@@ -71,15 +99,19 @@ def median_filter(img: Image, radius: int) -> Image:
     h, w = a.shape
     p = np.pad(a, radius, mode="edge")
     win = 2 * radius + 1
-    # the views overlap in the pad, so comparators allocate their outputs
-    slots = [p[i : i + h, j : j + w] for i in range(win) for j in range(win)]
-    for i, j, keep_lo, keep_hi in _median_network(win * win):
-        x, y = slots[i], slots[j]
-        if keep_lo:
-            slots[i] = np.minimum(x, y)
-        if keep_hi:
-            slots[j] = np.maximum(x, y)
-    return Image.from_array(slots[win * win // 2])
+    network = _median_network(win * win)
+    out = np.empty((h, w), dtype=np.uint8)
+    for r0, r1 in _row_strips(h, w):
+        # the views overlap in the pad, so comparators allocate their outputs
+        slots = [p[r0 + i : r1 + i, j : j + w] for i in range(win) for j in range(win)]
+        for i, j, keep_lo, keep_hi in network:
+            x, y = slots[i], slots[j]
+            if keep_lo:
+                slots[i] = np.minimum(x, y)
+            if keep_hi:
+                slots[j] = np.maximum(x, y)
+        out[r0:r1] = slots[win * win // 2]
+    return Image.from_array(out)
 
 
 def _merge_exchange(n: int) -> list[tuple[int, int]]:
@@ -206,26 +238,27 @@ def clahe(img: Image, p: ClaheParams) -> Image:
     iy0, iy1, wy = _interp_axis(np.arange(h), cy)
 
     flat = luts.reshape(-1)
+    col0, col1 = ix0 * 256, ix1 * 256
+    row0, row1 = iy0 * (p.tiles_x * 256), iy1 * (p.tiles_x * 256)
+    wx, wy = wx[None, :], wy[:, None]
+    out = np.empty((h, w), dtype=np.uint8)
+    for r0, r1 in _row_strips(h, w):
+        # luts[iy, ix, a] over the strip as one gather from the flat table
+        lo, hi = a[r0:r1] + col0, a[r0:r1] + col1
+        top0, bot0 = row0[r0:r1, None], row1[r0:r1, None]
+        top = _lerp(wx, flat[lo + top0], flat[hi + top0])
+        bot = _lerp(wx, flat[lo + bot0], flat[hi + bot0])
+        v = _lerp(wy[r0:r1], top, bot)
+        v += 0.5
+        out[r0:r1] = np.clip(np.floor(v, out=v), 0, 255, out=v)
+    return Image.from_array(out)
 
-    def mapped(iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-        """luts[iy[:, None], ix[None, :], a] as one gather from the flat table."""
-        idx = (iy * (p.tiles_x * 256))[:, None] + (ix * 256)[None, :]
-        idx += a
-        return flat[idx]
 
-    def lerp(weight: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """(1 - weight) * lo + weight * hi, summed in place."""
-        out = (1.0 - weight) * lo
-        out += weight * hi
-        return out
-
-    wx = wx[None, :]
-    wy = wy[:, None]
-    top = lerp(wx, mapped(iy0, ix0), mapped(iy0, ix1))
-    bot = lerp(wx, mapped(iy1, ix0), mapped(iy1, ix1))
-    out = lerp(wy, top, bot)
-    out += 0.5
-    return Image.from_array(np.clip(np.floor(out, out=out), 0, 255).astype(np.uint8))
+def _lerp(weight: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(1 - weight) * lo + weight * hi, summed in place."""
+    out = (1.0 - weight) * lo
+    out += weight * hi
+    return out
 
 
 def _interp_axis(coords: np.ndarray, centers: np.ndarray):

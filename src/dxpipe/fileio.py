@@ -22,6 +22,15 @@ def one_write_per_path():
         _written.reset(token)
 
 
+def refuse_same_file(path: Path | str, outputs) -> None:
+    """Raise the rule's FileExistsError at once if path names one of outputs
+    (symlinks and '..' resolved), for a command that would otherwise find
+    out only when it writes, after its long work."""
+    real = os.path.realpath(path)
+    if any(os.path.realpath(out) == real for out in outputs):
+        raise FileExistsError(f"{path} is written twice by one command")
+
+
 def write_atomic(path: Path | str, data: bytes) -> None:
     """Write data to a temporary file beside path (creating missing parent
     directories), remove any old path, then rename the temporary file onto it:

@@ -127,6 +127,12 @@ def read_pgm(data: bytes) -> Image:
             )
         return Image(width=width, height=height, pixels=payload)
 
+    # each pixel takes a separator and a digit: refuse a header whose count
+    # the data cannot hold before allocating for it
+    if 2 * count > len(data) - pos:
+        raise PgmError(
+            f"truncated PGM payload: expected {count} pixels in {len(data) - pos} bytes"
+        )
     values = bytearray(count)
     for i in range(count):
         try:

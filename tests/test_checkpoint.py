@@ -176,6 +176,10 @@ _HOSTILE = {
     "non-integer-config-value": (
         lambda d: _edit_meta(d, rb"fusion_dim=128", b"fusion_dim=12.8"), "bad config value"
     ),
+    "unknown-config-key": (
+        lambda d: _edit_meta(d, rb"fusion_dim=", b"fusion_dlm="),
+        r"corrupt checkpoint: unknown config key 'fusion_dlm'",
+    ),
     "extra-tensor": (
         lambda d: _edit_meta(d, rb"\Z", f"extra.w=2@{_payload_len(d)}\n".encode()) + bytes(8),
         r"unexpected tensors: \['extra\.w'\]",
@@ -197,8 +201,21 @@ def test_hostile_checkpoint_is_one_error_line(model, tmp_path, capsys, name):
     code = run(["--out-dir", str(tmp_path / "out"), "predict", "--checkpoint", str(path), str(image)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "checkpoint" in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and "checkpoint" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_errors_name_the_file(model, tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"not a checkpoint at all")
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: corrupt checkpoint: bad magic")):
+        load_model(path)
+    # a renamed tensor passes load_checkpoint, and model_from_checkpoint refuses it
+    save_model(model, path)
+    path.write_bytes(_edit_meta(path.read_bytes(), rb"head\.b=", b"head.x="))
+    load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: checkpoint missing tensors")):
+        load_model(path)
 
 
 _SMALL = ModelConfig(input_size=16, branch_a_dim=3, branch_b_dim=2, fusion_dim=4, num_classes=2)
@@ -228,8 +245,8 @@ def test_mutated_header_or_metadata_loads_or_raises_checkpoint_error(small_file,
     path.write_bytes(bytes(head) + payload)
     try:
         load_model(path)
-    except CheckpointError:
-        pass
+    except CheckpointError as exc:
+        assert str(exc).startswith(f"{path}: ") and "checkpoint" in str(exc)
 
 
 @settings(max_examples=50, deadline=None)

@@ -408,9 +408,17 @@ def test_rerun_into_a_used_out_dir_gives_the_same_tree(tmp_path):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-def test_weighting_report_onto_the_trainlog_is_refused(trained, tmp_path, capsys):
+def _refuse_training(monkeypatch):
+    def no_train(*args, **kwargs):
+        raise AssertionError("trainer.train called before the report path was checked")
+
+    monkeypatch.setattr(trainer, "train", no_train)
+
+
+def test_weighting_report_onto_the_trainlog_is_refused(trained, tmp_path, capsys, monkeypatch):
     data, _ = trained
     out = tmp_path / "run"
+    _refuse_training(monkeypatch)
     capsys.readouterr()
     code = run(["--seed", "5", "--out-dir", str(out), "train", "--manifest",
                 str(data / "manifest.csv"), "--epochs", "1",
@@ -419,4 +427,24 @@ def test_weighting_report_onto_the_trainlog_is_refused(trained, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert re.fullmatch(r"error: \S*trainlog\.csv is written twice by one command\n", err)
-    assert (out / "trainlog.csv").read_text().startswith("epoch,train_loss,val_loss,val_acc,lr\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "report", ["checkpoint.bin", "train_manifest.csv", "val_manifest.csv", "sub/../trainlog.csv"]
+)
+def test_weighting_report_onto_any_train_output_is_refused_before_training(
+    trained, tmp_path, capsys, monkeypatch, report
+):
+    data, _ = trained
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "link").symlink_to(out)
+    _refuse_training(monkeypatch)
+    for path in (out / report, out / "link" / report):
+        capsys.readouterr()
+        code = run(["--out-dir", str(out), "train", "--manifest", str(data / "manifest.csv"),
+                    "--weighting-report", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path} is written twice by one command\n"
+    assert sorted(p.name for p in out.iterdir()) == ["link"]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from dxpipe import cluster
+from dxpipe.cli import run
 from dxpipe.cluster import (
+    KMeansError,
     cluster_report,
     contingency_to_csv,
     hash_to_vector,
@@ -118,3 +121,38 @@ def test_report_csv_shapes(tiny_dataset):
     assert len(lines) == len(tiny_dataset.entries) + 1
     table = contingency_to_csv(report).strip().splitlines()
     assert len(table) == 3  # header + 2 clusters
+
+
+def _rising_distances(monkeypatch):
+    """Make every distance evaluation larger than the one before, so that
+    inertia rises between Lloyd iterations."""
+    real = cluster._squared_distances
+    calls = []
+
+    def rising(points, centroids):
+        calls.append(None)
+        return real(points, centroids) + 1000.0 * len(calls)
+
+    monkeypatch.setattr(cluster, "_squared_distances", rising)
+
+
+def test_kmeans_inertia_rise_is_a_typed_error(monkeypatch):
+    rng = np.random.default_rng(5)
+    pts = rng.integers(0, 2, size=(30, 64)).astype(np.float64)
+    _rising_distances(monkeypatch)
+    with pytest.raises(KMeansError, match="k-means inertia increased from .* at iteration 2"):
+        kmeans(pts, k=3, seed=1)
+    assert issubclass(KMeansError, ValueError)
+
+
+def test_cluster_cli_reports_inertia_rise_as_one_error_line(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
+    _rising_distances(monkeypatch)
+    capsys.readouterr()
+    code = run(["--out-dir", str(tmp_path / "out"), "cluster",
+                "--manifest", str(data / "manifest.csv"), "--k", "3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: k-means inertia increased from ")
+    assert not (tmp_path / "out").exists()

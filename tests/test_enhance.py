@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import constant_image, random_image
+from dxpipe import enhance
 from dxpipe.enhance import (
+    STRIP_PIXELS,
     ClaheParams,
+    _interp_axis,
     _median_network,
     clahe,
     clip_histogram,
@@ -302,3 +305,175 @@ def test_chain_removes_sparse_impulses():
     noisy.ravel()[idx] = 255
     out = median_filter(sharpen(Image.from_array(noisy)), 1).to_array()
     assert (out == 40).mean() > 0.95
+
+
+# Whole-image forms of the strip kernels, kept as oracles: each strip-wise
+# kernel must give the same bytes for every shape and every strip size.
+
+
+def _sharpen_oracle(arr):
+    a = arr.astype(np.int32)
+    p = np.pad(a, 1, mode="edge")
+    lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4 * p[1:-1, 1:-1]
+    return np.clip(a - lap, 0, 255).astype(np.uint8)
+
+
+def _median_network_oracle(arr, radius):
+    h, w = arr.shape
+    p = np.pad(arr, radius, mode="edge")
+    win = 2 * radius + 1
+    slots = [p[i : i + h, j : j + w] for i in range(win) for j in range(win)]
+    for i, j, keep_lo, keep_hi in _median_network(win * win):
+        x, y = slots[i], slots[j]
+        if keep_lo:
+            slots[i] = np.minimum(x, y)
+        if keep_hi:
+            slots[j] = np.maximum(x, y)
+    return slots[win * win // 2]
+
+
+def _clahe_oracle(a, p):
+    h, w = a.shape
+    xs = tile_bounds(w, p.tiles_x)
+    ys = tile_bounds(h, p.tiles_y)
+    luts = np.empty((p.tiles_y, p.tiles_x, 256), dtype=np.uint8)
+    for ty, (y0, y1) in enumerate(ys):
+        for tx, (x0, x1) in enumerate(xs):
+            tile = a[y0:y1, x0:x1]
+            hist = np.bincount(tile.ravel(), minlength=256)
+            if np.count_nonzero(hist) <= 1:
+                luts[ty, tx] = np.arange(256, dtype=np.uint8)
+                continue
+            n = tile.size
+            limit = p.clip_factor * n / 256.0
+            clip = n if limit >= n else max(1, int(limit))
+            luts[ty, tx] = equalize_lut(clip_histogram(hist, clip), n)
+    cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
+    cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
+    ix0, ix1, wx = _interp_axis(np.arange(w), cx)
+    iy0, iy1, wy = _interp_axis(np.arange(h), cy)
+    flat = luts.reshape(-1)
+
+    def mapped(iy, ix):
+        idx = (iy * (p.tiles_x * 256))[:, None] + (ix * 256)[None, :]
+        idx += a
+        return flat[idx]
+
+    def lerp(weight, lo, hi):
+        out = (1.0 - weight) * lo
+        out += weight * hi
+        return out
+
+    wx = wx[None, :]
+    wy = wy[:, None]
+    top = lerp(wx, mapped(iy0, ix0), mapped(iy0, ix1))
+    bot = lerp(wx, mapped(iy1, ix0), mapped(iy1, ix1))
+    out = lerp(wy, top, bot)
+    out += 0.5
+    return np.clip(np.floor(out, out=out), 0, 255).astype(np.uint8)
+
+
+# (300, 500): three strips of 131, 131 and 38 rows; (3, 70000): wider than a
+# strip, so one row per strip; (70000, 1): two strips, the second short
+_STRIP_SHAPES = [(300, 500), (3, 70000), (1, 70001), (70000, 1)]
+
+
+def _strip_cases(shapes):
+    """(shape, strip pixels) pairs: one row per strip whatever the width (1
+    px), a few rows per strip (1000 px) and the real size; cases with more
+    than 400 strips are left out to keep the tests quick."""
+    return [
+        pytest.param(shape, pixels, id=f"{shape[0]}x{shape[1]}-{pixels}px")
+        for shape in shapes
+        for pixels in (1, 1000, STRIP_PIXELS)
+        if shape[0] // max(1, pixels // shape[1]) <= 400
+    ]
+
+
+def _strip_input(shape, fill="random"):
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    if fill == "checker":
+        return (np.indices(shape).sum(axis=0) % 2 * 255).astype(np.uint8)
+    return rng.integers(0, 256, size=shape, dtype=np.uint8)
+
+
+def test_row_strips_cover_every_row_once():
+    for h, w in [(1, 1), (300, 500), (3, 70000), (70000, 1), (1024, 1024), (257, 255)]:
+        strips = list(enhance._row_strips(h, w))
+        assert strips[0][0] == 0 and strips[-1][1] == h
+        assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
+        rows = max(1, STRIP_PIXELS // w)
+        assert all(r1 - r0 == rows for r0, r1 in strips[:-1])
+        assert 1 <= strips[-1][1] - strips[-1][0] <= rows
+    assert list(enhance._row_strips(32, 32)) == [(0, 32)]
+
+
+def test_strips_are_cache_sized_at_1024_px():
+    assert STRIP_PIXELS == 1 << 16
+    assert len(list(enhance._row_strips(1024, 1024))) == 16
+
+
+@pytest.mark.parametrize("fill", ["random", "checker"])
+@pytest.mark.parametrize("shape,pixels", _strip_cases(_STRIP_SHAPES))
+def test_sharpen_strips_match_whole_image_oracle(monkeypatch, shape, fill, pixels):
+    monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
+    arr = _strip_input(shape, fill)
+    out = sharpen(Image.from_array(arr)).to_array()
+    assert out.tobytes() == _sharpen_oracle(arr).tobytes()
+
+
+def test_sharpen_checkerboard_reaches_both_int16_ends(monkeypatch):
+    # interior 255 pixels sum to 5*255 = 1275, interior 0 pixels to -4*255
+    monkeypatch.setattr(enhance, "STRIP_PIXELS", 64)
+    arr = _strip_input((40, 30), "checker")
+    p = np.pad(arr.astype(np.int32), 1, mode="edge")
+    raw = 5 * p[1:-1, 1:-1] - p[:-2, 1:-1] - p[2:, 1:-1] - p[1:-1, :-2] - p[1:-1, 2:]
+    assert raw.max() == 1275 and raw.min() == -1020
+    out = sharpen(Image.from_array(arr)).to_array()
+    assert out.tobytes() == _sharpen_oracle(arr).tobytes()
+    assert (out[1:-1, 1:-1] == arr[1:-1, 1:-1]).all()
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("shape,pixels", _strip_cases(_STRIP_SHAPES))
+def test_median_strips_match_whole_image_oracle(monkeypatch, shape, radius, pixels):
+    monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
+    arr = _strip_input(shape)
+    out = median_filter(Image.from_array(arr), radius).to_array()
+    assert out.tobytes() == _median_network_oracle(arr, radius).tobytes()
+
+
+def _grids(shape):
+    h, w = shape
+    grids = {(min(8, w), min(8, h)), (min(3, w), min(5, h)), (1, 1)}
+    if h * w <= 1000:
+        grids.add((w, h))  # one tile per pixel
+    return sorted(grids)
+
+
+@pytest.mark.parametrize(
+    "shape,pixels,grid",
+    [
+        pytest.param(*case.values, grid, id=f"{case.id}-tiles{grid[0]}x{grid[1]}")
+        for case in _strip_cases(_STRIP_SHAPES + [(23, 37), (1, 900), (900, 1)])
+        for grid in _grids(case.values[0])
+    ],
+)
+def test_clahe_strips_match_whole_image_oracle(monkeypatch, shape, grid, pixels):
+    monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
+    arr = _strip_input(shape)
+    p = ClaheParams(grid[0], grid[1], 2.0)
+    out = clahe(Image.from_array(arr), p).to_array()
+    assert out.tobytes() == _clahe_oracle(arr, p).tobytes()
+
+
+def test_chain_output_does_not_depend_on_strip_size(monkeypatch):
+    arr = _strip_input((300, 500))
+    p = ClaheParams(3, 5, 1.5)
+    outs = set()
+    for pixels in (1, 499, 500, 501, 1000, STRIP_PIXELS, 1 << 20):
+        monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
+        outs.add(enhance_chain(Image.from_array(arr), p, 2).pixels)
+    assert len(outs) == 1
+    expected = _clahe_oracle(_median_network_oracle(_sharpen_oracle(arr), 2), p)
+    assert outs == {expected.tobytes()}

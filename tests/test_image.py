@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_image
 from dxpipe.image import (
@@ -136,3 +138,53 @@ def test_rotation_canonical():
     assert Rotation(-1).quarter_turns == 3
     assert int(Rotation(2).inverse()) == 2
     assert int(Rotation(1).inverse()) == 3
+
+
+_PGM_SAMPLES = [
+    b"P5\n3 2\n255\n" + bytes([9, 8, 7, 6, 5, 4]),
+    b"P2\n# c\n3 2\n200\n0 1 2\n3 4 200\n",
+]
+_PGM_TOKENS = [b"", b" ", b"\n", b"#", b"P2", b"P5", b"0", b"1", b"9", b"-", b"+", b"_",
+               b"255", b"256", b"99999999999", b"\xff", b"x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=40) | st.sampled_from(_PGM_SAMPLES))
+def test_any_bytes_parse_or_raise_pgm_error(data):
+    try:
+        img = read_pgm(data)
+    except PgmError:
+        return
+    assert len(img.pixels) == img.width * img.height
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_pgm_parses_or_raises_pgm_error(data):
+    buf = bytearray(data.draw(st.sampled_from(_PGM_SAMPLES)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(buf)))
+        cut = data.draw(st.integers(0, 3))
+        buf[i : i + cut] = data.draw(st.sampled_from(_PGM_TOKENS) | st.binary(max_size=3))
+    try:
+        img = read_pgm(bytes(buf))
+    except PgmError:
+        return
+    assert len(img.pixels) == img.width * img.height
+
+
+def test_ascii_pixel_count_beyond_the_data_is_refused_before_allocating():
+    with pytest.raises(PgmError, match="expected 10000000000 pixels in 1 bytes"):
+        read_pgm(b"P2 100000 100000 255 ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)), data=st.data())
+def test_write_then_read_round_trips_exactly(shape, data):
+    h, w = shape
+    img = Image(w, h, data.draw(st.binary(min_size=h * w, max_size=h * w)))
+    encoded = write_pgm(img)
+    assert read_pgm(encoded) == img
+    assert write_pgm(read_pgm(encoded)) == encoded
+    ascii_pgm = f"P2\n{w} {h}\n255\n{' '.join(map(str, img.pixels))}\n".encode()
+    assert read_pgm(ascii_pgm) == img
