@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -271,36 +272,69 @@ def _predict_paths(args) -> list:
     return list(args.inputs)
 
 
+def _predictions_to_csv(names: list[str], scores: np.ndarray) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path", "predicted"] + [f"score_{i}" for i in range(scores.shape[1])])
+    for name, row in zip(names, scores):
+        writer.writerow([name, int(row.argmax())] + [f"{v:.6f}" for v in row])
+    return buf.getvalue()
+
+
 def _cmd_predict(args) -> int:
     model = ckpt_io.load_model(args.checkpoint)
     paths = _predict_paths(args)
     names = _basenames(paths)
     scores = model.predict(to_input(np.stack([load_pgm(p).to_array() for p in paths])))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    c = scores.shape[1]
-    writer.writerow(["path", "predicted"] + [f"score_{i}" for i in range(c)])
-    for name, row in zip(names, scores):
-        writer.writerow([name, int(row.argmax())] + [f"{v:.6f}" for v in row])
-    _write_text(args.out_dir / "predictions.csv", buf.getvalue())
+    _write_text(args.out_dir / "predictions.csv", _predictions_to_csv(names, scores))
     print(f"predicted {len(paths)} image(s) -> {args.out_dir / 'predictions.csv'}")
     return 0
 
 
+class PredictionsError(ValueError):
+    """Raised for a predictions CSV that is not in the layout `predict` writes."""
+
+
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+
+
 def _read_predictions(path: Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["path", "predicted"]:
-        raise ValueError(f"{path}: expected a 'path,predicted,score_...' header")
+    """Name -> score row of a predictions CSV: ASCII, the header
+    path,predicted,score_0..score_{C-1}, then one row per image with a
+    predicted class in 0..C-1 and C plain decimal scores."""
+    try:
+        text = path.read_bytes().decode("ascii")
+    except UnicodeDecodeError:
+        raise PredictionsError(f"{path}: not ASCII text") from None
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    except csv.Error as exc:
+        raise PredictionsError(f"{path}: {exc}") from None
+    c = len(rows[0]) - 2 if rows else 0
+    if c < 1 or rows[0] != ["path", "predicted"] + [f"score_{i}" for i in range(c)]:
+        raise PredictionsError(f"{path}: expected a 'path,predicted,score_0,...' header")
     if len(rows) == 1:
-        raise ValueError(f"{path}: no prediction rows")
+        raise PredictionsError(f"{path}: no prediction rows")
+    classes = [str(i) for i in range(c)]
     by_name = {}
     for line, row in enumerate(rows[1:], start=2):
         if not row:
-            raise ValueError(f"{path}: blank line {line}")
+            raise PredictionsError(f"{path}: blank line {line}")
         if row[0] in by_name:
-            raise ValueError(f"{path}: duplicate prediction rows for {row[0]!r}")
-        by_name[row[0]] = np.array([float(v) for v in row[2:]], dtype=np.float64)
+            raise PredictionsError(f"{path}: duplicate prediction rows for {row[0]!r}")
+        if (
+            len(row) != c + 2
+            or not row[0]
+            or row[1] not in classes
+            or not all(_DECIMAL.fullmatch(v) for v in row[2:])
+        ):
+            raise PredictionsError(
+                f"{path} line {line}: expected a name, a class in 0..{c - 1} and {c} decimal scores"
+            )
+        scores = np.array([float(v) for v in row[2:]], dtype=np.float64)
+        if not np.isfinite(scores).all():
+            raise PredictionsError(f"{path} line {line}: a score is too large")
+        by_name[row[0]] = scores
     return by_name
 
 

@@ -89,17 +89,24 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
+def _number(tok: bytes, what: str) -> int:
+    """tok as an int; only ASCII decimal digits make a number."""
+    if tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PgmError(f"malformed PGM {what} {tok!r}")
+
+
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     tok, pos = _next_token(data, pos)
-    try:
-        value = int(tok)
-    except ValueError:
-        raise PgmError(f"malformed PGM header: bad {what} {tok!r}") from None
-    return value, pos
+    return _number(tok, f"header: bad {what}"), pos
 
 
 def read_pgm(data: bytes) -> Image:
-    """Decode a binary (P5) or ASCII (P2) PGM byte string with maxval <= 255."""
+    """Decode a binary (P5) or ASCII (P2) PGM byte string with maxval <= 255.
+    Header numbers and P2 pixels must be ASCII decimal digits."""
     data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P2"):
@@ -136,12 +143,13 @@ def read_pgm(data: bytes) -> Image:
     values = bytearray(count)
     for i in range(count):
         try:
-            v, pos = _int_token(data, pos, "pixel")
+            tok, pos = _next_token(data, pos)
         except PgmError:
             raise PgmError(
                 f"truncated PGM payload: expected {count} pixels, got {i}"
             ) from None
-        if v < 0 or v > maxval:
+        v = _number(tok, "pixel")
+        if v > maxval:
             raise PgmError(f"malformed PGM pixel value {v} (maxval {maxval})")
         values[i] = v
     return Image(width=width, height=height, pixels=bytes(values))

@@ -81,9 +81,14 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def conv2d_param_grads(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
-    """(dw, db) of a conv2d_forward call, from its output gradient and cols."""
+    """(dw, db) of a conv2d_forward call, from its output gradient and cols.
+
+    dw is one (F, OH*OW) x (OH*OW, C*kh*kw) GEMM per sample, then a sum over
+    the batch in sample order.  No BLAS call reduces across samples, so the
+    bytes do not depend on how BLAS splits its work between threads.
+    """
     n, f = dout.shape[:2]
-    dw = np.einsum("nfp,nkp->fk", dout.reshape(n, f, -1), cols).reshape(w.shape)
+    dw = np.matmul(dout.reshape(n, f, -1), cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = dout.sum(axis=(0, 2, 3))
     return dw, db
 
@@ -144,11 +149,17 @@ def maxpool2_forward(x: np.ndarray):
 
 def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
     """Sends each window's gradient to its first maximum; every other
-    element of dx, odd trailing rows/cols included, is +0.0."""
+    element of dx, odd trailing rows/cols included, is +0.0.
+
+    Each tap is written as a bit mask over the gradient's unsigned-integer
+    view: an all-ones mask passes dout's exact bits (-0.0 and subnormals
+    included), a zero mask writes +0.0."""
     first, x_shape = cache
     dx = np.zeros(x_shape, dtype=dout.dtype)
+    uint = np.dtype(f"u{dout.itemsize}")
+    bits, dx_bits = dout.view(uint), dx.view(uint)
     for k, tap in enumerate(_pool_taps(x_shape)):
-        dx[tap] = np.where(first == k, dout, 0)
+        np.bitwise_and(bits, np.negative((first == k).astype(uint)), out=dx_bits[tap])
     return dx
 
 

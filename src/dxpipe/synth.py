@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -233,31 +234,60 @@ def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
     write_atomic(path, manifest_to_csv(manifest, relative_to=path.parent).encode("ascii"))
 
 
+class ManifestError(ValueError):
+    """Raised for a manifest file that is not in the layout save_manifest writes."""
+
+
+# the class_id and rotation fields save_manifest writes, and their values
+_CLASS_FIELDS = {str(c): c for c in range(NUM_CLASSES)}
+_ROTATION_FIELDS = {str(r): Rotation(r) for r in range(4)}
+
+
 def load_manifest(path: Path | str) -> DatasetManifest:
+    """Read a manifest in save_manifest's layout: ASCII, '#' comment lines
+    (one may be '# seed=<n>') before the header, then one path,class_id,rotation
+    row per image.  Anything else raises ManifestError naming the file."""
     path = Path(path)
-    text = path.read_text(encoding="ascii")
-    seed = 0
+    try:
+        text = path.read_bytes().decode("ascii")
+    except UnicodeDecodeError:
+        raise ManifestError(f"manifest {path}: not ASCII text") from None
     lines = text.splitlines()
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            stripped = line[1:].strip()
-            if stripped.startswith("seed="):
-                seed = int(stripped[len("seed=") :])
-            continue
-        body.append(line)
-    reader = csv.reader(body)
-    header = next(reader, None)
-    if header != ["path", "class_id", "rotation"]:
-        raise ValueError(f"bad manifest header {header!r} in {path}")
+    comments = 0
+    seed = 0
+    while comments < len(lines) and lines[comments].startswith("#"):
+        stripped = lines[comments][1:].strip()
+        comments += 1
+        if stripped.startswith("seed="):
+            value = stripped[len("seed=") :]
+            try:
+                if not re.fullmatch(r"-?[0-9]+", value):
+                    raise ValueError
+                seed = int(value)  # also raises for more digits than int() converts
+            except ValueError:
+                raise ManifestError(f"manifest {path}: bad seed {value!r}") from None
     entries = []
     seen = set()
-    for row in reader:
-        if not row:
-            continue
-        rel, cid, rot = row[0], int(row[1]), int(row[2])
-        if rel in seen:
-            raise ValueError(f"duplicate manifest path {rel!r}")
-        seen.add(rel)
-        entries.append(ManifestEntry(rel, cid, Rotation(rot)))
+    try:
+        reader = csv.reader(lines[comments:], strict=True)
+        header = next(reader, None)
+        if header != ["path", "class_id", "rotation"]:
+            raise ManifestError(f"bad manifest header {header!r} in {path}")
+        for row in reader:
+            if not row:
+                continue
+            line = comments + reader.line_num
+            if len(row) != 3 or not row[0]:
+                raise ManifestError(f"manifest {path} line {line}: expected path,class_id,rotation")
+            rel, cid, rot = row[0], _CLASS_FIELDS.get(row[1]), _ROTATION_FIELDS.get(row[2])
+            if cid is None:
+                raise ManifestError(f"manifest {path} line {line}: bad class_id {row[1]!r}")
+            if rot is None:
+                raise ManifestError(f"manifest {path} line {line}: bad rotation {row[2]!r}")
+            if rel in seen:
+                raise ManifestError(f"duplicate manifest path {rel!r} in {path}")
+            seen.add(rel)
+            entries.append(ManifestEntry(rel, cid, rot))
+    except csv.Error as exc:
+        raise ManifestError(f"manifest {path} line {comments + reader.line_num}: {exc}") from None
     return DatasetManifest(entries=entries, seed=seed, root=path.parent)

@@ -18,7 +18,7 @@ import numpy as np
 from dxpipe.checkpoint import Checkpoint, checkpoint_from_model, model_from_checkpoint
 from dxpipe.image import Rotation, load_pgm, rotate_array
 from dxpipe.metrics import confusion, per_class_metrics
-from dxpipe.nnet import EVAL_BATCH, FusionNet, ModelConfig, sgd_step, softmax, to_input, weighted_ce
+from dxpipe.nnet import FusionNet, ModelConfig, sgd_step, softmax, to_input, weighted_ce
 from dxpipe.synth import DatasetManifest
 
 
@@ -137,22 +137,14 @@ def evaluate_arrays(
     images: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    batch_size: int = EVAL_BATCH,
 ) -> tuple[float, float, np.ndarray]:
-    """Eval-mode (loss, accuracy, softmax scores) over normalized images.
-
-    The loss is the mean of per-batch weighted losses, weighted by batch size.
-    """
-    n = len(images)
+    """Eval-mode (loss, accuracy, softmax scores) over normalized images;
+    the loss is the weighted cross-entropy of the whole set."""
     logits = model.eval_logits(images)
-    loss_sum = 0.0
-    for start in range(0, n, batch_size):
-        yb = labels[start : start + batch_size]
-        loss, _ = weighted_ce(logits[start : start + batch_size], yb, weights)
-        loss_sum += loss * len(yb)
+    loss, _ = weighted_ce(logits, labels, weights)
     scores = softmax(logits)
     acc = float((scores.argmax(axis=1) == labels).mean())
-    return loss_sum / n, acc, scores
+    return loss, acc, scores
 
 
 # Divergence is reported by _require_finite (layer, epoch and batch) as one

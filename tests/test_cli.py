@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_image
 from dxpipe import trainer
 from dxpipe.checkpoint import save_model
-from dxpipe.cli import run
+from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
 from dxpipe.image import save_pgm
 from dxpipe.metrics import EvalReport
 from dxpipe.nnet import FusionNet, ModelConfig
@@ -448,3 +450,108 @@ def test_weighting_report_onto_any_train_output_is_refused_before_training(
         assert code == 1
         assert capsys.readouterr().err == f"error: {path} is written twice by one command\n"
     assert sorted(p.name for p in out.iterdir()) == ["link"]
+
+
+_PREDICTIONS_SAMPLE = (b"path,predicted,score_0,score_1\n"
+                       b"a.pgm,1,0.250000,0.750000\n\"b,c.pgm\",0,1.000000,0.000000\n")
+_PREDICTIONS_TOKENS = [b"", b",", b"\n", b"\r\n", b'"', b"-", b"+", b"_", b".", b"e5", b"nan",
+                       b"inf", b"0", b"1", b"2", b"\xff", b"\x00", b"score_2"]
+
+
+def _read_prediction_bytes(root, data: bytes) -> None:
+    """_read_predictions either raises PredictionsError or returns finite
+    score rows of one width, which write back and read again unchanged."""
+    path = root / "fuzz_predictions.csv"
+    path.write_bytes(data)
+    try:
+        by_name = _read_predictions(path)
+    except PredictionsError:
+        return
+    scores = np.stack(list(by_name.values()))
+    assert scores.shape[1] >= 1 and np.isfinite(scores).all()
+    path.write_text(_predictions_to_csv(list(by_name), scores))
+    again = _read_predictions(path)
+    assert list(again) == list(by_name)
+    assert [list(row) for row in again.values()] == [[float(f"{v:.6f}") for v in row] for row in scores]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=60) | st.sampled_from([_PREDICTIONS_SAMPLE]))
+def test_any_bytes_read_as_predictions_or_raise_predictions_error(tmp_path_factory, data):
+    _read_prediction_bytes(tmp_path_factory.getbasetemp(), data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_predictions_read_or_raise_predictions_error(tmp_path_factory, data):
+    buf = bytearray(_PREDICTIONS_SAMPLE)
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(buf)))
+        cut = data.draw(st.integers(0, 3))
+        buf[i : i + cut] = data.draw(st.sampled_from(_PREDICTIONS_TOKENS) | st.binary(max_size=3))
+    _read_prediction_bytes(tmp_path_factory.getbasetemp(), bytes(buf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    names=st.lists(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1,
+                           max_size=12), min_size=1, max_size=8, unique=True),
+    data=st.data(),
+)
+def test_predictions_write_then_read_round_trips_exactly(tmp_path_factory, names, data):
+    c = data.draw(st.integers(1, 6))
+    micro = data.draw(st.lists(st.integers(0, 10**6), min_size=len(names) * c,
+                               max_size=len(names) * c))
+    scores = np.array(micro, dtype=np.float64).reshape(len(names), c) / 1e6
+    path = tmp_path_factory.getbasetemp() / "rt_predictions.csv"
+    path.write_text(_predictions_to_csv(names, scores))
+    by_name = _read_predictions(path)
+    assert list(by_name) == names
+    assert np.array_equal(np.stack(list(by_name.values())), scores)
+
+
+@pytest.mark.parametrize("text", [
+    "path,predicted,score_0\na.pgm,0,+1.0\n",
+    "path,predicted,score_0\na.pgm,0,1_0\n",
+    "path,predicted,score_0\na.pgm,0,nan\n",
+    "path,predicted,score_0\na.pgm,0,1e5\n",
+    "path,predicted,score_0\na.pgm,1,1.0\n",
+    "path,predicted,score_0\na.pgm,0\n",
+    "path,predicted,score_0\na.pgm,0,1.0,2.0\n",
+    "path,predicted,score_1\na.pgm,0,1.0\n",
+    "path,predicted\na.pgm,0\n",
+    'path,predicted,score_0\n"a"b,0,1.0\n',
+    "path,predicted,score_0\na.pgm,0,1.0\x00\n",
+    "path,predicted,score_0\né.pgm,0,1.0\n",
+])
+def test_eval_refuses_a_predictions_file_predict_never_writes(tmp_path, capsys, text):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("# seed=0\npath,class_id,rotation\na.pgm,0,0\n")
+    preds = tmp_path / "predictions.csv"
+    preds.write_bytes(text.encode("utf-8"))
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "ev"), "eval", "--predictions", str(preds),
+                "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "# seed=0\npath,class_id,rotation\na.pgm,7,0\n",
+    "# seed=0\npath,class_id,rotation\na.pgm\n",
+    "# seed=é\npath,class_id,rotation\n",
+])
+def test_a_malformed_manifest_is_one_error_line(tmp_path, capsys, text):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(text.encode("utf-8"))
+    assert run(["--out-dir", str(tmp_path / "out"), "cluster", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {manifest}") and err.count("\n") == 1
+
+
+def test_an_overflowing_score_is_refused(tmp_path):
+    preds = tmp_path / "predictions.csv"
+    preds.write_text("path,predicted,score_0\na.pgm,0," + "9" * 400 + "\n")
+    with pytest.raises(PredictionsError, match="line 2: a score is too large"):
+        _read_predictions(preds)

@@ -67,6 +67,28 @@ def test_bad_header_token():
         read_pgm(b"P5\nx 2\n255\n")
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P5 +2 1_0 2_55\n" + bytes(20),
+        b"P5 +2 1 255\n\x00\x00",
+        b"P5 2 -1 255\n\x00\x00",
+        b"P5 1_0 1 255\n" + bytes(10),
+        b"P5 2 1 2_55\n\x00\x00",
+        b"P5 2 1 +255\n\x00\x00",
+    ],
+)
+def test_header_signs_and_underscores_refused(data):
+    with pytest.raises(PgmError, match="malformed PGM header: bad"):
+        read_pgm(data)
+
+
+@pytest.mark.parametrize("pixel", [b"+1", b"-0", b"1_0", b"0x1"])
+def test_ascii_pixel_signs_and_underscores_refused(pixel):
+    with pytest.raises(PgmError, match="malformed PGM pixel"):
+        read_pgm(b"P2 2 1 255 7 " + pixel + b"\n")
+
+
 def test_pixel_buffer_length_enforced():
     with pytest.raises(ValueError, match="length"):
         Image(2, 2, bytes([1, 2, 3]))
@@ -188,3 +210,18 @@ def test_write_then_read_round_trips_exactly(shape, data):
     assert write_pgm(read_pgm(encoded)) == encoded
     ascii_pgm = f"P2\n{w} {h}\n255\n{' '.join(map(str, img.pixels))}\n".encode()
     assert read_pgm(ascii_pgm) == img
+
+
+_NOT_WHITESPACE_OR_COMMENT = st.binary(min_size=1, max_size=6).filter(
+    lambda tok: not any(c in b" \t\n\r\x0b\x0c#" for c in tok)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tok=_NOT_WHITESPACE_OR_COMMENT.filter(lambda tok: not tok.isdigit()),
+       field=st.integers(0, 3))
+def test_a_number_token_that_is_not_all_digits_is_refused(tok, field):
+    fields = [b"P2", b"1", b"1", b"255", b"7"]
+    fields[field + 1] = tok
+    with pytest.raises(PgmError, match="malformed PGM"):
+        read_pgm(b" ".join(fields) + b"\n")

@@ -455,3 +455,58 @@ def test_astype_casts_without_drawing(monkeypatch):
     for name, arr in model.params.items():
         assert clone.params[name].dtype == np.float64
         np.testing.assert_array_equal(clone.params[name], arr)
+
+
+def _strided(a):
+    """A copy of a as a non-contiguous view (every other element of a buffer)."""
+    buf = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+    view = buf[..., ::2]
+    view[...] = a
+    return view
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+@pytest.mark.parametrize("hw", [(30, 30), (13, 13), (28, 28), (12, 12), (7, 5)])
+def test_maxpool_backward_passes_gradient_bits(dtype, layout, hw):
+    """Negative, -0.0 and subnormal gradients reach the chosen tap bit for bit,
+    from contiguous and non-contiguous dout alike."""
+    rng = np.random.default_rng(7 + sum(hw))
+    x = _pool_input("relu_ties", (2, 3, *hw), dtype, rng)
+    shape = (2, 3, hw[0] // 2, hw[1] // 2)
+    tiny = np.finfo(dtype).smallest_subnormal
+    dout = rng.standard_normal(shape).astype(dtype)
+    flat = dout.reshape(-1)
+    flat[::3] = -0.0
+    flat[1::7] = tiny * rng.integers(1, 100, size=flat[1::7].shape)
+    flat[2::7] = -tiny
+    assert (np.abs(dout[dout != 0]) < np.finfo(dtype).smallest_normal).any()
+    if layout == "strided":
+        dout = _strided(dout)
+    elif layout == "transposed":
+        dout = np.ascontiguousarray(dout.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    assert dout.flags.c_contiguous == (layout == "contiguous")
+    _, ref_dx = _maxpool_oracle(x, dout)
+    _, cache = maxpool2_forward(x)
+    dx = maxpool2_backward(dout, cache)
+    assert dx.dtype == ref_dx.dtype and dx.tobytes() == ref_dx.tobytes()
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((5, 1, 32, 32), (8, 1, 3, 3)),
+    ((5, 8, 14, 14), (24, 8, 3, 3)),
+])
+def test_conv_weight_gradient_is_a_sample_order_sum_of_per_sample_gradients(x_shape, w_shape):
+    """dw of a batch is the per-sample dw summed in sample order, so it does
+    not depend on how a BLAS call would split a reduction over the batch."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    w = rng.standard_normal(w_shape).astype(np.float32)
+    out, cols = conv2d_forward(x, w, np.zeros(w_shape[0], np.float32))
+    dout = rng.standard_normal(out.shape).astype(np.float32)
+    dw, _ = conv2d_param_grads(dout, cols, w)
+    per_sample = [conv2d_param_grads(dout[i : i + 1], cols[i : i + 1], w)[0] for i in range(len(x))]
+    total = per_sample[0].copy()
+    for g in per_sample[1:]:
+        total += g
+    assert dw.tobytes() == total.tobytes()

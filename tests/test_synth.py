@@ -1,10 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxpipe.enhance import hist_equalize
-from dxpipe.image import load_pgm
+from dxpipe.image import Rotation, load_pgm
 from dxpipe.synth import (
+    NUM_CLASSES,
     ClassSpec,
+    DatasetManifest,
+    ManifestEntry,
+    ManifestError,
     SynthParams,
     amplify_minority,
     default_class_specs,
@@ -148,3 +156,89 @@ def test_save_manifest_round_trips_rotation(tmp_path):
     loaded = load_manifest(tmp_path / "m.csv")
     assert loaded.entries[0].rotation == Rotation(2)
     assert loaded.seed == 77
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# seed=0\npath,class_id,rotation\na.pgm,6,0\n", "line 3: bad class_id '6'"),
+    ("# seed=0\npath,class_id,rotation\na.pgm,-1,0\n", "bad class_id '-1'"),
+    ("# seed=0\npath,class_id,rotation\na.pgm,+1,0\n", "bad class_id '+1'"),
+    ("# seed=0\npath,class_id,rotation\na.pgm,1_0,0\n", "bad class_id '1_0'"),
+    ("# seed=0\npath,class_id,rotation\na.pgm,0,4\n", "bad rotation '4'"),
+    ("# seed=0\npath,class_id,rotation\na.pgm\n", "line 3: expected path,class_id,rotation"),
+    ("# seed=0\npath,class_id,rotation\na.pgm,0,0,0\n", "expected path,class_id,rotation"),
+    ("# seed=0\npath,class_id,rotation\n,0,0\n", "expected path,class_id,rotation"),
+    ("# seed=x\npath,class_id,rotation\n", "bad seed 'x'"),
+    ('# seed=0\npath,class_id,rotation\n"a"b,0,0\n', "line 3:"),
+    ("path,class_id,rotation\n# seed=0\n", "expected path,class_id,rotation"),
+])
+def test_manifest_rejects_what_save_manifest_never_writes(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(path)
+
+
+def test_manifest_rejects_non_ascii(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"# seed=0\npath,class_id,rotation\n\xff.pgm,0,0\n")
+    with pytest.raises(ManifestError, match="not ASCII"):
+        load_manifest(path)
+
+
+_MANIFEST_SAMPLE = b'# seed=42\npath,class_id,rotation\nclass0_0000.pgm,0,0\n"a,b.pgm",5,3\n'
+_MANIFEST_TOKENS = [b"", b",", b"\n", b"\r\n", b"#", b'"', b"seed=", b"-", b"+", b"_", b"0",
+                    b"5", b"6", b"9", b"\xff", b"\x00", b"path,class_id,rotation"]
+
+
+def _load_manifest_bytes(root, data: bytes) -> None:
+    """load_manifest either raises ManifestError or returns a manifest that
+    survives a save and a second load unchanged."""
+    path = root / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        loaded = load_manifest(path)
+    except ManifestError:
+        return
+    assert all(0 <= e.class_id < NUM_CLASSES for e in loaded.entries)
+    assert len({e.path for e in loaded.entries}) == len(loaded.entries)
+    save_manifest(loaded, path)
+    again = load_manifest(path)
+    assert (again.seed, again.entries) == (loaded.seed, loaded.entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=60) | st.sampled_from([_MANIFEST_SAMPLE]))
+def test_any_bytes_load_or_raise_manifest_error(tmp_path_factory, data):
+    _load_manifest_bytes(tmp_path_factory.getbasetemp(), data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_loads_or_raises_manifest_error(tmp_path_factory, data):
+    buf = bytearray(_MANIFEST_SAMPLE)
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(buf)))
+        cut = data.draw(st.integers(0, 3))
+        buf[i : i + cut] = data.draw(st.sampled_from(_MANIFEST_TOKENS) | st.binary(max_size=3))
+    _load_manifest_bytes(tmp_path_factory.getbasetemp(), bytes(buf))
+
+
+# printable ASCII file names; no "/", because save_manifest rewrites paths
+# relative to the manifest's directory
+_NAMES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters="/"),
+                 min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(names=st.lists(_NAMES, max_size=8, unique=True), data=st.data(),
+       seed=st.integers(-(2**63), 2**64))
+def test_save_then_load_round_trips_exactly(tmp_path_factory, names, data, seed):
+    root = tmp_path_factory.getbasetemp()
+    entries = [
+        ManifestEntry(name, data.draw(st.integers(0, NUM_CLASSES - 1)),
+                      Rotation(data.draw(st.integers(0, 3))))
+        for name in names
+    ]
+    save_manifest(DatasetManifest(entries=entries, seed=seed, root=root), root / "rt.csv")
+    loaded = load_manifest(root / "rt.csv")
+    assert (loaded.seed, loaded.entries, loaded.root) == (seed, entries, root)

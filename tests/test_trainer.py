@@ -1,10 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dxpipe
 from dxpipe import trainer as trainer_mod
 from dxpipe.checkpoint import model_from_checkpoint
 from dxpipe.nnet import FusionNet, ModelConfig
-from dxpipe.synth import ClassSpec, DatasetManifest, ManifestEntry, SynthParams, generate_dataset
+from dxpipe.synth import (
+    ClassSpec,
+    DatasetManifest,
+    ManifestEntry,
+    SynthParams,
+    generate_dataset,
+    save_manifest,
+)
 from dxpipe.trainer import (
     TrainConfig,
     augment_epoch,
@@ -181,3 +194,23 @@ def test_train_config_validation():
         TrainConfig(lr_decay_factor=0.0)
     with pytest.raises(ValueError):
         TrainConfig(validation_fraction=1.0)
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tiny_dataset, tmp_path):
+    """Criterion 8 reruns in one process, so it cannot see a BLAS kernel that
+    splits a reduction by thread count; two processes with one and two BLAS
+    threads must write the same checkpoint and log bytes."""
+    save_manifest(tiny_dataset, tmp_path / "manifest.csv")
+    src = str(Path(dxpipe.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "dxpipe.cli", "--seed", "3", "--out-dir", str(out),
+             "train", "--manifest", str(tmp_path / "manifest.csv"), "--epochs", "2"],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "trainlog.csv")])
+    assert outputs[0] == outputs[1]
