@@ -27,7 +27,7 @@ from dxpipe import metrics as metrics_mod
 from dxpipe import orient as orient_mod
 from dxpipe import synth as synth_mod
 from dxpipe import trainer as trainer_mod
-from dxpipe.image import load_pgm, save_pgm
+from dxpipe.image import Image, load_pgm, save_pgm
 from dxpipe.nnet import ModelConfig, to_input
 
 
@@ -158,20 +158,40 @@ def _cmd_synth(args) -> int:
 def _cmd_enhance(args) -> int:
     params = enhance_mod.ClaheParams(args.tiles[0], args.tiles[1], args.clip)
     stages = {
-        "chain": lambda im: enhance_mod.enhance_chain(im, params, args.median_radius),
-        "sharpen": enhance_mod.sharpen,
-        "median": lambda im: enhance_mod.median_filter(im, args.median_radius),
-        "equalize": enhance_mod.hist_equalize,
-        "clahe": lambda im: enhance_mod.clahe(im, params),
+        "chain": lambda a: enhance_mod.chain_stack(a, params, args.median_radius),
+        "sharpen": enhance_mod.sharpen_stack,
+        "median": lambda a: enhance_mod.median_stack(a, args.median_radius),
+        "equalize": enhance_mod.equalize_stack,
+        "clahe": lambda a: enhance_mod.clahe_stack(a, params),
     }
     fn = stages[args.stage]
     inputs = sorted(args.input.glob("*.pgm")) if args.input.is_dir() else [args.input]
     if not inputs:
         raise FileNotFoundError(f"no PGM files under {args.input}")
+    run: list[tuple[Path, np.ndarray]] = []  # consecutive same-shape inputs, one stack
+
+    def flush() -> None:
+        if run:
+            arrays = [a for _, a in run]
+            stack = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)  # one: a view
+            for (path, _), out in zip(run, fn(stack)):
+                save_pgm(Image.from_array(out), args.out_dir / path.name)
+                if args.verbose:
+                    print(f"  {path.name}")
+            run.clear()
+
     for path in inputs:
-        save_pgm(fn(load_pgm(path)), args.out_dir / path.name)
-        if args.verbose:
-            print(f"  {path.name}")
+        try:
+            a = load_pgm(path).to_array()
+        except (OSError, ValueError):
+            flush()  # the inputs before a bad one are written, in order
+            raise
+        if run and (
+            a.shape != run[0][1].shape or len(run) == enhance_mod.images_per_block(*a.shape)
+        ):
+            flush()
+        run.append((path, a))
+    flush()
     print(f"enhanced {len(inputs)} image(s) -> {args.out_dir}")
     return 0
 
@@ -345,8 +365,7 @@ def _cmd_eval(args) -> int:
     labels = np.array([e.class_id for e in manifest.entries], dtype=np.int64)
     if args.checkpoint is not None:
         model = ckpt_io.load_model(args.checkpoint)
-        scores = model.predict(to_input(trainer_mod.load_image_array(manifest)))
-        num_classes = model.config.num_classes
+        source, num_classes = f"checkpoint {args.checkpoint}", model.config.num_classes
     else:
         by_name = _read_predictions(args.predictions)
         names = _basenames(e.path for e in manifest.entries)
@@ -354,7 +373,15 @@ def _cmd_eval(args) -> int:
             scores = np.stack([by_name[name] for name in names])
         except KeyError as exc:
             raise ValueError(f"predictions missing manifest entry {exc}") from None
-        num_classes = scores.shape[1]
+        source, num_classes = f"predictions {args.predictions}", scores.shape[1]
+    outside = np.flatnonzero(labels >= num_classes)
+    if outside.size:
+        raise ValueError(
+            f"manifest {args.manifest} has class {labels[outside[0]]}, "
+            f"outside the classes 0..{num_classes - 1} of {source}"
+        )
+    if args.checkpoint is not None:
+        scores = model.predict(to_input(trainer_mod.load_image_array(manifest)))
     report = metrics_mod.build_report(
         labels, scores.argmax(axis=1), num_classes, score_matrix=scores
     )

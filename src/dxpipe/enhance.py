@@ -6,10 +6,13 @@ All window operations replicate edges, all outputs stay in [0, 255], and
 every stage is bit-reproducible (fixed rounding: half away from zero via
 floor(x + 0.5)).
 
-Sharpening, the median filter and CLAHE's interpolation run in row strips
-of about STRIP_PIXELS pixels, so that their temporaries stay in cache.  Each
-output pixel goes through the same integer or floating-point operations
-whatever the strip size, so the output does not depend on it.
+Each stage has one kernel over an (N, H, W) uint8 stack of same-shape images;
+the single-image functions run it on a stack of one.  A kernel works in
+blocks of about STRIP_PIXELS pixels, so that its temporaries stay in cache: a
+block is a row strip of one image larger than that, or as many whole smaller
+images as fit.  Each output pixel goes through the same integer or
+floating-point operations whatever the blocks are, so the output depends
+neither on the block size nor on which images share a stack.
 """
 
 from __future__ import annotations
@@ -21,15 +24,41 @@ import numpy as np
 
 from dxpipe.image import Image
 
-# pixels per row strip: the kernels' strip temporaries then fit in L2
+# pixels per block: the kernels' block temporaries then fit in L2
 STRIP_PIXELS = 1 << 16
 
 
-def _row_strips(h: int, w: int):
-    """[r0, r1) runs of max(1, STRIP_PIXELS // w) rows covering 0..h."""
-    step = max(1, STRIP_PIXELS // w)
-    for r0 in range(0, h, step):
-        yield r0, min(r0 + step, h)
+def images_per_block(h: int, w: int) -> int:
+    """Whole h x w images per block: max(1, STRIP_PIXELS // (h * w))."""
+    return max(1, STRIP_PIXELS // (h * w))
+
+
+def _blocks(n: int, h: int, w: int):
+    """(i0, i1, r0, r1) blocks, rows r0..r1 of images i0..i1, covering every
+    pixel of an (n, h, w) stack once: images_per_block(h, w) whole images a
+    block, or, for images of more than STRIP_PIXELS pixels, row strips of
+    max(1, STRIP_PIXELS // w) rows of one image."""
+    if h * w > STRIP_PIXELS:
+        step = max(1, STRIP_PIXELS // w)
+        for i in range(n):
+            for r0 in range(0, h, step):
+                yield i, i + 1, r0, min(r0 + step, h)
+    else:
+        step = images_per_block(h, w)
+        for i0 in range(0, n, step):
+            yield i0, min(i0 + step, n), 0, h
+
+
+def _as_stack(stack: np.ndarray) -> np.ndarray:
+    a = np.asarray(stack)
+    if a.ndim != 3 or a.dtype != np.uint8 or 0 in a.shape[1:]:
+        raise ValueError(f"expected an (N, H, W) uint8 stack, got {a.dtype} {a.shape}")
+    return a
+
+
+def _on_image(kernel, img: Image, *args) -> Image:
+    """A stack kernel applied to one image."""
+    return Image.from_array(kernel(img.to_array()[None], *args)[0])
 
 
 @dataclass(frozen=True)
@@ -48,7 +77,7 @@ class ClaheParams:
     def __post_init__(self) -> None:
         if self.tiles_x < 1 or self.tiles_y < 1:
             raise ValueError(f"tile grid must be >= 1x1, got {self.tiles_x}x{self.tiles_y}")
-        if self.clip_factor < 1.0:
+        if not self.clip_factor >= 1.0:  # also refuses NaN
             raise ValueError(f"clip_factor must be >= 1.0, got {self.clip_factor}")
 
 
@@ -65,53 +94,61 @@ def laplacian(img: Image) -> np.ndarray:
 
 
 def sharpen(img: Image) -> Image:
-    """Laplacian sharpening: out = clamp(s - lap(s), 0, 255).
+    """Laplacian sharpening: out = clamp(s - lap(s), 0, 255)."""
+    return _on_image(sharpen_stack, img)
 
-    Computed as 5*s - up - down - left - right in int16, which is exact: the
-    sum lies in -1020..1275.
-    """
-    a = img.to_array()
-    h, w = a.shape
-    p = np.pad(a, 1, mode="edge")
-    out = np.empty((h, w), dtype=np.uint8)
-    for r0, r1 in _row_strips(h, w):
-        s = np.multiply(p[r0 + 1 : r1 + 1, 1:-1], 5, dtype=np.int16)
-        s -= p[r0:r1, 1:-1]
-        s -= p[r0 + 2 : r1 + 2, 1:-1]
-        s -= p[r0 + 1 : r1 + 1, :-2]
-        s -= p[r0 + 1 : r1 + 1, 2:]
-        out[r0:r1] = np.clip(s, 0, 255, out=s)
-    return Image.from_array(out)
+
+def sharpen_stack(stack: np.ndarray) -> np.ndarray:
+    """sharpen over an (N, H, W) uint8 stack, computed as 5*s - up - down -
+    left - right in int16, which is exact: the sum lies in -1020..1275."""
+    a = _as_stack(stack)
+    p = np.pad(a, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    out = np.empty_like(a)
+    for i0, i1, r0, r1 in _blocks(*a.shape):
+        mid = p[i0:i1, r0 + 1 : r1 + 1]
+        s = np.multiply(mid[:, :, 1:-1], 5, dtype=np.int16)
+        s -= p[i0:i1, r0:r1, 1:-1]
+        s -= p[i0:i1, r0 + 2 : r1 + 2, 1:-1]
+        s -= mid[:, :, :-2]
+        s -= mid[:, :, 2:]
+        out[i0:i1, r0:r1] = np.clip(s, 0, 255, out=s)
+    return out
 
 
 def median_filter(img: Image, radius: int) -> Image:
-    """Exact median over the (2*radius+1)^2 window, edge-replicated.
+    """Exact median over the (2*radius+1)^2 window, edge-replicated."""
+    return _on_image(median_stack, img, radius)
+
+
+def median_stack(stack: np.ndarray, radius: int) -> np.ndarray:
+    """median_filter over an (N, H, W) uint8 stack.
 
     An odd window's median is one of its own pixels, so a comparator network
     selects it exactly: the n = (2*radius+1)^2 shifted views of the padded
-    image run through Batcher's merge-exchange sorting network, pruned to the
-    comparators that the middle output depends on, with each comparator an
-    elementwise uint8 np.minimum / np.maximum.  Slot n // 2 is the median.
+    images run through Batcher's merge-exchange sorting network, pruned to
+    the comparators that the middle output depends on, with each comparator
+    an elementwise uint8 np.minimum / np.maximum.  Slot n // 2 is the median.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    a = img.to_array()
-    h, w = a.shape
-    p = np.pad(a, radius, mode="edge")
+    a = _as_stack(stack)
+    w = a.shape[2]
+    p = np.pad(a, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
     win = 2 * radius + 1
     network = _median_network(win * win)
-    out = np.empty((h, w), dtype=np.uint8)
-    for r0, r1 in _row_strips(h, w):
+    out = np.empty_like(a)
+    for i0, i1, r0, r1 in _blocks(*a.shape):
+        block = p[i0:i1]
         # the views overlap in the pad, so comparators allocate their outputs
-        slots = [p[r0 + i : r1 + i, j : j + w] for i in range(win) for j in range(win)]
+        slots = [block[:, r0 + i : r1 + i, j : j + w] for i in range(win) for j in range(win)]
         for i, j, keep_lo, keep_hi in network:
             x, y = slots[i], slots[j]
             if keep_lo:
                 slots[i] = np.minimum(x, y)
             if keep_hi:
                 slots[j] = np.maximum(x, y)
-        out[r0:r1] = slots[win * win // 2]
-    return Image.from_array(out)
+        out[i0:i1, r0:r1] = slots[win * win // 2]
+    return out
 
 
 def _merge_exchange(n: int) -> list[tuple[int, int]]:
@@ -147,33 +184,46 @@ def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
     return tuple(reversed(kept))
 
 
-def equalize_lut(hist: np.ndarray, total: int) -> np.ndarray:
-    """256-entry equalization lookup table from a pixel-count histogram.
+def equalize_lut(hist: np.ndarray, total) -> np.ndarray:
+    """256-entry equalization lookup tables from pixel-count histograms.
 
-    v -> floor(255 * (cdf(v) - cdf_min) / (total - cdf_min) + 0.5) where
-    cdf_min is the smallest nonzero cdf value.  A histogram with a single
-    occupied bin yields the identity table (degenerate rule).
+    hist is one 256-bin histogram or an array of them, (..., 256), and total
+    its pixel count (or one per histogram).  v -> floor(255 * (cdf(v) -
+    cdf_min) / (total - cdf_min) + 0.5) where cdf_min is the smallest nonzero
+    cdf value.  An empty histogram, or one with a single occupied bin, yields
+    the identity table (degenerate rule).
     """
     hist = np.asarray(hist, dtype=np.int64)
-    if hist.shape != (256,):
-        raise ValueError(f"expected a 256-bin histogram, got shape {hist.shape}")
-    cdf = np.cumsum(hist)
-    occupied = np.nonzero(hist)[0]
-    if occupied.size == 0:
-        return np.arange(256, dtype=np.uint8)
-    cdf_min = cdf[occupied[0]]
-    if cdf_min == total:
-        return np.arange(256, dtype=np.uint8)
-    scaled = 255.0 * (cdf - cdf_min) / (total - cdf_min)
-    return np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+    if hist.shape[-1:] != (256,):
+        raise ValueError(f"expected 256-bin histograms, got shape {hist.shape}")
+    total = np.asarray(total, dtype=np.int64)[..., None]
+    cdf = np.cumsum(hist, axis=-1)
+    cdf_min = np.take_along_axis(cdf, np.argmax(hist != 0, axis=-1)[..., None], axis=-1)
+    degenerate = (cdf[..., -1:] == 0) | (cdf_min == total)
+    scaled = 255.0 * (cdf - cdf_min) / np.where(degenerate, 1, total - cdf_min)
+    lut = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+    return np.where(degenerate, np.arange(256, dtype=np.uint8), lut)
 
 
 def hist_equalize(img: Image) -> Image:
     """Global histogram equalization; a constant image is returned unchanged."""
-    a = img.to_array()
-    hist = np.bincount(a.ravel(), minlength=256)
-    lut = equalize_lut(hist, a.size)
-    return Image.from_array(lut[a])
+    return _on_image(equalize_stack, img)
+
+
+def equalize_stack(stack: np.ndarray) -> np.ndarray:
+    """hist_equalize over an (N, H, W) uint8 stack: each image's histogram,
+    from one bincount per block over image * 256 + pixel, maps its own pixels."""
+    a = _as_stack(stack)
+    n, h, w = a.shape
+    hist = np.zeros((n, 256), dtype=np.int64)
+    for i0, i1, r0, r1 in _blocks(n, h, w):
+        idx = a[i0:i1, r0:r1] + (np.arange(i1 - i0) * 256)[:, None, None]
+        hist[i0:i1] += np.bincount(idx.ravel(), minlength=(i1 - i0) * 256).reshape(-1, 256)
+    flat = equalize_lut(hist, h * w).reshape(-1)
+    out = np.empty_like(a)
+    for i0, i1, r0, r1 in _blocks(n, h, w):
+        out[i0:i1, r0:r1] = flat[a[i0:i1, r0:r1] + (np.arange(i0, i1) * 256)[:, None, None]]
+    return out
 
 
 def tile_bounds(extent: int, tiles: int) -> list[tuple[int, int]]:
@@ -184,20 +234,22 @@ def tile_bounds(extent: int, tiles: int) -> list[tuple[int, int]]:
     return [(edges[t], edges[t + 1]) for t in range(tiles)]
 
 
-def clip_histogram(hist: np.ndarray, clip: int) -> np.ndarray:
+def clip_histogram(hist: np.ndarray, clip) -> np.ndarray:
     """Truncate bins above `clip` and redistribute the excess uniformly.
 
-    Single pass: every bin gets excess // 256, the remainder goes one count
-    each to bins 0 upward.  Total count is preserved exactly.
+    hist is one 256-bin histogram or an array of them, (..., 256), and clip
+    one threshold or one per histogram.  Single pass: every bin gets excess
+    // 256, the remainder goes one count each to bins 0 upward.  Each
+    histogram's total count is preserved exactly.
     """
-    if clip < 1:
-        raise ValueError(f"clip threshold must be >= 1, got {clip}")
+    clip = np.asarray(clip, dtype=np.int64)
+    if (clip < 1).any():
+        raise ValueError(f"clip threshold must be >= 1, got {clip.min()}")
     hist = np.asarray(hist, dtype=np.int64)
-    clipped = np.minimum(hist, clip)
-    excess = int((hist - clipped).sum())
+    clipped = np.minimum(hist, clip[..., None])
+    excess = (hist - clipped).sum(axis=-1, keepdims=True)
     clipped += excess // 256
-    remainder = excess % 256
-    clipped[:remainder] += 1
+    clipped += np.arange(256) < excess % 256
     return clipped
 
 
@@ -210,48 +262,83 @@ def clahe(img: Image, p: ClaheParams) -> Image:
     interpolate between the four surrounding tile mappings; beyond the
     outermost tile centers the edge mapping is replicated.
     """
-    a = img.to_array()
-    h, w = a.shape
+    return _on_image(clahe_stack, img, p)
+
+
+def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
+    """clahe over an (N, H, W) uint8 stack, each image with its own tiles."""
+    a = _as_stack(stack)
+    n, h, w = a.shape
     if p.tiles_x > w or p.tiles_y > h:
         raise ValueError(
             f"tile grid {p.tiles_x}x{p.tiles_y} exceeds image {w}x{h}"
         )
     xs = tile_bounds(w, p.tiles_x)
     ys = tile_bounds(h, p.tiles_y)
-
-    luts = np.empty((p.tiles_y, p.tiles_x, 256), dtype=np.uint8)
-    for ty, (y0, y1) in enumerate(ys):
-        for tx, (x0, x1) in enumerate(xs):
-            tile = a[y0:y1, x0:x1]
-            hist = np.bincount(tile.ravel(), minlength=256)
-            if np.count_nonzero(hist) <= 1:
-                luts[ty, tx] = np.arange(256, dtype=np.uint8)
-                continue
-            n = tile.size
-            limit = p.clip_factor * n / 256.0
-            clip = n if limit >= n else max(1, int(limit))
-            luts[ty, tx] = equalize_lut(clip_histogram(hist, clip), n)
+    flat = _tile_luts(a, xs, ys, p.clip_factor).reshape(-1)
 
     cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
     cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
     ix0, ix1, wx = _interp_axis(np.arange(w), cx)
     iy0, iy1, wy = _interp_axis(np.arange(h), cy)
 
-    flat = luts.reshape(-1)
     col0, col1 = ix0 * 256, ix1 * 256
     row0, row1 = iy0 * (p.tiles_x * 256), iy1 * (p.tiles_x * 256)
+    per_image = p.tiles_y * p.tiles_x * 256
     wx, wy = wx[None, :], wy[:, None]
-    out = np.empty((h, w), dtype=np.uint8)
-    for r0, r1 in _row_strips(h, w):
-        # luts[iy, ix, a] over the strip as one gather from the flat table
-        lo, hi = a[r0:r1] + col0, a[r0:r1] + col1
-        top0, bot0 = row0[r0:r1, None], row1[r0:r1, None]
+    out = np.empty_like(a)
+    for i0, i1, r0, r1 in _blocks(n, h, w):
+        # luts[i, iy, ix, a] over the block as one gather from the flat table
+        block = a[i0:i1, r0:r1]
+        lo, hi = block + col0, block + col1
+        image0 = (np.arange(i0, i1) * per_image)[:, None, None]
+        top0, bot0 = row0[r0:r1, None] + image0, row1[r0:r1, None] + image0
         top = _lerp(wx, flat[lo + top0], flat[hi + top0])
         bot = _lerp(wx, flat[lo + bot0], flat[hi + bot0])
         v = _lerp(wy[r0:r1], top, bot)
         v += 0.5
-        out[r0:r1] = np.clip(np.floor(v, out=v), 0, 255, out=v)
-    return Image.from_array(out)
+        out[i0:i1, r0:r1] = np.clip(np.floor(v, out=v), 0, 255, out=v)
+    return out
+
+
+def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:
+    """(N, tiles_y, tiles_x, 256) uint8 tile mappings of an (N, H, W) stack.
+
+    The tables go in blocks of whole images' tables or of runs of tile rows
+    of one image.  A block's histograms come from one bincount over (image,
+    tile, pixel) indices per pixel block of its rows; their rows of 256 are
+    clipped (clip_histogram) and equalized (equalize_lut) at once, and a tile
+    with at most one occupied level keeps the identity mapping.
+    """
+    n, h, w = a.shape
+    tiles_y, tiles_x = len(ys), len(xs)
+    heights = np.array([y1 - y0 for y0, y1 in ys])
+    widths = np.array([x1 - x0 for x0, x1 in xs])
+    sizes = np.outer(heights, widths)
+    limit = clip_factor * sizes / 256.0
+    # max(1, floor(limit)), or the tile size once the limit reaches it
+    clip = np.maximum(1, np.minimum(limit, sizes).astype(np.int64))
+    row = tiles_x * 256  # histogram entries per tile row
+    # offset of each pixel's tile histogram in its image's tables: row + col
+    row_of = np.repeat(np.arange(tiles_y), heights) * row
+    col_of = np.repeat(np.arange(tiles_x), widths) * 256
+    luts = np.empty((n, tiles_y, tiles_x, 256), dtype=np.uint8)
+    # a quarter of STRIP_PIXELS histogram entries per block, as the LUT
+    # arithmetic holds several int64 and float64 copies of each entry
+    for i0, i1, t0, t1 in _blocks(n, tiles_y, 4 * row):
+        y0, y1 = ys[t0][0], ys[t1 - 1][1]
+        hist = np.zeros((i1 - i0) * (t1 - t0) * row, dtype=np.int64)
+        for j0, j1, s0, s1 in _blocks(i1 - i0, y1 - y0, w):
+            rows = slice(y0 + s0, y0 + s1)
+            # image i0 + j's tile row t is row j * (t1 - t0) + t - t0 of the block
+            idx = a[i0 + j0 : i0 + j1, rows] + col_of
+            idx += row_of[rows, None] + ((np.arange(j0, j1) * (t1 - t0) - t0) * row)[:, None, None]
+            hist += np.bincount(idx.ravel(), minlength=hist.size)
+        hist = hist.reshape(i1 - i0, t1 - t0, tiles_x, 256)
+        lut = equalize_lut(clip_histogram(hist, clip[t0:t1]), sizes[t0:t1])
+        lut[np.count_nonzero(hist, axis=-1) <= 1] = np.arange(256, dtype=np.uint8)
+        luts[i0:i1, t0:t1] = lut
+    return luts
 
 
 def _lerp(weight: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -277,4 +364,9 @@ def _interp_axis(coords: np.ndarray, centers: np.ndarray):
 
 def enhance_chain(img: Image, p: ClaheParams, median_radius: int = 1) -> Image:
     """Full chain: sharpen, then median filter, then CLAHE."""
-    return clahe(median_filter(sharpen(img), median_radius), p)
+    return _on_image(chain_stack, img, p, median_radius)
+
+
+def chain_stack(stack: np.ndarray, p: ClaheParams, median_radius: int = 1) -> np.ndarray:
+    """enhance_chain over an (N, H, W) uint8 stack."""
+    return clahe_stack(median_stack(sharpen_stack(stack), median_radius), p)

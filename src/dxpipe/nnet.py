@@ -281,6 +281,13 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+class _NoCache(dict):
+    """A forward cache that keeps nothing, for eval passes."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 class FusionNet:
     """Dual-branch feature-fusion classifier over (N, 1, S, S) inputs in [0, 1]."""
 
@@ -311,30 +318,25 @@ class FusionNet:
         return FusionNet(self.config, params={k: v.astype(dtype) for k, v in self.params.items()})
 
     def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
+        """Branch features.  Each layer's output replaces its input in x, and
+        what backward needs goes only to the cache, so a _NoCache frees every
+        column matrix and activation once the next layer has used it."""
         p = self.params
         name = f"branch_{branch}"
-        c1, cols1 = conv2d_forward(x, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
-        _require_finite(f"{name}.conv1", c1)
-        r1 = relu_forward(c1)
-        p1, pool1 = maxpool2_forward(r1)
-        c2, cols2 = conv2d_forward(p1, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
-        _require_finite(f"{name}.conv2", c2)
-        r2 = relu_forward(c2)
-        p2, pool2 = maxpool2_forward(r2)
-        flat = p2.reshape(len(p2), -1)
-        feat = dense_forward(flat, p[f"{name}.fc.w"], p[f"{name}.fc.b"])
+        c = cache[name] = type(cache)()
+        x, c["cols1"] = conv2d_forward(x, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
+        _require_finite(f"{name}.conv1", x)
+        c["c1"] = x
+        x, c["pool1"] = maxpool2_forward(relu_forward(x))
+        c["p1_shape"] = x.shape
+        x, c["cols2"] = conv2d_forward(x, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
+        _require_finite(f"{name}.conv2", x)
+        c["c2"] = x
+        x, c["pool2"] = maxpool2_forward(relu_forward(x))
+        c["p2_shape"] = x.shape
+        c["flat"] = x = x.reshape(len(x), -1)
+        feat = dense_forward(x, p[f"{name}.fc.w"], p[f"{name}.fc.b"])
         _require_finite(f"{name}.fc", feat)
-        cache[name] = {
-            "cols1": cols1,
-            "c1": c1,
-            "pool1": pool1,
-            "p1_shape": p1.shape,
-            "cols2": cols2,
-            "c2": c2,
-            "pool2": pool2,
-            "p2_shape": p2.shape,
-            "flat": flat,
-        }
         return feat
 
     def forward(
@@ -345,16 +347,21 @@ class FusionNet:
     ):
         """Run the model; returns (logits, cache).  In train mode an rng is
         required whenever dropout_rate > 0."""
+        cache: dict = {"train_mode": train_mode}
+        return self._forward(x, cache, train_mode, rng), cache
+
+    def _forward(self, x: np.ndarray, cache: dict, train_mode: bool = False, rng=None):
+        """Logits; the layer inputs that backward needs go to cache."""
         if x.ndim != 4 or x.shape[1] != 1:
             raise ValueError(f"expected input (N, 1, H, W), got {x.shape}")
         s = self.config.input_size
         if x.shape[2] != s or x.shape[3] != s:
             raise ValueError(f"expected {s}x{s} input, got {x.shape[2]}x{x.shape[3]}")
-        cache: dict = {"train_mode": train_mode}
         feat_a = self._forward_branch("a", x, cache)
         feat_b = self._forward_branch("b", x, cache)
-        fused_in = np.concatenate([feat_a, feat_b], axis=1)
+        cache["fused_in"] = fused_in = np.concatenate([feat_a, feat_b], axis=1)
         fused = dense_forward(fused_in, self.params["fusion.w"], self.params["fusion.b"])
+        cache["fused"] = fused
         _require_finite("fusion", fused)
         hidden = relu_forward(fused)
         if train_mode and self.config.dropout_rate > 0.0:
@@ -363,17 +370,10 @@ class FusionNet:
             dropped, mask = dropout_forward(hidden, self.config.dropout_rate, rng)
         else:
             dropped, mask = hidden, None
+        cache["mask"], cache["dropped"] = mask, dropped
         logits = dense_forward(dropped, self.params["head.w"], self.params["head.b"])
         _require_finite("logits", logits)
-        cache.update(
-            {
-                "fused_in": fused_in,
-                "fused": fused,
-                "mask": mask,
-                "dropped": dropped,
-            }
-        )
-        return logits, cache
+        return logits
 
     def _backward_branch(self, branch: str, dfeat: np.ndarray, cache: dict, grads: dict):
         p = self.params
@@ -419,7 +419,10 @@ class FusionNet:
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits for (N, 1, S, S) inputs, EVAL_BATCH rows per pass."""
         return np.concatenate(
-            [self.forward(x[i : i + EVAL_BATCH])[0] for i in range(0, len(x), EVAL_BATCH)]
+            [
+                self._forward(x[i : i + EVAL_BATCH], _NoCache())
+                for i in range(0, len(x), EVAL_BATCH)
+            ]
         )
 
     def predict(self, x: np.ndarray) -> np.ndarray:

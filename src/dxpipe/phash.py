@@ -10,6 +10,7 @@ coefficient order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,12 @@ def _area_resize(arr: np.ndarray, size: int) -> np.ndarray:
     return _axis_weights(size, h) @ arr.astype(np.float64) @ _axis_weights(size, w).T
 
 
+@functools.lru_cache(maxsize=16)
 def _axis_weights(target: int, source: int) -> np.ndarray:
-    """target x source matrix of fractional interval overlaps (rows sum to 1)."""
+    """target x source matrix of fractional interval overlaps (rows sum to 1).
+
+    Cached per size pair, as a dataset has few image sizes; bounded, as each
+    entry holds target * source floats; read-only, as callers share it."""
     weights = np.zeros((target, source))
     scale = source / target
     for t in range(target):
@@ -51,6 +56,7 @@ def _axis_weights(target: int, source: int) -> np.ndarray:
             overlap = min(hi, s + 1) - max(lo, s)
             if overlap > 0:
                 weights[t, s] = overlap / scale
+    weights.flags.writeable = False
     return weights
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_image
-from dxpipe import trainer
+from dxpipe import enhance, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
-from dxpipe.image import save_pgm
+from dxpipe.image import Image, save_pgm
 from dxpipe.metrics import EvalReport
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import load_manifest
@@ -555,3 +555,115 @@ def test_an_overflowing_score_is_refused(tmp_path):
     preds.write_text("path,predicted,score_0\na.pgm,0," + "9" * 400 + "\n")
     with pytest.raises(PredictionsError, match="line 2: a score is too large"):
         _read_predictions(preds)
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_eval_names_predictions_with_too_few_classes(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("# seed=0\npath,class_id,rotation\na.pgm,1,0\nb.pgm,3,0\nc.pgm,2,0\n")
+    preds = tmp_path / "predictions.csv"
+    preds.write_text(
+        "path,predicted,score_0,score_1\n"
+        + "".join(f"{n}.pgm,0,0.5,0.5\n" for n in "abc")
+    )
+    assert run(["--out-dir", str(tmp_path / "ev"), "eval", "--predictions", str(preds),
+                "--manifest", str(manifest)]) == 1
+    err = _one_error_line(capsys)
+    assert f"manifest {manifest} has class 3," in err
+    assert f"classes 0..1 of predictions {preds}" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_names_a_pose_checkpoint_on_a_region_manifest(trained, tmp_path, capsys):
+    _, out = trained
+    val = out / "val_manifest.csv"
+    labels = [e.class_id for e in load_manifest(val).entries]
+    first = next(c for c in labels if c >= 4)
+    ckpt = tmp_path / "orient_checkpoint.bin"
+    save_model(FusionNet(ModelConfig(num_classes=4), seed=0), ckpt)
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "ev"), "eval", "--checkpoint", str(ckpt),
+                "--manifest", str(val)]) == 1
+    err = _one_error_line(capsys)
+    assert f"manifest {val} has class {first}," in err
+    assert f"classes 0..3 of checkpoint {ckpt}" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def _enhance_inputs(root, shapes, seed=3):
+    """One random PGM per (name, shape), plus the arrays by name."""
+    root.mkdir()
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, shape in shapes:
+        arrays[name] = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        save_pgm(Image.from_array(arrays[name]), root / name)
+    return arrays
+
+
+_STAGE_FUNCTIONS = {
+    "chain": lambda img: enhance.enhance_chain(img, enhance.ClaheParams(1, 1, 1.5), 2),
+    "sharpen": enhance.sharpen,
+    "median": lambda img: enhance.median_filter(img, 2),
+    "equalize": enhance.hist_equalize,
+    "clahe": lambda img: enhance.clahe(img, enhance.ClaheParams(1, 1, 1.5)),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGE_FUNCTIONS))
+def test_enhance_directory_of_mixed_shapes_matches_one_image_at_a_time(tmp_path, stage, capsys):
+    # runs of one shape are stacked (65 images of 32 px make two stacks) and
+    # broken wherever the shape changes
+    shapes = [(f"a{i:02d}.pgm", (32, 32)) for i in range(65)]
+    shapes += [("b0.pgm", (48, 48)), ("b1.pgm", (48, 48)), ("c0.pgm", (1, 1000)),
+               ("d0.pgm", (1000, 1)), ("e0.pgm", (300, 500)), ("f0.pgm", (32, 32))]
+    arrays = _enhance_inputs(tmp_path / "in", shapes)
+    out = tmp_path / "out"
+    assert run(["--verbose", "--out-dir", str(out), "enhance", str(tmp_path / "in"),
+                "--stage", stage, "--tiles", "1", "1", "--clip", "1.5",
+                "--median-radius", "2"]) == 0
+    stdout = capsys.readouterr().out
+    assert re.findall(r"^  (\S+)$", stdout, re.M) == sorted(arrays)
+    for name, arr in arrays.items():
+        expected = _STAGE_FUNCTIONS[stage](Image.from_array(arr)).to_array()
+        assert (out / name).read_bytes() == (
+            b"P5\n%d %d\n255\n" % arr.shape[::-1] + expected.tobytes()
+        ), name
+
+
+@pytest.mark.parametrize("stage, fn", [
+    ("chain", lambda img: enhance.enhance_chain(img, enhance.ClaheParams(), 1)),
+    ("clahe", lambda img: enhance.clahe(img, enhance.ClaheParams())),
+    ("equalize", enhance.hist_equalize),
+])
+def test_enhance_stops_at_a_corrupt_pgm_after_writing_the_inputs_before_it(
+    tmp_path, capsys, stage, fn
+):
+    arrays = _enhance_inputs(tmp_path / "in", [(f"i{k}.pgm", (32, 32)) for k in range(6)])
+    (tmp_path / "in" / "i3.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(100))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["--verbose", "--out-dir", str(out), "enhance", str(tmp_path / "in"),
+                "--stage", stage]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: truncated PGM payload: expected 1024 bytes, got 100\n"
+    assert captured.out.splitlines()[1:] == ["  i0.pgm", "  i1.pgm", "  i2.pgm"]
+    assert sorted(p.name for p in out.iterdir()) == ["i0.pgm", "i1.pgm", "i2.pgm"]
+    for name in ("i0.pgm", "i1.pgm", "i2.pgm"):
+        expected = fn(Image.from_array(arrays[name])).to_array()
+        assert (out / name).read_bytes().endswith(expected.tobytes())
+
+
+def test_enhance_stops_at_the_first_image_its_tile_grid_does_not_fit(tmp_path, capsys):
+    _enhance_inputs(tmp_path / "in", [("a0.pgm", (32, 32)), ("a1.pgm", (32, 32)),
+                                      ("b0.pgm", (1, 1000)), ("c0.pgm", (32, 32))])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["--out-dir", str(out), "enhance", str(tmp_path / "in"), "--stage", "clahe"]) == 1
+    assert _one_error_line(capsys) == "error: tile grid 8x8 exceeds image 1000x1\n"
+    assert sorted(p.name for p in out.iterdir()) == ["a0.pgm", "a1.pgm"]

@@ -307,8 +307,9 @@ def test_chain_removes_sparse_impulses():
     assert (out == 40).mean() > 0.95
 
 
-# Whole-image forms of the strip kernels, kept as oracles: each strip-wise
-# kernel must give the same bytes for every shape and every strip size.
+# Whole-image, one-image-at-a-time forms of the stack kernels, kept as
+# oracles: each kernel must give the same bytes for every shape, every stack
+# and every block size.
 
 
 def _sharpen_oracle(arr):
@@ -332,6 +333,32 @@ def _median_network_oracle(arr, radius):
     return slots[win * win // 2]
 
 
+def _clip_histogram_oracle(hist, clip):
+    hist = np.asarray(hist, dtype=np.int64)
+    clipped = np.minimum(hist, clip)
+    excess = int((hist - clipped).sum())
+    clipped += excess // 256
+    clipped[: excess % 256] += 1
+    return clipped
+
+
+def _equalize_lut_oracle(hist, total):
+    hist = np.asarray(hist, dtype=np.int64)
+    cdf = np.cumsum(hist)
+    occupied = np.nonzero(hist)[0]
+    if occupied.size == 0:
+        return np.arange(256, dtype=np.uint8)
+    cdf_min = cdf[occupied[0]]
+    if cdf_min == total:
+        return np.arange(256, dtype=np.uint8)
+    scaled = 255.0 * (cdf - cdf_min) / (total - cdf_min)
+    return np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+
+
+def _hist_equalize_oracle(a):
+    return _equalize_lut_oracle(np.bincount(a.ravel(), minlength=256), a.size)[a]
+
+
 def _clahe_oracle(a, p):
     h, w = a.shape
     xs = tile_bounds(w, p.tiles_x)
@@ -347,7 +374,7 @@ def _clahe_oracle(a, p):
             n = tile.size
             limit = p.clip_factor * n / 256.0
             clip = n if limit >= n else max(1, int(limit))
-            luts[ty, tx] = equalize_lut(clip_histogram(hist, clip), n)
+            luts[ty, tx] = _equalize_lut_oracle(_clip_histogram_oracle(hist, clip), n)
     cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
     cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
     ix0, ix1, wx = _interp_axis(np.arange(w), cx)
@@ -398,19 +425,39 @@ def _strip_input(shape, fill="random"):
 
 
 def test_row_strips_cover_every_row_once():
-    for h, w in [(1, 1), (300, 500), (3, 70000), (70000, 1), (1024, 1024), (257, 255)]:
-        strips = list(enhance._row_strips(h, w))
-        assert strips[0][0] == 0 and strips[-1][1] == h
-        assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
-        rows = max(1, STRIP_PIXELS // w)
-        assert all(r1 - r0 == rows for r0, r1 in strips[:-1])
-        assert 1 <= strips[-1][1] - strips[-1][0] <= rows
-    assert list(enhance._row_strips(32, 32)) == [(0, 32)]
+    shapes = [(1, 1), (300, 500), (3, 70000), (70000, 1), (1024, 1024), (257, 255),
+              (32, 32), (48, 48), (1, 1000), (1000, 1), (256, 256), (256, 257)]
+    for n in (1, 2, 63, 64, 65):
+        for h, w in shapes:
+            blocks = list(enhance._blocks(n, h, w))
+            seen = np.zeros((n, h), dtype=np.int64)
+            for i0, i1, r0, r1 in blocks:
+                assert 0 <= i0 < i1 <= n and 0 <= r0 < r1 <= h
+                seen[i0:i1, r0:r1] += 1
+            assert (seen == 1).all(), (n, h, w)  # every pixel of every image once
+            if h * w > STRIP_PIXELS:
+                # row strips of one image, as many rows as fit, in order
+                rows = max(1, STRIP_PIXELS // w)
+                assert all(i1 - i0 == 1 for i0, i1, _, _ in blocks)
+                assert [r1 - r0 for _, _, r0, r1 in blocks] == (
+                    [rows] * (h // rows) + ([h % rows] if h % rows else [])
+                ) * n
+            else:
+                # whole images, as many as fit, in order
+                per = STRIP_PIXELS // (h * w)
+                assert enhance.images_per_block(h, w) == per
+                assert [(i0, r0, r1) for i0, _, r0, r1 in blocks] == [
+                    (i0, 0, h) for i0 in range(0, n, per)
+                ]
+    assert list(enhance._blocks(1, 32, 32)) == [(0, 1, 0, 32)]
+    assert list(enhance._blocks(65, 32, 32)) == [(0, 64, 0, 32), (64, 65, 0, 32)]
 
 
 def test_strips_are_cache_sized_at_1024_px():
     assert STRIP_PIXELS == 1 << 16
-    assert len(list(enhance._row_strips(1024, 1024))) == 16
+    assert len(list(enhance._blocks(1, 1024, 1024))) == 16
+    assert enhance.images_per_block(32, 32) == 64
+    assert enhance.images_per_block(1024, 1024) == 1
 
 
 @pytest.mark.parametrize("fill", ["random", "checker"])
@@ -477,3 +524,127 @@ def test_chain_output_does_not_depend_on_strip_size(monkeypatch):
     assert len(outs) == 1
     expected = _clahe_oracle(_median_network_oracle(_sharpen_oracle(arr), 2), p)
     assert outs == {expected.tobytes()}
+
+
+def test_histogram_rows_match_one_histogram_oracles():
+    rng = np.random.default_rng(21)
+    hist = rng.integers(0, 40, size=(6, 5, 256)) * (rng.random((6, 5, 256)) < 0.3)
+    hist[0, 0] = 0  # empty
+    hist[0, 1] = 0
+    hist[0, 1, 77] = 500  # one occupied bin
+    hist[0, 2] = 0
+    hist[0, 2, [0, 255]] = [3, 9]
+    hist[1, 0, 5] = 100_000  # a large excess: every bin gets some, plus a remainder
+    clip = rng.integers(1, 30, size=(6, 5))
+    clipped = clip_histogram(hist, clip)
+    totals = hist.sum(axis=-1)
+    luts = equalize_lut(clipped, totals)
+    for i in np.ndindex(hist.shape[:-1]):
+        expected = _clip_histogram_oracle(hist[i], clip[i])
+        assert clipped[i].tobytes() == expected.tobytes(), i
+        assert luts[i].tobytes() == _equalize_lut_oracle(clipped[i], totals[i]).tobytes(), i
+    # the degenerate rule: an empty histogram, or one occupied bin
+    assert (equalize_lut(hist[0, :2], totals[0, :2]) == np.arange(256)).all()
+
+
+def _stack_images(n, shape, seed):
+    """n images cycling through four kinds: random; constant; constant on
+    4x4 blocks (so 8x8 tiles of 32 px images hold one level each); two
+    levels over a constant half."""
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    out = np.empty((n, h, w), dtype=np.uint8)
+    for k in range(n):
+        kind = k % 4
+        if kind == 0:
+            out[k] = rng.integers(0, 256, size=shape)
+        elif kind == 1:
+            out[k] = rng.integers(0, 256)
+        elif kind == 2:
+            blocks = rng.integers(0, 256, size=(-(-h // 4), -(-w // 4)))
+            out[k] = np.repeat(np.repeat(blocks, 4, axis=0), 4, axis=1)[:h, :w]
+        else:
+            out[k] = rng.integers(0, 2, size=shape) * 200 + 30
+            out[k, : h // 2] = 7
+    return out
+
+
+def _per_image(oracle, stack):
+    return b"".join(oracle(a).tobytes() for a in stack)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+def test_stack_kernels_match_whole_image_oracles(monkeypatch, n):
+    # block sizes: row strips of one image (1000), a few images (4096) and
+    # the real 64 images of 32 px; the last block of 63 or 65 images is short
+    stack = _stack_images(n, (32, 32), seed=n)
+    grids = [(8, 8), (3, 5), (1, 1)] + ([(32, 32)] if n <= 2 else [])
+    expected = {
+        "sharpen": _per_image(_sharpen_oracle, stack),
+        "equalize": _per_image(_hist_equalize_oracle, stack),
+        **{f"median{r}": _per_image(lambda a: _median_network_oracle(a, r), stack)
+           for r in (1, 2, 3)},
+        **{f"clahe{g}": _per_image(lambda a: _clahe_oracle(a, ClaheParams(*g, 1.5)), stack)
+           for g in grids},
+    }
+    for pixels in (1000, 4096, STRIP_PIXELS):
+        monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
+        got = {
+            "sharpen": enhance.sharpen_stack(stack).tobytes(),
+            "equalize": enhance.equalize_stack(stack).tobytes(),
+            **{f"median{r}": enhance.median_stack(stack, r).tobytes() for r in (1, 2, 3)},
+            **{f"clahe{g}": enhance.clahe_stack(stack, ClaheParams(*g, 1.5)).tobytes()
+               for g in grids},
+        }
+        for name in expected:
+            assert got[name] == expected[name], (name, pixels)
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (1, 1000), (1000, 1), (300, 500)])
+def test_stacks_of_odd_shapes_match_whole_image_oracles(shape):
+    stack = _stack_images(3, shape, seed=shape[0] + shape[1])
+    h, w = shape
+    grids = {(min(8, w), min(8, h)), (min(3, w), min(5, h)), (1, 1)}
+    if h * w <= 2500:
+        grids.add((w, h))  # tiles equal to the extent: one pixel per tile
+    for g in sorted(grids):
+        p = ClaheParams(*g, 2.0)
+        assert enhance.clahe_stack(stack, p).tobytes() == _per_image(
+            lambda a: _clahe_oracle(a, p), stack
+        ), g
+    p = ClaheParams(min(3, w), min(5, h), 1.5)
+    for r in (1, 2, 3):
+        chain = enhance.chain_stack(stack, p, r)
+        assert chain.tobytes() == _per_image(
+            lambda a: _clahe_oracle(_median_network_oracle(_sharpen_oracle(a), r), p), stack
+        ), r
+
+
+def test_stack_kernels_refuse_what_is_not_a_uint8_stack():
+    for bad in (np.zeros((4, 4), np.uint8), np.zeros((1, 4, 4), np.int16),
+                np.zeros((1, 0, 4), np.uint8)):
+        with pytest.raises(ValueError, match="uint8 stack"):
+            enhance.sharpen_stack(bad)
+
+
+def _traced_peak(fn):
+    import tracemalloc
+
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, size", [(1, 1024), (64, 32)])
+def test_clahe_allocates_a_few_strips_not_whole_images(n, size):
+    # one float64 strip is STRIP_PIXELS * 8 bytes; the interpolation holds
+    # about eight such temporaries at once, and the histogram pass less (its
+    # int64 tables for 64 images of 32 px with 8x8 tiles would be 8 MB whole)
+    stack = _stack_images(n, (size, size), seed=size)
+    p = ClaheParams(8, 8, 2.0)
+    outputs = stack.nbytes + n * 64 * 256  # result and tile tables, one byte each
+    assert _traced_peak(lambda: enhance.clahe_stack(stack, p)) < outputs + 10 * STRIP_PIXELS * 8

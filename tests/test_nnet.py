@@ -431,6 +431,26 @@ def test_eval_logits_chunks_match_forward(monkeypatch):
     np.testing.assert_array_equal(model.predict(x), softmax(model.eval_logits(x)))
 
 
+def test_eval_pass_frees_each_layer_once_the_next_has_used_it():
+    import tracemalloc
+
+    model = FusionNet(ModelConfig(), seed=7)
+    x = np.random.default_rng(7).random((nnet.EVAL_BATCH, 1, 32, 32)).astype(np.float32)
+    peaks = {}
+    for name, fn in (("forward", lambda: model.forward(x)[0]),
+                     ("eval", lambda: model.eval_logits(x))):
+        tracemalloc.start()
+        try:
+            logits = fn()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.tobytes() == model.forward(x)[0].tobytes()
+    # the largest layer: branch b's conv1 columns (25 taps) and its output (8 maps)
+    largest = len(x) * (25 + 8) * 28 * 28 * 4
+    assert peaks["eval"] < 1.25 * largest < peaks["forward"] / 2
+
+
 def test_param_shapes_match_initialised_params():
     for cfg in (ModelConfig(), ModelConfig(input_size=16, num_classes=4, fusion_dim=7)):
         model = FusionNet(cfg, seed=0)

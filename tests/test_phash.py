@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import constant_image, random_image
 from dxpipe.image import Image, read_pgm, write_pgm
@@ -69,3 +70,18 @@ def test_area_resize_preserves_mean():
     arr = rng.integers(0, 256, size=(50, 70)).astype(np.uint8)
     out = _area_resize(arr, 32)
     assert abs(out.mean() - arr.mean()) < 1e-6
+
+
+@pytest.mark.parametrize("source", [32, 1024, 1, 7, 33, 500, 1000])
+def test_axis_weights_cache_matches_uncached_and_is_read_only(source):
+    from dxpipe.phash import _axis_weights
+
+    cached = _axis_weights(32, source)
+    assert _axis_weights(32, source) is cached  # built once per size pair
+    fresh = _axis_weights.__wrapped__(32, source)
+    assert fresh is not cached
+    assert cached.tobytes() == fresh.tobytes()
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 1.0
+
