@@ -168,30 +168,14 @@ def _cmd_enhance(args) -> int:
     inputs = sorted(args.input.glob("*.pgm")) if args.input.is_dir() else [args.input]
     if not inputs:
         raise FileNotFoundError(f"no PGM files under {args.input}")
-    run: list[tuple[Path, np.ndarray]] = []  # consecutive same-shape inputs, one stack
 
-    def flush() -> None:
-        if run:
-            arrays = [a for _, a in run]
-            stack = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)  # one: a view
-            for (path, _), out in zip(run, fn(stack)):
-                save_pgm(Image.from_array(out), args.out_dir / path.name)
-                if args.verbose:
-                    print(f"  {path.name}")
-            run.clear()
+    def write(paths, stack) -> None:
+        for path, out in zip(paths, fn(stack)):
+            save_pgm(Image.from_array(out), args.out_dir / path.name)
+            if args.verbose:
+                print(f"  {path.name}")
 
-    for path in inputs:
-        try:
-            a = load_pgm(path).to_array()
-        except (OSError, ValueError):
-            flush()  # the inputs before a bad one are written, in order
-            raise
-        if run and (
-            a.shape != run[0][1].shape or len(run) == enhance_mod.images_per_block(*a.shape)
-        ):
-            flush()
-        run.append((path, a))
-    flush()
+    enhance_mod.for_each_stack(((p, load_pgm(p).to_array()) for p in inputs), write)
     print(f"enhanced {len(inputs)} image(s) -> {args.out_dir}")
     return 0
 
@@ -208,6 +192,17 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+def _training_manifest(args, t: trainer_mod.TrainConfig) -> synth_mod.DatasetManifest:
+    """args.manifest, refused by name before any image is read when training
+    cannot split it."""
+    manifest = synth_mod.load_manifest(args.manifest)
+    try:
+        trainer_mod.split_for_config(manifest, t)
+    except ValueError as exc:
+        raise ValueError(f"manifest {args.manifest}: {exc}") from None
+    return manifest
+
+
 _TRAIN_OUTPUTS = ("checkpoint.bin", "trainlog.csv", "train_manifest.csv", "val_manifest.csv")
 
 
@@ -216,9 +211,9 @@ def _cmd_train(args) -> int:
     if args.weighting_report is not None:
         fileio.refuse_same_file(args.weighting_report, outputs)
     ckpt_path, log_path, train_path, val_path = outputs
-    manifest = synth_mod.load_manifest(args.manifest)
-    model_cfg = _model_config(args)
     t = _train_config(args)
+    manifest = _training_manifest(args, t)
+    model_cfg = _model_config(args)
     weights = np.ones(model_cfg.num_classes) if args.uniform_loss else None
     ckpt, log = trainer_mod.train(manifest, model_cfg, t, class_weights=weights)
     ckpt_io.save_checkpoint(ckpt, ckpt_path)
@@ -241,8 +236,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_orient_train(args) -> int:
-    manifest = synth_mod.load_manifest(args.manifest)
-    ckpt, log = orient_mod.train_orient(manifest, _model_config(args), _train_config(args))
+    t = _train_config(args)
+    ckpt, log = orient_mod.train_orient(_training_manifest(args, t), _model_config(args), t)
     ckpt_io.save_checkpoint(ckpt, args.out_dir / "orient_checkpoint.bin")
     _write_text(args.out_dir / "orient_trainlog.csv", log.to_csv())
     if args.verbose:
@@ -386,10 +381,15 @@ def _cmd_eval(args) -> int:
         labels, scores.argmax(axis=1), num_classes, score_matrix=scores
     )
     _write_text(args.out_dir / "eval_report.json", report.to_json())
-    for c, curve in enumerate(report.roc_curves or []):
-        _write_text(args.out_dir / f"roc_class{c}.csv", metrics_mod.roc_to_csv(curve))
+    for c, curve in enumerate(report.roc_curves):
+        if curve is not None:  # no curve for a class with no positives or no negatives
+            _write_text(args.out_dir / f"roc_class{c}.csv", metrics_mod.roc_to_csv(curve))
     print(metrics_mod.render_per_class_table(report), end="")
-    print(f"accuracy {report.accuracy:.4f}, macro AUC {report.macro_auc:.4f}")
+    macro = "undefined" if report.macro_auc is None else f"{report.macro_auc:.4f}"
+    undefined = [str(c) for c, auc in enumerate(report.per_class_auc) if auc is None]
+    if undefined:
+        macro += f"; no AUC for class {', '.join(undefined)}"
+    print(f"accuracy {report.accuracy:.4f}, macro AUC {macro}")
     return 0
 
 

@@ -61,6 +61,38 @@ def _on_image(kernel, img: Image, *args) -> Image:
     return Image.from_array(kernel(img.to_array()[None], *args)[0])
 
 
+def for_each_stack(pairs, process) -> None:
+    """Calls process(keys, stack) for each run of consecutive (key, image
+    array) pairs of one shape, at most images_per_block(h, w) long: the
+    stacks the kernels take.  When reading a pair raises OSError or
+    ValueError (a missing or malformed image), the run read before it is
+    processed first, so that the outputs before a bad input are written.
+    Each run is released before the next but one image is read."""
+    keys: list = []
+    arrays: list[np.ndarray] = []
+
+    def flush() -> None:
+        nonlocal keys, arrays
+        if arrays:
+            process(keys, arrays[0][None] if len(arrays) == 1 else np.stack(arrays))  # one: a view
+            keys, arrays = [], []
+
+    it = iter(pairs)
+    while True:
+        try:
+            key, a = next(it)
+        except StopIteration:
+            break
+        except (OSError, ValueError):
+            flush()
+            raise
+        if arrays and (a.shape != arrays[0].shape or len(arrays) == images_per_block(*a.shape)):
+            flush()
+        keys.append(key)
+        arrays.append(a)
+    flush()
+
+
 @dataclass(frozen=True)
 class ClaheParams:
     """Tile grid and clip-limit multiplier for CLAHE.

@@ -4,7 +4,8 @@ and the comparison-table report.
 The trapezoidal AUC over the threshold-sweep curve equals the pairwise
 ranking statistic P(score+ > score-) + P(tie)/2; tests hold the two within
 1e-9.  Undefined 0/0 ratios are reported as 0.0 and flagged rather than
-dropped, so table shapes stay stable.
+dropped, so table shapes stay stable; an undefined per-class AUC (a class
+with no positives or no negatives) is None, flagged the same way.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ def roc_curve(scores, labels) -> RocCurve:
     return RocCurve(points=np.column_stack([fpr, tpr]), thresholds=thresholds, auc=auc)
 
 
-def _one_vs_rest_curves(score_matrix: np.ndarray, labels) -> list[RocCurve]:
-    """One ROC curve per score column, class c against the rest."""
+def _one_vs_rest_curves(score_matrix: np.ndarray, labels) -> list[RocCurve | None]:
+    """One ROC curve per score column, class c against the rest; None for a
+    class with no positives or no negatives, whose curve is undefined (0/0)."""
     scores = np.asarray(score_matrix, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or len(scores) != len(labels):
@@ -134,15 +136,18 @@ def _one_vs_rest_curves(score_matrix: np.ndarray, labels) -> list[RocCurve]:
     curves = []
     for c in range(scores.shape[1]):
         binary = (labels == c).astype(np.int64)
-        if binary.sum() == 0 or binary.sum() == len(binary):
-            raise ValueError(f"class {c} has no positives or no negatives")
-        curves.append(roc_curve(scores[:, c], binary))
+        defined = 0 < binary.sum() < len(binary)
+        curves.append(roc_curve(scores[:, c], binary) if defined else None)
     return curves
 
 
 def multiclass_auc(score_matrix: np.ndarray, labels) -> tuple[list[float], float]:
-    """One-vs-rest AUC per class on score columns, plus the unweighted mean."""
-    per_class = [curve.auc for curve in _one_vs_rest_curves(score_matrix, labels)]
+    """One-vs-rest AUC per class on score columns, plus the unweighted mean.
+    Every class needs positives and negatives."""
+    curves = _one_vs_rest_curves(score_matrix, labels)
+    if None in curves:
+        raise ValueError(f"class {curves.index(None)} has no positives or no negatives")
+    per_class = [curve.auc for curve in curves]
     return per_class, float(np.mean(per_class))
 
 
@@ -166,9 +171,9 @@ class EvalReport:
     weighted_specificity: float
     per_class: list[dict]
     confusion: list[list[int]]
-    per_class_auc: list[float] | None = None
-    macro_auc: float | None = None
-    roc_curves: list[RocCurve] | None = field(default=None, repr=False)
+    per_class_auc: list[float | None] | None = None  # None: undefined, flagged
+    macro_auc: float | None = None  # mean of the defined per-class AUCs
+    roc_curves: list[RocCurve | None] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -209,7 +214,11 @@ class EvalReport:
 def build_report(
     labels, predictions, num_classes: int, score_matrix: np.ndarray | None = None
 ) -> EvalReport:
-    """Full evaluation report; AUC columns require the score matrix."""
+    """Full evaluation report; AUC columns require the score matrix.
+
+    A class with no positives or no negatives among the labels has no ROC
+    curve: its AUC is None and flagged "auc" in its undefined list, and the
+    macro AUC is the mean over the other classes (None if there are none)."""
     cm = confusion(labels, predictions, num_classes)
     m = per_class_metrics(cm)
     per_class = []
@@ -237,10 +246,13 @@ def build_report(
     )
     if score_matrix is not None:
         report.roc_curves = _one_vs_rest_curves(score_matrix, labels)
-        report.per_class_auc = [curve.auc for curve in report.roc_curves]
-        report.macro_auc = float(np.mean(report.per_class_auc))
-        for c, a in enumerate(report.per_class_auc):
-            report.per_class[c]["auc"] = a
+        report.per_class_auc = [None if cv is None else cv.auc for cv in report.roc_curves]
+        defined = [a for a in report.per_class_auc if a is not None]
+        report.macro_auc = float(np.mean(defined)) if defined else None
+        for row, a in zip(report.per_class, report.per_class_auc):
+            row["auc"] = a
+            if a is None:
+                row["undefined"] = sorted(row["undefined"] + ["auc"])
     return report
 
 

@@ -94,17 +94,34 @@ def conv2d_param_grads(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
 
 
 def conv2d_backward(dout: np.ndarray, cols: np.ndarray, x_shape, w: np.ndarray):
+    """(dx, dw, db) of a conv2d_forward call with input shape x_shape.
+
+    dw and db come from conv2d_param_grads.  dx is col2im on flat rows: dout
+    is laid out at the input's H x W, zero beyond OH x OW; one GEMM per
+    sample gives the column gradients at every input position, rows in
+    tap-major order; and each tap (i, j) is added as one contiguous span,
+    starting at i*W + j, of a flat buffer over all N*C planes.  Positions
+    beyond OH x OW wrap into the next row or plane, but their dout is zero,
+    so they add +-0.0 to accumulators that start at +0.0 and so are never
+    -0.0: dx has the bytes of the per-plane slice scatter.  The GEMM's
+    contraction over F gives the same bytes at either row order and width
+    (pinned by the tests).
+    """
     n, c, h, wd = x_shape
     f, _, kh, kw = w.shape
     oh, ow = h - kh + 1, wd - kw + 1
+    padded = np.zeros((n, f, h, wd), dtype=dout.dtype)
+    padded[:, :, :oh, :ow] = dout
     dw, db = conv2d_param_grads(dout, cols, w)
-    dcols = np.matmul(w.reshape(f, -1).T[None], dout.reshape(n, f, oh * ow))
-    dcols = dcols.reshape(n, c, kh, kw, oh, ow)
-    dx = np.zeros(x_shape, dtype=dout.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
-    return dx, dw, db
+    w_taps = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
+    dcols = np.matmul(w_taps[None], padded.reshape(n, f, h * wd))
+    size = n * c * h * wd
+    dx = np.zeros(size + (kh - 1) * wd + kw - 1, dtype=dout.dtype)
+    for t in range(kh * kw):
+        start = (t // kw) * wd + t % kw
+        span = dx[start : start + size].reshape(n, c, h * wd)
+        span += dcols[:, t * c : (t + 1) * c]
+    return dx[:size].reshape(x_shape), dw, db
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -151,15 +168,15 @@ def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
     """Sends each window's gradient to its first maximum; every other
     element of dx, odd trailing rows/cols included, is +0.0.
 
-    Each tap is written as a bit mask over the gradient's unsigned-integer
-    view: an all-ones mask passes dout's exact bits (-0.0 and subnormals
-    included), a zero mask writes +0.0."""
+    Each tap is written as the gradient's unsigned-integer view times the
+    tap's 0/1 mask: a 1 passes dout's exact bits (-0.0 and subnormals
+    included), a 0 writes +0.0."""
     first, x_shape = cache
     dx = np.zeros(x_shape, dtype=dout.dtype)
     uint = np.dtype(f"u{dout.itemsize}")
     bits, dx_bits = dout.view(uint), dx.view(uint)
     for k, tap in enumerate(_pool_taps(x_shape)):
-        np.bitwise_and(bits, np.negative((first == k).astype(uint)), out=dx_bits[tap])
+        np.multiply(bits, first == k, out=dx_bits[tap])
     return dx
 
 
@@ -289,7 +306,16 @@ class _NoCache(dict):
 
 
 class FusionNet:
-    """Dual-branch feature-fusion classifier over (N, 1, S, S) inputs in [0, 1]."""
+    """Dual-branch feature-fusion classifier over (N, 1, S, S) inputs in [0, 1].
+
+    Each branch applies its ReLUs in place on the conv outputs, which the
+    forward cache keeps as c1/c2.  The branch backward takes each ReLU's
+    gradient on the pooled map, dp * (pooled > 0), before the max-pool
+    scatter.  pooled is the ReLU output at each window's first maximum, so
+    this is the multiply the full-resolution relu_backward made there;
+    elsewhere both give +0.0.  The gradients have the bytes of the
+    full-resolution form.
+    """
 
     def __init__(
         self,
@@ -326,14 +352,14 @@ class FusionNet:
         c = cache[name] = type(cache)()
         x, c["cols1"] = conv2d_forward(x, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
         _require_finite(f"{name}.conv1", x)
-        c["c1"] = x
-        x, c["pool1"] = maxpool2_forward(relu_forward(x))
-        c["p1_shape"] = x.shape
+        c["c1"] = np.maximum(x, 0, out=x)
+        x, c["pool1"] = maxpool2_forward(x)
+        c["p1"] = x
         x, c["cols2"] = conv2d_forward(x, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
         _require_finite(f"{name}.conv2", x)
-        c["c2"] = x
-        x, c["pool2"] = maxpool2_forward(relu_forward(x))
-        c["p2_shape"] = x.shape
+        c["c2"] = np.maximum(x, 0, out=x)
+        x, c["pool2"] = maxpool2_forward(x)
+        c["p2"] = x
         c["flat"] = x = x.reshape(len(x), -1)
         feat = dense_forward(x, p[f"{name}.fc.w"], p[f"{name}.fc.b"])
         _require_finite(f"{name}.fc", feat)
@@ -382,14 +408,12 @@ class FusionNet:
         dflat, grads[f"{name}.fc.w"], grads[f"{name}.fc.b"] = dense_backward(
             dfeat, c["flat"], p[f"{name}.fc.w"]
         )
-        dp2 = dflat.reshape(c["p2_shape"])
-        dr2 = maxpool2_backward(dp2, c["pool2"])
-        dc2 = relu_backward(dr2, c["c2"])
+        p1, p2 = c["p1"], c["p2"]
+        dc2 = maxpool2_backward(relu_backward(dflat.reshape(p2.shape), p2), c["pool2"])
         dp1, grads[f"{name}.conv2.w"], grads[f"{name}.conv2.b"] = conv2d_backward(
-            dc2, c["cols2"], c["p1_shape"], p[f"{name}.conv2.w"]
+            dc2, c["cols2"], p1.shape, p[f"{name}.conv2.w"]
         )
-        dr1 = maxpool2_backward(dp1, c["pool1"])
-        dc1 = relu_backward(dr1, c["c1"])
+        dc1 = maxpool2_backward(relu_backward(dp1, p1), c["pool1"])
         grads[f"{name}.conv1.w"], grads[f"{name}.conv1.b"] = conv2d_param_grads(
             dc1, c["cols1"], p[f"{name}.conv1.w"]
         )

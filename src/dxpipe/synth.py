@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dxpipe.enhance import hist_equalize
+from dxpipe.enhance import equalize_stack, for_each_stack
 from dxpipe.fileio import write_atomic
 from dxpipe.image import Image, Rotation, load_pgm, save_pgm
 
@@ -194,23 +194,30 @@ def amplify_minority(
     """Add a histogram-equalized copy of every image in the listed classes.
 
     New entries keep the source label and rotation; files land next to the
-    originals with a `_he` suffix.
+    originals with a `_he` suffix.  Each run of same-shape images is
+    equalized by one enhance.equalize_stack call.
     """
     for cid in class_ids:
         if not 0 <= cid < NUM_CLASSES:
             raise ValueError(f"class_id {cid} out of range")
     wanted = set(class_ids)
     out = DatasetManifest(entries=list(manifest.entries), seed=manifest.seed, root=manifest.root)
-    for e in manifest.entries:
-        if e.class_id not in wanted:
-            continue
-        src = manifest.resolve(e)
-        if not src.exists():
-            raise FileNotFoundError(f"missing source image {src}")
-        stem = Path(e.path).stem
-        name = f"{stem}_he.pgm"
-        save_pgm(hist_equalize(load_pgm(src)), manifest.root / name)
-        out.entries.append(ManifestEntry(name, e.class_id, e.rotation))
+
+    def loaded():
+        for e in manifest.entries:
+            if e.class_id in wanted:
+                src = manifest.resolve(e)
+                if not src.exists():
+                    raise FileNotFoundError(f"missing source image {src}")
+                yield e, load_pgm(src).to_array()
+
+    def equalize(entries, stack) -> None:
+        for e, equalized in zip(entries, equalize_stack(stack)):
+            name = f"{Path(e.path).stem}_he.pgm"
+            save_pgm(Image.from_array(equalized), manifest.root / name)
+            out.entries.append(ManifestEntry(name, e.class_id, e.rotation))
+
+    for_each_stack(loaded(), equalize)
     return out
 
 

@@ -233,10 +233,15 @@ def train(
 
 
 def split_for_config(manifest: DatasetManifest, t: TrainConfig):
-    """The exact (train, validation) partition train() uses for this config."""
-    return stratified_split(
+    """The exact (train, validation) partition train() uses for this config.
+    An empty validation split, where no class has 2 or more images, is a
+    ValueError: training selects its checkpoint on that split."""
+    train_m, val_m = stratified_split(
         manifest, t.validation_fraction, np.random.SeedSequence([t.seed & (2**64 - 1), 0x57])
     )
+    if not val_m.entries:
+        raise ValueError("the validation split is empty (no class has 2 or more images)")
+    return train_m, val_m
 
 
 @dataclass

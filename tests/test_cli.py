@@ -595,6 +595,49 @@ def test_eval_names_a_pose_checkpoint_on_a_region_manifest(trained, tmp_path, ca
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "orient-train"])
+def test_training_on_an_empty_validation_split_is_one_error_line(tmp_path, capsys, command):
+    # one image per class: no class can give the validation split an image.
+    # The images do not exist, so reading any of them would fail differently.
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "# seed=0\npath,class_id,rotation\n" + "".join(f"{c}.pgm,{c},0\n" for c in range(6))
+    )
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "run"), command, "--manifest", str(manifest)]) == 1
+    err = _one_error_line(capsys)
+    assert err == (
+        f"error: manifest {manifest}: the validation split is empty "
+        "(no class has 2 or more images)\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_on_a_subset_without_a_class_reports_its_auc_as_undefined(tmp_path, capsys):
+    # classes 0 and 1 only, scored over three classes: class 2 has no positives
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("# seed=0\npath,class_id,rotation\n"
+                        "a.pgm,0,0\nb.pgm,1,0\nc.pgm,0,0\nd.pgm,1,0\n")
+    preds = tmp_path / "predictions.csv"
+    preds.write_text("path,predicted,score_0,score_1,score_2\n"
+                     "a.pgm,0,0.700000,0.200000,0.100000\n"
+                     "b.pgm,1,0.100000,0.600000,0.300000\n"
+                     "c.pgm,1,0.300000,0.400000,0.300000\n"
+                     "d.pgm,0,0.500000,0.300000,0.200000\n")
+    ev = tmp_path / "ev"
+    capsys.readouterr()
+    assert run(["--out-dir", str(ev), "eval", "--predictions", str(preds),
+                "--manifest", str(manifest)]) == 0
+    report = json.loads((ev / "eval_report.json").read_text())
+    assert report["per_class_auc"][2] is None and report["per_class"][2]["auc"] is None
+    assert "auc" in report["per_class"][2]["undefined"]
+    assert report["per_class_auc"][:2] == [0.75, 0.75]
+    assert report["macro_auc"] == 0.75
+    assert sorted(p.name for p in ev.glob("roc_class*.csv")) == ["roc_class0.csv", "roc_class1.csv"]
+    out = capsys.readouterr().out
+    assert out.endswith("accuracy 0.5000, macro AUC 0.7500; no AUC for class 2\n")
+
+
 def _enhance_inputs(root, shapes, seed=3):
     """One random PGM per (name, shape), plus the arrays by name."""
     root.mkdir()

@@ -648,3 +648,33 @@ def test_clahe_allocates_a_few_strips_not_whole_images(n, size):
     p = ClaheParams(8, 8, 2.0)
     outputs = stack.nbytes + n * 64 * 256  # result and tile tables, one byte each
     assert _traced_peak(lambda: enhance.clahe_stack(stack, p)) < outputs + 10 * STRIP_PIXELS * 8
+
+
+def _stacks_of(pairs):
+    runs = []
+    enhance.for_each_stack(pairs, lambda keys, stack: runs.append((keys, stack.copy())))
+    return runs
+
+
+def test_for_each_stack_groups_same_shape_images_up_to_a_block():
+    per = enhance.images_per_block(32, 32)
+    shapes = [(32, 32)] * (per + 1) + [(8, 8), (32, 32)]
+    pairs = [(i, np.full(s, i, np.uint8)) for i, s in enumerate(shapes)]
+    runs = _stacks_of(pairs)
+    assert [keys for keys, _ in runs] == [
+        list(range(per)), [per], [per + 1], [per + 2]
+    ]
+    for keys, stack in runs:
+        assert stack.tobytes() == np.stack([pairs[k][1] for k in keys]).tobytes()
+
+
+def test_for_each_stack_processes_what_was_read_before_a_failure():
+    def pairs():
+        yield "a", np.zeros((4, 4), np.uint8)
+        yield "b", np.ones((4, 4), np.uint8)
+        raise OSError("unreadable c")
+
+    runs = []
+    with pytest.raises(OSError, match="unreadable c"):
+        enhance.for_each_stack(pairs(), lambda keys, stack: runs.append((keys, stack.shape)))
+    assert runs == [(["a", "b"], (2, 4, 4))]

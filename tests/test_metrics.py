@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,38 @@ def test_build_report_fields_and_json_round_trip():
     assert loaded.accuracy == report.accuracy
     assert loaded.per_class == report.per_class
     assert loaded.macro_auc == report.macro_auc
+
+
+def test_build_report_flags_the_auc_of_a_class_the_labels_lack():
+    labels = np.array([0, 0, 1, 1, 0])  # class 2 absent: no positives
+    rng = np.random.default_rng(8)
+    scores = rng.random((5, 3))
+    report = build_report(labels, scores.argmax(axis=1), 3, score_matrix=scores)
+    assert report.roc_curves[2] is None
+    assert report.per_class_auc[2] is None and report.per_class[2]["auc"] is None
+    assert "auc" in report.per_class[2]["undefined"]
+    assert report.per_class[2]["undefined"] == sorted(report.per_class[2]["undefined"])
+    for c in (0, 1):
+        binary = (labels == c).astype(int)
+        assert abs(report.per_class_auc[c] - pairwise_auc(scores[:, c], binary)) < 1e-12
+        assert "auc" not in report.per_class[c]["undefined"]
+    assert report.macro_auc == float(np.mean(report.per_class_auc[:2]))
+    d = json.loads(report.to_json())
+    assert d["per_class_auc"][2] is None and d["per_class"][2]["auc"] is None
+    loaded = EvalReport.from_json(report.to_json())
+    assert loaded.per_class_auc == report.per_class_auc
+    assert loaded.macro_auc == report.macro_auc
+
+
+def test_build_report_with_one_label_has_no_auc_at_all():
+    # every class lacks positives or negatives: no curve, no macro AUC
+    labels = np.array([1, 1, 1])
+    scores = np.random.default_rng(9).random((3, 2))
+    report = build_report(labels, scores.argmax(axis=1), 2, score_matrix=scores)
+    assert report.roc_curves == [None, None]
+    assert report.per_class_auc == [None, None]
+    assert report.macro_auc is None
+    assert json.loads(report.to_json())["macro_auc"] is None
 
 
 def test_balanced_precision_is_macro_mean():

@@ -530,3 +530,131 @@ def test_conv_weight_gradient_is_a_sample_order_sum_of_per_sample_gradients(x_sh
     for g in per_sample[1:]:
         total += g
     assert dw.tobytes() == total.tobytes()
+
+
+def _loop_conv2d_backward(dout, cols, x_shape, w):
+    """conv2d_backward as it was before the flat col2im: the column gradients
+    in channel-major row order at the output's OH x OW, scattered tap by tap
+    into per-plane slices.  The reference the flat col2im must match."""
+    n, c, h, wd = x_shape
+    f, _, kh, kw = w.shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    dw, db = conv2d_param_grads(dout, cols, w)
+    dcols = np.matmul(w.reshape(f, -1).T[None], dout.reshape(n, f, oh * ow))
+    dcols = dcols.reshape(n, c, kh, kw, oh, ow)
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
+    return dx, dw, db
+
+
+def _signed_zero_gradient(shape, dtype, rng):
+    """Normal draws with every fifth value -0.0 and every seventh +0.0."""
+    g = rng.standard_normal(shape).astype(dtype)
+    g.reshape(-1)[::5] = -0.0
+    g.reshape(-1)[3::7] = 0.0
+    return g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((3, 4, 11, 17), (5, 4, 3, 3)),
+    ((2, 2, 9, 6), (3, 2, 5, 3)),
+    ((4, 3, 7, 12), (2, 3, 2, 4)),
+    ((5, 8, 15, 15), (16, 8, 3, 3)),
+])
+def test_flat_col2im_matches_the_slice_scatter_bytes(dtype, x_shape, w_shape):
+    """Non-square inputs and kernels, signed zeros in dout."""
+    rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    out, cols = conv2d_forward(x, w, np.zeros(w_shape[0], dtype))
+    dout = _signed_zero_gradient(out.shape, dtype, rng)
+    got = conv2d_backward(dout, cols, x_shape, w)
+    ref = _loop_conv2d_backward(dout, cols, x_shape, w)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 32, 33, 128])
+@pytest.mark.parametrize("x_hw, w_shape", [(15, (16, 8, 3, 3)), (14, (24, 8, 3, 3))])
+def test_dcols_gemm_bytes_do_not_depend_on_row_order_or_width(n, x_hw, w_shape):
+    """The flat col2im relies on this: the column-gradient GEMM (a contraction
+    over filters) gives the same bytes with tap-major rows over the padded
+    input grid as with channel-major rows over the compact output grid.  The
+    shapes are the two FusionNet conv2 layers at float32."""
+    rng = np.random.default_rng(n + x_hw)
+    f, c, kh, kw = w_shape
+    oh = ow = x_hw - kh + 1
+    w = rng.standard_normal(w_shape).astype(np.float32)
+    dout = _signed_zero_gradient((n, f, oh, ow), np.float32, rng)
+    padded = np.zeros((n, f, x_hw, x_hw), np.float32)
+    padded[:, :, :oh, :ow] = dout
+    compact = np.matmul(w.reshape(f, -1).T[None], dout.reshape(n, f, oh * ow))
+    flat = np.matmul(
+        w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)[None], padded.reshape(n, f, -1)
+    )
+    flat = flat.reshape(n, kh, kw, c, x_hw, x_hw)[..., :oh, :ow].transpose(0, 3, 1, 2, 4, 5)
+    assert flat.tobytes() == compact.reshape(n, c, kh, kw, oh, ow).tobytes()
+
+
+def _parent_backward_branch(self, branch, dfeat, cache, grads):
+    """The branch backward before the ReLU gradient moved onto the pooled
+    maps: max-pool scatter at full resolution, then relu_backward on the conv
+    output's mask, then the slice-scatter col2im."""
+    p = self.params
+    name = f"branch_{branch}"
+    c = cache[name]
+    dflat, grads[f"{name}.fc.w"], grads[f"{name}.fc.b"] = dense_backward(
+        dfeat, c["flat"], p[f"{name}.fc.w"]
+    )
+    dr2 = maxpool2_backward(dflat.reshape(c["p2"].shape), c["pool2"])
+    dc2 = relu_backward(dr2, c["c2"])
+    dp1, grads[f"{name}.conv2.w"], grads[f"{name}.conv2.b"] = _loop_conv2d_backward(
+        dc2, c["cols2"], c["p1"].shape, p[f"{name}.conv2.w"]
+    )
+    dr1 = maxpool2_backward(dp1, c["pool1"])
+    dc1 = relu_backward(dr1, c["c1"])
+    grads[f"{name}.conv1.w"], grads[f"{name}.conv1.b"] = conv2d_param_grads(
+        dc1, c["cols1"], p[f"{name}.conv1.w"]
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 7, 31, 32, 33])
+def test_branch_backward_matches_the_full_resolution_relu_backward_bytes(monkeypatch, n, dtype):
+    rng = np.random.default_rng(100 + n)
+    model = FusionNet(ModelConfig(), seed=n)
+    for key in ("branch_a.conv1.b", "branch_b.conv1.b", "branch_b.conv2.b"):
+        model.params[key] -= 0.05  # more all-nonpositive pool windows
+    model = model.astype(dtype)
+    x = rng.random((n, 1, 32, 32)).astype(dtype)
+    x[:, :, 4:14, 6:20] = 0.0  # flat regions: windows of tied maxima
+    x[:, :, 20:, :10] = 1.0
+    _, cache = model.forward(x)
+    for br in ("branch_a", "branch_b"):
+        for k, conv in (("1", "c1"), ("2", "c2")):
+            taps = [cache[br][conv][tap] for tap in nnet._pool_taps(cache[br][conv].shape)]
+            assert (taps[0] == taps[1]).any()  # ties inside windows
+            assert (cache[br][f"p{k}"] == 0).any()  # all-nonpositive windows
+    dfeat = {
+        "a": _signed_zero_gradient((n, model.config.branch_a_dim), dtype, rng),
+        "b": _signed_zero_gradient((n, model.config.branch_b_dim), dtype, rng),
+    }
+    dfeat["a"][0] = -0.0  # a sample whose whole gradient is signed zeros
+    got, ref = {}, {}
+    for branch, d in dfeat.items():
+        model._backward_branch(branch, d, cache, got)
+        _parent_backward_branch(model, branch, d, cache, ref)
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key].dtype == ref[key].dtype and got[key].tobytes() == ref[key].tobytes(), key
+
+    # and through the whole model, from logit gradients with signed zeros
+    dlogits = _signed_zero_gradient((n, model.config.num_classes), dtype, rng)
+    grads = model.backward(cache, dlogits)
+    monkeypatch.setattr(FusionNet, "_backward_branch", _parent_backward_branch)
+    parent = model.backward(cache, dlogits)
+    for key in parent:
+        assert grads[key].tobytes() == parent[key].tobytes(), key

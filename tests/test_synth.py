@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxpipe.enhance import hist_equalize
-from dxpipe.image import Rotation, load_pgm
+from dxpipe.enhance import hist_equalize, images_per_block
+from dxpipe.image import Image, Rotation, load_pgm, save_pgm, write_pgm
 from dxpipe.synth import (
     NUM_CLASSES,
     ClassSpec,
@@ -120,6 +120,28 @@ def test_amplified_images_are_equalized_copies(tmp_path):
         src = hist_equalize(load_pgm(out.resolve(orig)))
         assert load_pgm(out.resolve(copy)) == src
         assert copy.class_id == orig.class_id
+
+
+def test_amplify_writes_the_bytes_of_equalizing_one_image_at_a_time(tmp_path):
+    # runs longer than a block, shape changes and an unlisted class in between
+    rng = np.random.default_rng(21)
+    shapes = [(32, 32)] * (images_per_block(32, 32) + 3) + [(20, 24), (20, 24), (32, 32)]
+    entries = []
+    for i, shape in enumerate(shapes):
+        name = f"img{i:03d}.pgm"
+        img = rng.integers(0, 256, size=shape).astype(np.uint8)
+        if i % 9 == 4:
+            img[:] = 77  # constant: the degenerate rule
+        save_pgm(Image.from_array(img), tmp_path / name)
+        entries.append(ManifestEntry(name, 3 if i % 5 == 2 else 1))
+    manifest = DatasetManifest(entries=entries, seed=0, root=tmp_path)
+    out = amplify_minority(manifest, [1])
+    copies = out.entries[len(entries):]
+    listed = [e for e in entries if e.class_id == 1]
+    assert [e.path for e in copies] == [e.path.replace(".pgm", "_he.pgm") for e in listed]
+    for orig, copy in zip(listed, copies):
+        expected = write_pgm(hist_equalize(load_pgm(tmp_path / orig.path)))
+        assert (tmp_path / copy.path).read_bytes() == expected
 
 
 def test_manifest_round_trip(tmp_path):

@@ -185,6 +185,15 @@ def test_train_rejects_empty_manifest():
         train(DatasetManifest(), ModelConfig(), TrainConfig(epochs=1))
 
 
+def test_split_without_validation_images_is_refused_before_any_image_is_read():
+    # the manifest's images do not exist: loading one would raise OSError
+    m = manifest_with_counts([1, 1, 1, 1, 1, 1])
+    with pytest.raises(ValueError, match="validation split is empty"):
+        split_for_config(m, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="validation split is empty"):
+        train(m, ModelConfig(), TrainConfig(epochs=1))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
