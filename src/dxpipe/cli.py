@@ -27,7 +27,7 @@ from dxpipe import metrics as metrics_mod
 from dxpipe import orient as orient_mod
 from dxpipe import synth as synth_mod
 from dxpipe import trainer as trainer_mod
-from dxpipe.image import Image, load_pgm, save_pgm
+from dxpipe.image import Image, load_pgm, load_pgms, save_pgm
 from dxpipe.nnet import ModelConfig, to_input
 
 
@@ -192,61 +192,54 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _training_manifest(args, t: trainer_mod.TrainConfig) -> synth_mod.DatasetManifest:
-    """args.manifest, refused by name before any image is read when training
-    cannot split it."""
+def _training_set(args, t: trainer_mod.TrainConfig) -> trainer_mod.TrainingSet:
+    """args.manifest split and read once; a manifest that training cannot
+    split is refused by name before any image is read."""
     manifest = synth_mod.load_manifest(args.manifest)
     try:
-        trainer_mod.split_for_config(manifest, t)
-    except ValueError as exc:
-        raise ValueError(f"manifest {args.manifest}: {exc}") from None
-    return manifest
+        return trainer_mod.training_set(manifest, t)
+    except synth_mod.ManifestError as exc:
+        raise synth_mod.ManifestError(f"manifest {args.manifest}: {exc}") from None
 
 
 _TRAIN_OUTPUTS = ("checkpoint.bin", "trainlog.csv", "train_manifest.csv", "val_manifest.csv")
+
+
+def _save_training(args, what: str, ckpt, log: trainer_mod.TrainLog, ckpt_name, log_name) -> None:
+    """Write a training's checkpoint and log under --out-dir, and print its summary."""
+    ckpt_path = args.out_dir / ckpt_name
+    ckpt_io.save_checkpoint(ckpt, ckpt_path)
+    _write_text(args.out_dir / log_name, log.to_csv())
+    if args.verbose:
+        print(log.to_csv(), end="")
+    acc = log.epochs[log.best_epoch].val_acc
+    print(f"trained {what}; best epoch {log.best_epoch} (val_acc {acc:.4f}); wrote {ckpt_path}")
 
 
 def _cmd_train(args) -> int:
     outputs = [args.out_dir / name for name in _TRAIN_OUTPUTS]
     if args.weighting_report is not None:
         fileio.refuse_same_file(args.weighting_report, outputs)
-    ckpt_path, log_path, train_path, val_path = outputs
+    train_path, val_path = outputs[2:]
     t = _train_config(args)
-    manifest = _training_manifest(args, t)
+    data = _training_set(args, t)
     model_cfg = _model_config(args)
     weights = np.ones(model_cfg.num_classes) if args.uniform_loss else None
-    ckpt, log = trainer_mod.train(manifest, model_cfg, t, class_weights=weights)
-    ckpt_io.save_checkpoint(ckpt, ckpt_path)
-    _write_text(log_path, log.to_csv())
-    train_m, val_m = trainer_mod.split_for_config(manifest, t)
-    synth_mod.save_manifest(train_m, train_path)
-    synth_mod.save_manifest(val_m, val_path)
+    ckpt, log = trainer_mod.train(data, model_cfg, t, class_weights=weights)
+    _save_training(args, f"{t.epochs} epochs", ckpt, log, *_TRAIN_OUTPUTS[:2])
+    synth_mod.save_manifest(data.train, train_path)
+    synth_mod.save_manifest(data.val, val_path)
     if args.weighting_report is not None:
-        trained = {"uniform" if args.uniform_loss else "weighted": ckpt}
-        comparison = trainer_mod.compare_weighting(manifest, model_cfg, t, **trained)
+        trained = {"uniform" if args.uniform_loss else "weighted": log}
+        comparison = trainer_mod.compare_weighting(data, model_cfg, t, **trained)
         _write_text(args.weighting_report, json.dumps(comparison.to_dict(), indent=2) + "\n")
-    if args.verbose:
-        print(log.to_csv(), end="")
-    best = log.epochs[log.best_epoch]
-    print(
-        f"trained {t.epochs} epochs; best epoch {log.best_epoch} "
-        f"(val_acc {best.val_acc:.4f}); wrote {ckpt_path}"
-    )
     return 0
 
 
 def _cmd_orient_train(args) -> int:
     t = _train_config(args)
-    ckpt, log = orient_mod.train_orient(_training_manifest(args, t), _model_config(args), t)
-    ckpt_io.save_checkpoint(ckpt, args.out_dir / "orient_checkpoint.bin")
-    _write_text(args.out_dir / "orient_trainlog.csv", log.to_csv())
-    if args.verbose:
-        print(log.to_csv(), end="")
-    best = log.epochs[log.best_epoch]
-    print(
-        f"trained pose model; best epoch {log.best_epoch} (val_acc {best.val_acc:.4f}); "
-        f"wrote {args.out_dir / 'orient_checkpoint.bin'}"
-    )
+    ckpt, log = orient_mod.train_orient(_training_set(args, t), _model_config(args), t)
+    _save_training(args, "pose model", ckpt, log, "orient_checkpoint.bin", "orient_trainlog.csv")
     return 0
 
 
@@ -264,7 +257,7 @@ def _cmd_orient(args) -> int:
     if "orientation.csv" in names:
         raise ValueError("an input is named orientation.csv, the name of orient's results file")
     model = ckpt_io.load_model(args.checkpoint)
-    results = orient_mod.correct_orientation(model, [load_pgm(p) for p in args.inputs])
+    results = orient_mod.correct_orientation(model, load_pgms(args.inputs))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "detected_turns", "confidence"])
@@ -300,7 +293,7 @@ def _cmd_predict(args) -> int:
     model = ckpt_io.load_model(args.checkpoint)
     paths = _predict_paths(args)
     names = _basenames(paths)
-    scores = model.predict(to_input(np.stack([load_pgm(p).to_array() for p in paths])))
+    scores = model.predict(to_input(np.stack([img.to_array() for img in load_pgms(paths)])))
     _write_text(args.out_dir / "predictions.csv", _predictions_to_csv(names, scores))
     print(f"predicted {len(paths)} image(s) -> {args.out_dir / 'predictions.csv'}")
     return 0
@@ -357,7 +350,7 @@ def _cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
     manifest = synth_mod.load_manifest(args.manifest)
-    labels = np.array([e.class_id for e in manifest.entries], dtype=np.int64)
+    labels = manifest.labels()
     if args.checkpoint is not None:
         model = ckpt_io.load_model(args.checkpoint)
         source, num_classes = f"checkpoint {args.checkpoint}", model.config.num_classes

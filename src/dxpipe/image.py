@@ -162,8 +162,27 @@ def write_pgm(img: Image) -> bytes:
 
 
 def load_pgm(path) -> Image:
+    """The PGM file at path; a malformed one raises PgmError naming it."""
     with open(path, "rb") as fh:
-        return read_pgm(fh.read())
+        try:
+            return read_pgm(fh.read())
+        except PgmError as exc:
+            raise PgmError(f"{path}: {exc}") from None
+
+
+def load_pgms(paths) -> list[Image]:
+    """The PGM files at paths, which must all be of the first one's size;
+    the first file of another size is refused by name."""
+    images = []
+    for path in paths:
+        img = load_pgm(path)
+        if images and (img.width, img.height) != (images[0].width, images[0].height):
+            raise ValueError(
+                f"{path}: image is {img.width}x{img.height}, "
+                f"expected {images[0].width}x{images[0].height} like the images before it"
+            )
+        images.append(img)
+    return images
 
 
 def save_pgm(img: Image, path) -> None:

@@ -15,7 +15,7 @@ from dxpipe.checkpoint import Checkpoint
 from dxpipe.image import Image, Rotation, rotate, rotate_array
 from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation, to_input
 from dxpipe.synth import DatasetManifest
-from dxpipe.trainer import TrainConfig, TrainLog, _fit, load_image_array, split_for_config
+from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit, training_set
 
 
 def orientation_stream(n_images: int, seed) -> list[tuple[int, int, int]]:
@@ -26,31 +26,26 @@ def orientation_stream(n_images: int, seed) -> list[tuple[int, int, int]]:
     return [pairs[i] for i in order]
 
 
-def _all_turn_inputs(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every image under every quarter-turn, normalized, with turn labels."""
+def _all_turns(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every image under every quarter-turn, with turn labels."""
     posed = np.stack([rotate_array(img, t) for img in images for t in range(4)])
-    return to_input(posed), np.tile(np.arange(4, dtype=np.int64), len(images))
+    return posed, np.tile(np.arange(4, dtype=np.int64), len(images))
 
 
 def train_orient(
-    manifest: DatasetManifest, model_cfg: ModelConfig, t: TrainConfig
+    data: DatasetManifest | TrainingSet, model_cfg: ModelConfig, t: TrainConfig
 ) -> tuple[Checkpoint, TrainLog]:
     """Train the pose classifier on canonical-pose images."""
-    if not manifest.entries:
-        raise ValueError("manifest is empty")
-    cfg = config_for_orientation(model_cfg)
-    train_m, val_m = split_for_config(manifest, t)
-    images = load_image_array(train_m)
-    val_inputs, val_labels = _all_turn_inputs(load_image_array(val_m))
-    weights = np.ones(4)
+    data = training_set(data, t)
+    val_images, val_labels = _all_turns(data.val_images)
 
     def stream_fn(epoch: int):
         return orientation_stream(
-            len(images), np.random.SeedSequence([t.seed & (2**64 - 1), 0xB0, epoch])
+            len(data.images), np.random.SeedSequence([t.seed & (2**64 - 1), 0xB0, epoch])
         )
 
-    model = FusionNet(cfg, seed=t.seed)
-    return _fit(model, images, stream_fn, val_inputs, val_labels, weights, t)
+    cfg = config_for_orientation(model_cfg)
+    return _fit(cfg, data.images, stream_fn, val_images, val_labels, np.ones(4), t)
 
 
 def correct_orientation(

@@ -97,6 +97,10 @@ class DatasetManifest:
             counts[e.class_id] += 1
         return counts
 
+    def labels(self) -> np.ndarray:
+        """The entries' class ids, in order."""
+        return np.array([e.class_id for e in self.entries], dtype=np.int64)
+
     def resolve(self, entry: ManifestEntry) -> Path:
         return self.root / entry.path
 

@@ -2,6 +2,9 @@
 stratified splits, the SGD loop with stepped learning-rate decay, and
 best-validation checkpoint selection.
 
+A command sets its data up once, as a TrainingSet: one split and one read
+of each image, shared by all its trainings and reports.
+
 Everything is deterministic per seed: the split, the per-epoch shuffles and
 rotation draws, the dropout masks, and therefore the resulting checkpoint
 and log bytes.
@@ -12,14 +15,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from dxpipe.checkpoint import Checkpoint, checkpoint_from_model, model_from_checkpoint
-from dxpipe.image import Rotation, load_pgm, rotate_array
+from dxpipe.checkpoint import Checkpoint, checkpoint_from_model
+from dxpipe.image import Rotation, load_pgms, rotate_array
 from dxpipe.metrics import confusion, per_class_metrics
 from dxpipe.nnet import FusionNet, ModelConfig, sgd_step, softmax, to_input, weighted_ce
-from dxpipe.synth import DatasetManifest
+from dxpipe.synth import DatasetManifest, ManifestError
 
 
 @dataclass
@@ -62,6 +66,7 @@ class EpochStats:
 class TrainLog:
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
+    best_scores: np.ndarray | None = None  # the best epoch's validation softmax scores
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -128,8 +133,25 @@ def stratified_split(
 
 def load_image_array(manifest: DatasetManifest) -> np.ndarray:
     """All manifest images as a uint8 array (N, S, S)."""
-    imgs = [load_pgm(manifest.resolve(e)).to_array() for e in manifest.entries]
-    return np.stack(imgs)
+    return np.stack([img.to_array() for img in load_pgms(map(manifest.resolve, manifest.entries))])
+
+
+class TrainingSet(NamedTuple):
+    """A manifest's split_for_config partition and its uint8 images."""
+
+    train: DatasetManifest
+    val: DatasetManifest
+    images: np.ndarray
+    val_images: np.ndarray
+
+
+def training_set(data: DatasetManifest | TrainingSet, t: TrainConfig) -> TrainingSet:
+    """data split for t, then each of its images read once; a TrainingSet,
+    already built for t, is returned as it is."""
+    if isinstance(data, TrainingSet):
+        return data
+    train_m, val_m = split_for_config(data, t)
+    return TrainingSet(train_m, val_m, load_image_array(train_m), load_image_array(val_m))
 
 
 def evaluate_arrays(
@@ -151,15 +173,17 @@ def evaluate_arrays(
 # error; numpy's overflow warnings would only precede it on stderr.
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(
-    model: FusionNet,
+    model_cfg: ModelConfig,
     images: np.ndarray,
     stream_fn,
-    val_inputs: np.ndarray,
+    val_images: np.ndarray,
     val_labels: np.ndarray,
     weights: np.ndarray,
     t: TrainConfig,
 ) -> tuple[Checkpoint, TrainLog]:
-    """Shared SGD loop.  stream_fn(epoch) yields (image index, turns, label)."""
+    """Shared SGD loop on uint8 images; stream_fn(epoch) yields (index, turns, label)."""
+    model = FusionNet(model_cfg, seed=t.seed)
+    val_inputs = to_input(val_images)
     velocity: dict[str, np.ndarray] = {}
     dropout_rng = np.random.default_rng(np.random.SeedSequence([t.seed & (2**64 - 1), 0xD0]))
     log = TrainLog()
@@ -183,20 +207,21 @@ def _fit(
             loss_sum += loss * len(chunk)
         train_loss = loss_sum / len(stream)
         try:
-            val_loss, val_acc, _ = evaluate_arrays(model, val_inputs, val_labels, weights)
+            val_loss, val_acc, scores = evaluate_arrays(model, val_inputs, val_labels, weights)
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch} validation: {exc}") from None
         log.epochs.append(EpochStats(epoch, train_loss, val_loss, val_acc, lr))
         if val_acc > best_acc:
             best_acc = val_acc
             log.best_epoch = epoch
+            log.best_scores = scores
             best_params = {k: v.copy() for k, v in model.params.items()}
     model.params = best_params
     return checkpoint_from_model(model), log
 
 
 def train(
-    manifest: DatasetManifest,
+    data: DatasetManifest | TrainingSet,
     model_cfg: ModelConfig,
     t: TrainConfig,
     class_weights: np.ndarray | None = None,
@@ -206,41 +231,32 @@ def train(
     class_weights defaults to inverse-frequency weights over the training
     partition; pass np.ones(num_classes) for an unweighted baseline.
     """
-    if not manifest.entries:
-        raise ValueError("manifest is empty")
-    train_m, val_m = split_for_config(manifest, t)
-    counts = train_m.class_counts(model_cfg.num_classes)
-    if (counts == 0).any():
-        raise ValueError("a class is missing from the training split")
-    if class_weights is None:
-        class_weights = compute_class_weights(train_m, model_cfg.num_classes)
-
-    images = load_image_array(train_m)
-    labels = np.array([e.class_id for e in train_m.entries], dtype=np.int64)
-    val_images = to_input(load_image_array(val_m))
-    val_labels = np.array([e.class_id for e in val_m.entries], dtype=np.int64)
+    data = training_set(data, t)
+    weights = compute_class_weights(data.train, model_cfg.num_classes)  # refuses a missing class
+    if class_weights is not None:
+        weights = class_weights
+    labels = data.train.labels()
 
     def stream_fn(epoch: int):
         picks = augment_epoch(
-            train_m,
+            data.train,
             np.random.SeedSequence([t.seed & (2**64 - 1), 0xA0, epoch]),
             rotations=t.augment_rotations,
         )
         return [(i, int(r), int(labels[i])) for i, r in picks]
 
-    model = FusionNet(model_cfg, seed=t.seed)
-    return _fit(model, images, stream_fn, val_images, val_labels, class_weights, t)
+    return _fit(model_cfg, data.images, stream_fn, data.val_images, data.val.labels(), weights, t)
 
 
 def split_for_config(manifest: DatasetManifest, t: TrainConfig):
     """The exact (train, validation) partition train() uses for this config.
     An empty validation split, where no class has 2 or more images, is a
-    ValueError: training selects its checkpoint on that split."""
+    ManifestError: training selects its checkpoint on that split."""
     train_m, val_m = stratified_split(
         manifest, t.validation_fraction, np.random.SeedSequence([t.seed & (2**64 - 1), 0x57])
     )
     if not val_m.entries:
-        raise ValueError("the validation split is empty (no class has 2 or more images)")
+        raise ManifestError("the validation split is empty (no class has 2 or more images)")
     return train_m, val_m
 
 
@@ -271,36 +287,32 @@ class WeightingComparison:
 
 
 def compare_weighting(
-    manifest: DatasetManifest,
+    data: DatasetManifest | TrainingSet,
     model_cfg: ModelConfig,
     t: TrainConfig,
-    weighted: Checkpoint | None = None,
-    uniform: Checkpoint | None = None,
+    weighted: TrainLog | None = None,
+    uniform: TrainLog | None = None,
 ) -> WeightingComparison:
     """Train twice with the same seed (inverse-frequency vs uniform weights)
     and report per-class validation recall side by side.  A mode whose
-    train() checkpoint for these arguments is passed in is not retrained.
+    train() log for these arguments is passed in is not retrained.
 
     Both recall columns come from the same confusion-matrix pipeline on the
-    same validation partition.
+    same validation partition: the best epoch's scores of each training.
     """
-    _, val_m = split_for_config(manifest, t)
-    val_images = to_input(load_image_array(val_m))
-    val_labels = np.array([e.class_id for e in val_m.entries], dtype=np.int64)
-    ones = np.ones(model_cfg.num_classes)
-
+    data = training_set(data, t)
+    n = model_cfg.num_classes
+    val_labels = data.val.labels()
     recalls = {}
     accs = {}
-    for mode, ckpt, weights in (("weighted", weighted, None), ("uniform", uniform, ones)):
-        if ckpt is None:
-            ckpt, _ = train(manifest, model_cfg, t, class_weights=weights)
-        model = model_from_checkpoint(ckpt)
-        _, acc, scores = evaluate_arrays(model, val_images, val_labels, ones)
-        cm = confusion(val_labels, scores.argmax(axis=1), model_cfg.num_classes)
+    for mode, log, weights in (("weighted", weighted, None), ("uniform", uniform, np.ones(n))):
+        if log is None:
+            _, log = train(data, model_cfg, t, class_weights=weights)
+        cm = confusion(val_labels, log.best_scores.argmax(axis=1), n)
         recalls[mode] = [float(r) for r in per_class_metrics(cm).sensitivity]
-        accs[mode] = acc
+        accs[mode] = log.epochs[log.best_epoch].val_acc
 
-    counts = manifest.class_counts(model_cfg.num_classes)
+    counts = data.train.class_counts(n) + data.val.class_counts(n)
     minority = int(np.argmin(np.where(counts > 0, counts, np.iinfo(np.int64).max)))
     return WeightingComparison(
         weighted_recall=recalls["weighted"],

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import constant_image
 from dxpipe import enhance, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
-from dxpipe.image import Image, save_pgm
+from dxpipe.image import Image, load_pgm, save_pgm
 from dxpipe.metrics import EvalReport
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import load_manifest
@@ -694,7 +695,9 @@ def test_enhance_stops_at_a_corrupt_pgm_after_writing_the_inputs_before_it(
     assert run(["--verbose", "--out-dir", str(out), "enhance", str(tmp_path / "in"),
                 "--stage", stage]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: truncated PGM payload: expected 1024 bytes, got 100\n"
+    assert captured.err == (
+        f"error: {tmp_path / 'in' / 'i3.pgm'}: truncated PGM payload: expected 1024 bytes, got 100\n"
+    )
     assert captured.out.splitlines()[1:] == ["  i0.pgm", "  i1.pgm", "  i2.pgm"]
     assert sorted(p.name for p in out.iterdir()) == ["i0.pgm", "i1.pgm", "i2.pgm"]
     for name in ("i0.pgm", "i1.pgm", "i2.pgm"):
@@ -710,3 +713,107 @@ def test_enhance_stops_at_the_first_image_its_tile_grid_does_not_fit(tmp_path, c
     assert run(["--out-dir", str(out), "enhance", str(tmp_path / "in"), "--stage", "clahe"]) == 1
     assert _one_error_line(capsys) == "error: tile grid 8x8 exceeds image 1000x1\n"
     assert sorted(p.name for p in out.iterdir()) == ["a0.pgm", "a1.pgm"]
+
+
+def _class_manifest(root, counts, odd=None):
+    """A manifest of random 32 px PGMs, counts[c] of class c, in class
+    order; the file named odd is 40 px instead."""
+    root.mkdir()
+    rng = np.random.default_rng(0)
+    rows = []
+    for c, n in enumerate(counts):
+        for i in range(n):
+            name = f"c{c}_{i}.pgm"
+            size = (40, 40) if name == odd else (32, 32)
+            save_pgm(Image.from_array(rng.integers(0, 256, size, dtype=np.uint8)), root / name)
+            rows.append(f"{name},{c},0\n")
+    (root / "manifest.csv").write_text("# seed=0\npath,class_id,rotation\n" + "".join(rows))
+    return root / "manifest.csv"
+
+
+def _checkpoint(tmp_path, num_classes=6):
+    path = tmp_path / f"model{num_classes}.bin"
+    save_model(FusionNet(ModelConfig(num_classes=num_classes), seed=0), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "orient-train", "predict", "cluster", "enhance"])
+def test_a_malformed_image_is_one_error_line_naming_its_file(tmp_path, capsys, command):
+    manifest = _class_manifest(tmp_path / "data", [2] * 6)
+    bad = tmp_path / "data" / "c3_1.pgm"
+    bad.write_bytes(b"P5\n32 x\n255\n")
+    argv = {
+        "train": ["train", "--manifest", str(manifest), "--epochs", "1"],
+        "orient-train": ["orient-train", "--manifest", str(manifest), "--epochs", "1"],
+        "predict": ["predict", "--checkpoint", str(_checkpoint(tmp_path)),
+                    "--manifest", str(manifest)],
+        "cluster": ["cluster", "--manifest", str(manifest)],
+        "enhance": ["enhance", str(tmp_path / "data"), "--stage", "equalize"],
+    }[command]
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "run")] + argv) == 1
+    assert _one_error_line(capsys) == f"error: {bad}: malformed PGM header: bad height b'x'\n"
+    if command != "enhance":  # enhance writes the images before the bad one
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "orient"])
+def test_images_of_two_sizes_are_refused_naming_the_first_that_differs(tmp_path, capsys, command):
+    # c5_1 is the manifest's last entry, so it is the last image of its split
+    manifest = _class_manifest(tmp_path / "data", [2] * 6, odd="c5_1.pgm")
+    images = [str(tmp_path / "data" / name) for name in ("c0_0.pgm", "c5_1.pgm", "c1_0.pgm")]
+    argv = {
+        "train": ["train", "--manifest", str(manifest), "--epochs", "1"],
+        "eval": ["eval", "--checkpoint", str(_checkpoint(tmp_path)), "--manifest", str(manifest)],
+        "predict": ["predict", "--checkpoint", str(_checkpoint(tmp_path))] + images,
+        "orient": ["orient", "--checkpoint", str(_checkpoint(tmp_path, 4))] + images,
+    }[command]
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "run")] + argv) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {tmp_path / 'data' / 'c5_1.pgm'}: image is 40x40, "
+        "expected 32x32 like the images before it\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_training_without_images_of_a_class_names_it(tmp_path, capsys, uniform):
+    manifest = _class_manifest(tmp_path / "data", [2, 2, 2, 2, 3, 0])
+    capsys.readouterr()
+    argv = ["--out-dir", str(tmp_path / "run"), "train", "--manifest", str(manifest),
+            "--epochs", "1"] + (["--uniform-loss"] if uniform else [])
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == "error: empty classes: [5]\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "1", "--weighting-report", "weighting.json"],
+    ["orient-train", "--epochs", "1"],
+])
+def test_a_training_command_splits_once_and_reads_each_image_once(
+    trained, tmp_path, monkeypatch, argv
+):
+    data, _ = trained
+    manifest = load_manifest(data / "manifest.csv")
+    reads, splits = [], []
+    real_load, real_split = load_pgm, trainer.stratified_split
+
+    def counting_load(path):
+        reads.append(str(path))
+        return real_load(path)
+
+    def counting_split(*args, **kwargs):
+        splits.append(1)
+        return real_split(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dxpipe") and getattr(module, "load_pgm", None) is real_load:
+            monkeypatch.setattr(module, "load_pgm", counting_load)
+    monkeypatch.setattr(trainer, "stratified_split", counting_split)
+    monkeypatch.chdir(tmp_path)
+    assert run(["--seed", "5", "--out-dir", "run", argv[0],
+                "--manifest", str(data / "manifest.csv")] + argv[1:]) == 0
+    assert sorted(reads) == sorted(str(manifest.resolve(e)) for e in manifest.entries)
+    assert len(splits) == 1

@@ -10,6 +10,7 @@ import dxpipe
 from dxpipe import trainer as trainer_mod
 from dxpipe.checkpoint import model_from_checkpoint
 from dxpipe.nnet import FusionNet, ModelConfig
+from dxpipe.orient import train_orient
 from dxpipe.synth import (
     ClassSpec,
     DatasetManifest,
@@ -21,10 +22,12 @@ from dxpipe.synth import (
 from dxpipe.trainer import (
     TrainConfig,
     augment_epoch,
+    compare_weighting,
     compute_class_weights,
     split_for_config,
     stratified_split,
     train,
+    training_set,
 )
 
 FAST = dict(epochs=2, batch_size=16, seed=3)
@@ -176,8 +179,9 @@ def test_best_checkpoint_is_best_val_epoch(tiny_dataset):
     vx = load_image_array(val_m).astype(np.float32)[:, None] / 255.0
     vy = np.array([e.class_id for e in val_m.entries])
     model = model_from_checkpoint(ckpt)
-    _, acc, _ = evaluate_arrays(model, vx, vy, np.ones(6))
+    _, acc, scores = evaluate_arrays(model, vx, vy, np.ones(6))
     assert abs(acc - best) < 1e-9
+    np.testing.assert_array_equal(scores, log.best_scores)
 
 
 def test_train_rejects_empty_manifest():
@@ -223,3 +227,19 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(tiny_dataset, tmp_path):
         )
         outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "trainlog.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_a_training_set_gives_the_results_of_its_manifest(tiny_dataset):
+    t = TrainConfig(**FAST)
+    data = training_set(tiny_dataset, t)
+    assert training_set(data, t) is data
+    for fit in (train, train_orient):
+        (ckpt1, log1), (ckpt2, log2) = fit(tiny_dataset, ModelConfig(), t), fit(data, ModelConfig(), t)
+        assert log1.to_csv() == log2.to_csv()
+        assert ckpt1.tensors.keys() == ckpt2.tensors.keys()
+        for name in ckpt1.tensors:
+            np.testing.assert_array_equal(ckpt1.tensors[name], ckpt2.tensors[name])
+    assert (
+        compare_weighting(tiny_dataset, ModelConfig(), t).to_dict()
+        == compare_weighting(data, ModelConfig(), t).to_dict()
+    )
