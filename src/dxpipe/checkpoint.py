@@ -66,7 +66,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> FusionNet:
     for name, shape in shapes.items():
         if ckpt.tensors[name].shape != shape:
             raise CheckpointError(
-                f"tensor {name} has shape {ckpt.tensors[name].shape}, expected {shape}"
+                f"checkpoint tensor {name} has shape {ckpt.tensors[name].shape}, expected {shape}"
             )
     params = {k: np.array(v, dtype=np.float32) for k, v in ckpt.tensors.items()}
     return FusionNet(ckpt.config, params=params)

@@ -194,12 +194,21 @@ def _cmd_cluster(args) -> int:
 
 def _training_set(args, t: trainer_mod.TrainConfig) -> trainer_mod.TrainingSet:
     """args.manifest split and read once; a manifest that training cannot
-    split is refused by name before any image is read."""
+    split is refused by name before any image is read, and one whose images
+    are not --input-size square before training starts."""
     manifest = synth_mod.load_manifest(args.manifest)
     try:
-        return trainer_mod.training_set(manifest, t)
+        data = trainer_mod.training_set(manifest, t)
     except synth_mod.ManifestError as exc:
         raise synth_mod.ManifestError(f"manifest {args.manifest}: {exc}") from None
+    s = args.input_size
+    for split, images in (("training", data.images), ("validation", data.val_images)):
+        h, w = images.shape[1:]
+        if (h, w) != (s, s):
+            raise ValueError(
+                f"manifest {args.manifest}: {split} images are {w}x{h}, but --input-size is {s}"
+            )
+    return data
 
 
 _TRAIN_OUTPUTS = ("checkpoint.bin", "trainlog.csv", "train_manifest.csv", "val_manifest.csv")
@@ -243,6 +252,17 @@ def _cmd_orient_train(args) -> int:
     return 0
 
 
+def _check_input_size(args, model, first: Path, shape) -> None:
+    """Refuse images of another size than the checkpoint's input, naming
+    the first image (the reader has already made them all one size)."""
+    s = model.config.input_size
+    h, w = shape
+    if (h, w) != (s, s):
+        raise ValueError(
+            f"{first}: image is {w}x{h}, but checkpoint {args.checkpoint} takes {s}x{s} input"
+        )
+
+
 def _basenames(paths) -> list[str]:
     """The file names that outputs are keyed by; they must be unique."""
     names = [Path(p).name for p in paths]
@@ -257,7 +277,9 @@ def _cmd_orient(args) -> int:
     if "orientation.csv" in names:
         raise ValueError("an input is named orientation.csv, the name of orient's results file")
     model = ckpt_io.load_model(args.checkpoint)
-    results = orient_mod.correct_orientation(model, load_pgms(args.inputs))
+    images = load_pgms(args.inputs)
+    _check_input_size(args, model, args.inputs[0], (images[0].height, images[0].width))
+    results = orient_mod.correct_orientation(model, images)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "detected_turns", "confidence"])
@@ -293,7 +315,9 @@ def _cmd_predict(args) -> int:
     model = ckpt_io.load_model(args.checkpoint)
     paths = _predict_paths(args)
     names = _basenames(paths)
-    scores = model.predict(to_input(np.stack([img.to_array() for img in load_pgms(paths)])))
+    images = np.stack([img.to_array() for img in load_pgms(paths)])
+    _check_input_size(args, model, paths[0], images.shape[1:])
+    scores = model.predict(to_input(images))
     _write_text(args.out_dir / "predictions.csv", _predictions_to_csv(names, scores))
     print(f"predicted {len(paths)} image(s) -> {args.out_dir / 'predictions.csv'}")
     return 0
@@ -369,7 +393,9 @@ def _cmd_eval(args) -> int:
             f"outside the classes 0..{num_classes - 1} of {source}"
         )
     if args.checkpoint is not None:
-        scores = model.predict(to_input(trainer_mod.load_image_array(manifest)))
+        images = trainer_mod.load_image_array(manifest)
+        _check_input_size(args, model, manifest.resolve(manifest.entries[0]), images.shape[1:])
+        scores = model.predict(to_input(images))
     report = metrics_mod.build_report(
         labels, scores.argmax(axis=1), num_classes, score_matrix=scores
     )
@@ -386,11 +412,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _read_report(path: Path) -> metrics_mod.EvalReport:
+    """The eval report JSON at path; a ReportError names the file."""
+    try:
+        return metrics_mod.EvalReport.from_json(path.read_bytes().decode("ascii"))
+    except UnicodeDecodeError:
+        raise metrics_mod.ReportError(f"eval report {path}: not ASCII text") from None
+    except metrics_mod.ReportError as exc:
+        raise metrics_mod.ReportError(f"eval report {path}: {exc}") from None
+
+
 def _cmd_report(args) -> int:
-    model_report = metrics_mod.EvalReport.from_json(args.model.read_text(encoding="ascii"))
-    annotators = [
-        metrics_mod.EvalReport.from_json(p.read_text(encoding="ascii")) for p in args.annotators
-    ]
+    model_report = _read_report(args.model)
+    annotators = [_read_report(p) for p in args.annotators]
     rows = metrics_mod.compare_report(
         model_report, annotators, model_name=args.model_name, annotators_name=args.annotators_name
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +161,100 @@ def roc_to_csv(curve: RocCurve) -> str:
     return buf.getvalue()
 
 
+class ReportError(ValueError):
+    """Raised for eval report JSON that is not in the layout to_json writes."""
+
+
+_RATIO_KEYS = (
+    "accuracy",
+    "balanced_precision",
+    "weighted_precision",
+    "weighted_sensitivity",
+    "weighted_specificity",
+)
+_REPORT_KEYS = ("num_classes", "total", *_RATIO_KEYS, "per_class", "confusion",
+                "per_class_auc", "macro_auc")
+_ROW_KEYS = ("class_id", "support", "precision", "sensitivity", "specificity", "undefined")
+_UNDEFINED_FLAGS = ("auc", "precision", "sensitivity", "specificity")
+
+
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ReportError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def _require(ok: bool, field: str, expected: str) -> None:
+    if not ok:
+        raise ReportError(f"field {field}: expected {expected}")
+
+
+def _is_object(value, keys) -> bool:
+    return isinstance(value, dict) and set(value) == set(keys)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_finite(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
+def _is_auc(value) -> bool:
+    return value is None or (type(value) is float and 0.0 <= value <= 1.0)
+
+
+def _check_layout(d) -> None:
+    """Raise ReportError, naming the field, unless d is in to_dict's layout."""
+    if not _is_object(d, _REPORT_KEYS):
+        raise ReportError(f"expected an object with keys {', '.join(_REPORT_KEYS)}")
+    n = d["num_classes"]
+    _require(type(n) is int and n >= 1, "num_classes", "an integer >= 1")
+    _require(_is_count(d["total"]), "total", "an integer >= 0")
+    for key in _RATIO_KEYS:
+        _require(_is_finite(d[key]), key, "a finite number")
+    aucs = d["per_class_auc"]
+    _require(
+        aucs is None or (isinstance(aucs, list) and len(aucs) == n and all(map(_is_auc, aucs))),
+        "per_class_auc",
+        f"null or a list of {n} AUCs, each null or in [0, 1]",
+    )
+    _require(_is_auc(d["macro_auc"]) and (aucs is not None or d["macro_auc"] is None),
+             "macro_auc", "null, or a number in [0, 1] when per_class_auc is a list")
+    rows = d["per_class"]
+    _require(isinstance(rows, list) and len(rows) == n, "per_class", f"a list of {n} rows")
+    row_keys = _ROW_KEYS if aucs is None else (*_ROW_KEYS, "auc")
+    for c, row in enumerate(rows):
+        field = f"per_class[{c}]"
+        _require(_is_object(row, row_keys), field, f"an object with keys {', '.join(row_keys)}")
+        _require(type(row["class_id"]) is int and row["class_id"] == c, f"{field}.class_id", str(c))
+        _require(_is_count(row["support"]), f"{field}.support", "an integer >= 0")
+        for key in ("precision", "sensitivity", "specificity"):
+            _require(_is_finite(row[key]), f"{field}.{key}", "a finite number")
+        flags = row["undefined"]
+        _require(
+            isinstance(flags, list)
+            and all(isinstance(f, str) and f in _UNDEFINED_FLAGS for f in flags)
+            and flags == sorted(set(flags)),
+            f"{field}.undefined",
+            f"a sorted list of distinct names from {', '.join(_UNDEFINED_FLAGS)}",
+        )
+        if aucs is not None:
+            _require(_is_auc(row["auc"]), f"{field}.auc", "null or a number in [0, 1]")
+    cm = d["confusion"]
+    _require(
+        isinstance(cm, list)
+        and len(cm) == n
+        and all(isinstance(r, list) and len(r) == n and all(map(_is_count, r)) for r in cm),
+        "confusion",
+        f"a {n}x{n} matrix of integers >= 0",
+    )
+
+
 @dataclass
 class EvalReport:
     num_classes: int
@@ -195,20 +290,16 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(
-            num_classes=d["num_classes"],
-            total=d["total"],
-            accuracy=d["accuracy"],
-            balanced_precision=d["balanced_precision"],
-            weighted_precision=d["weighted_precision"],
-            weighted_sensitivity=d["weighted_sensitivity"],
-            weighted_specificity=d["weighted_specificity"],
-            per_class=d["per_class"],
-            confusion=d["confusion"],
-            per_class_auc=d.get("per_class_auc"),
-            macro_auc=d.get("macro_auc"),
-        )
+        """The report in to_json's layout; anything else raises ReportError
+        naming the field."""
+        try:
+            d = json.loads(text, object_pairs_hook=_unique_keys)
+        except ReportError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            raise ReportError(f"not JSON: {exc}") from None
+        _check_layout(d)
+        return cls(**d)
 
 
 def build_report(

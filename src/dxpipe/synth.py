@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -154,7 +155,6 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
     y0, y1 = y0f * s, y1f * s
     lo, hi = p.blob_count_range
     n_blobs = int(rng.integers(lo, hi + 1))
-    yy, xx = np.mgrid[0:s, 0:s]
     for i in range(n_blobs):
         # blobs fan out left-to-right across the class box so bands for
         # classes 4/5 always straddle the midline
@@ -163,8 +163,17 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
         rx = max(1.0, rng.uniform(0.025, 0.05) * s)
         ry = rng.uniform(0.10, 0.16) * s
         val = float(rng.integers(_BLOB_MIN_VAL, _BLOB_MAX_VAL + 1))
+        # The blob is drawn in its bounding box, padded by one pixel on each
+        # side. A pixel outside the box is at least rx + 1 (or ry + 1) from the
+        # centre, so its x (or y) term exceeds 1 by far more than float
+        # rounding can take back: a whole-canvas test leaves it unchanged too.
+        c0, c1 = max(0, math.floor(cx - rx) - 1), min(s, math.ceil(cx + rx) + 2)
+        r0, r1 = max(0, math.floor(cy - ry) - 1), min(s, math.ceil(cy + ry) + 2)
+        xx = np.arange(c0, c1)[None, :]
+        yy = np.arange(r0, r1)[:, None]
         mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
-        canvas = np.where(mask, np.maximum(canvas, val), canvas)
+        box = canvas[r0:r1, c0:c1]
+        box[...] = np.where(mask, np.maximum(box, val), box)
 
     out = canvas.astype(np.uint8)
     if p.noise_impulse_prob > 0.0:

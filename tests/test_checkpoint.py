@@ -180,6 +180,10 @@ _HOSTILE = {
         lambda d: _edit_meta(d, rb"fusion_dim=", b"fusion_dlm="),
         r"corrupt checkpoint: unknown config key 'fusion_dlm'",
     ),
+    "config-disagrees-with-tensor-shapes": (
+        lambda d: _edit_meta(d, rb"num_classes=6", b"num_classes=7"),
+        r"checkpoint tensor head\.[wb] has shape \(6",
+    ),
     "extra-tensor": (
         lambda d: _edit_meta(d, rb"\Z", f"extra.w=2@{_payload_len(d)}\n".encode()) + bytes(8),
         r"unexpected tensors: \['extra\.w'\]",

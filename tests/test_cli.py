@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dxpipe import enhance, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
 from dxpipe.image import Image, load_pgm, save_pgm
-from dxpipe.metrics import EvalReport
+from dxpipe.metrics import EvalReport, build_report
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import load_manifest
 
@@ -226,11 +227,10 @@ def test_orient_train_and_correct(trained, tmp_path):
 
 def test_report_verbatim_rows(tmp_path):
     def report_json(acc, bp, spec):
-        return EvalReport(
-            num_classes=6, total=10, accuracy=acc, balanced_precision=bp,
-            weighted_precision=0.0, weighted_sensitivity=0.0,
-            weighted_specificity=spec, per_class=[], confusion=[],
-        ).to_json()
+        # a six-class report in eval's layout, with the three summary figures set
+        report = build_report(list(range(6)), list(range(6)), 6)
+        return replace(report, accuracy=acc, balanced_precision=bp,
+                       weighted_specificity=spec).to_json()
 
     model = tmp_path / "model.json"
     doctors = tmp_path / "doctors.json"
@@ -248,6 +248,36 @@ def test_report_verbatim_rows(tmp_path):
     lines = (out / "comparison.csv").read_text().strip().splitlines()
     assert lines[1] == "doctors,0.85,0.87,0.85"
     assert lines[2] == "fusion-cnn,0.87,0.88,0.87"
+
+
+@pytest.mark.parametrize("model, annotator, message", [
+    ("[1, 2]", None, "model.json: expected an object with keys num_classes, total,"),
+    (None, '{"accuracy": "x"}', "ann.json: expected an object with keys"),
+    (None, "accuracy", "ann.json: not JSON: Expecting value"),
+    (None, "\xff", "ann.json: not ASCII text"),
+])
+def test_report_names_the_file_it_refuses(tmp_path, capsys, model, annotator, message):
+    good = build_report([0, 1], [0, 1], 2).to_json()
+    (tmp_path / "model.json").write_text(model or good, encoding="latin-1")
+    (tmp_path / "ann.json").write_text(annotator or good, encoding="latin-1")
+    capsys.readouterr()
+    argv = ["--out-dir", str(tmp_path / "cmp"), "report", "--model", str(tmp_path / "model.json"),
+            "--annotators", str(tmp_path / "ann.json")]
+    assert run(argv) == 1
+    assert _one_error_line(capsys).startswith(f"error: eval report {tmp_path / message}")
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_report_names_the_field_it_refuses(tmp_path, capsys):
+    d = json.loads(build_report([0, 1], [0, 1], 2).to_json())
+    d["accuracy"] = "x"
+    (tmp_path / "a.json").write_text(json.dumps(d))
+    capsys.readouterr()
+    argv = ["--out-dir", str(tmp_path / "cmp"), "report", "--model", str(tmp_path / "a.json")]
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == (
+        f"error: eval report {tmp_path / 'a.json'}: field accuracy: expected a finite number\n"
+    )
 
 
 def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
@@ -715,8 +745,8 @@ def test_enhance_stops_at_the_first_image_its_tile_grid_does_not_fit(tmp_path, c
     assert sorted(p.name for p in out.iterdir()) == ["a0.pgm", "a1.pgm"]
 
 
-def _class_manifest(root, counts, odd=None):
-    """A manifest of random 32 px PGMs, counts[c] of class c, in class
+def _class_manifest(root, counts, odd=None, side=32):
+    """A manifest of random side px PGMs, counts[c] of class c, in class
     order; the file named odd is 40 px instead."""
     root.mkdir()
     rng = np.random.default_rng(0)
@@ -724,7 +754,7 @@ def _class_manifest(root, counts, odd=None):
     for c, n in enumerate(counts):
         for i in range(n):
             name = f"c{c}_{i}.pgm"
-            size = (40, 40) if name == odd else (32, 32)
+            size = (40, 40) if name == odd else (side, side)
             save_pgm(Image.from_array(rng.integers(0, 256, size, dtype=np.uint8)), root / name)
             rows.append(f"{name},{c},0\n")
     (root / "manifest.csv").write_text("# seed=0\npath,class_id,rotation\n" + "".join(rows))
@@ -774,6 +804,39 @@ def test_images_of_two_sizes_are_refused_naming_the_first_that_differs(tmp_path,
         f"error: {tmp_path / 'data' / 'c5_1.pgm'}: image is 40x40, "
         "expected 32x32 like the images before it\n"
     )
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, split", [
+    ("train", "training"), ("train", "validation"), ("orient-train", "training"),
+    ("predict", None), ("eval", None), ("orient", None),
+])
+def test_images_not_of_the_input_size_are_refused_naming_file_and_size(
+    tmp_path, capsys, command, split
+):
+    data = tmp_path / "data"
+    manifest = _class_manifest(data, [2] * 6, side=32 if split == "validation" else 40)
+    if split == "validation":  # the validation images alone are 40 px
+        _, val = trainer.split_for_config(load_manifest(manifest), trainer.TrainConfig())
+        for e in val.entries:
+            save_pgm(Image.from_array(np.zeros((40, 40), dtype=np.uint8)), data / e.path)
+    first = data / "c0_0.pgm"
+    images = [str(first), str(data / "c1_0.pgm")]
+    ckpt = _checkpoint(tmp_path, 4 if command == "orient" else 6)
+    argv = {
+        "train": ["train", "--manifest", str(manifest), "--epochs", "1"],
+        "orient-train": ["orient-train", "--manifest", str(manifest), "--epochs", "1"],
+        "predict": ["predict", "--checkpoint", str(ckpt)] + images,
+        "eval": ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)],
+        "orient": ["orient", "--checkpoint", str(ckpt)] + images,
+    }[command]
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "run")] + argv) == 1
+    if split is None:
+        expected = f"{first}: image is 40x40, but checkpoint {ckpt} takes 32x32 input"
+    else:
+        expected = f"manifest {manifest}: {split} images are 40x40, but --input-size is 32"
+    assert _one_error_line(capsys) == f"error: {expected}\n"
     assert not (tmp_path / "run").exists()
 
 

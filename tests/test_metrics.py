@@ -1,11 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pairwise_auc
 from dxpipe.metrics import (
     EvalReport,
+    ReportError,
     build_report,
     compare_report,
     comparison_to_csv,
@@ -303,3 +307,125 @@ def test_report_metrics_all_within_unit_interval():
               report.weighted_sensitivity, report.weighted_specificity]
     values += [row[k] for row in report.per_class for k in ("precision", "sensitivity", "specificity")]
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+@st.composite
+def eval_reports(draw):
+    """build_report over drawn labels and predictions, with or without scores."""
+    n = draw(st.integers(1, 5))
+    size = draw(st.integers(0, 12))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    preds = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    scores = None
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        scores = np.random.default_rng(seed).random((size, n))
+    return build_report(labels, preds, n, score_matrix=scores)
+
+
+def _accepted_report_is_usable(text: str) -> None:
+    """from_json either raises ReportError or returns a report that renders,
+    compares and writes back to the same layout."""
+    try:
+        report = EvalReport.from_json(text)
+    except ReportError:
+        return
+    render_per_class_table(report)
+    comparison_to_csv(compare_report(report, [report]))
+    assert EvalReport.from_json(report.to_json()).to_json() == report.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=eval_reports())
+def test_report_json_round_trips_exactly(report):
+    text = report.to_json()
+    loaded = EvalReport.from_json(text)
+    assert loaded.to_json() == text
+    assert loaded.per_class == report.per_class and loaded.confusion == report.confusion
+
+
+_HOSTILE = st.sampled_from(
+    ["x", None, True, -1, 0, 7, 2**70, 0.5, -0.5, 1.5, float("nan"), float("inf"), [], {}, [1, 2],
+     ["auc"], ["sensitivity", "auc"], [[0]], {"a": 1}]
+)
+
+
+def _paths(value, prefix=()):
+    """Every key/index path inside a JSON value, the value's own path first."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, prefix + (i,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=eval_reports(), data=st.data())
+def test_a_mutated_report_field_loads_usably_or_raises_report_error(report, data):
+    d = json.loads(report.to_json())
+    path = data.draw(st.sampled_from(list(_paths(d))[1:]))
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()) and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_HOSTILE)
+    _accepted_report_is_usable(json.dumps(d))
+
+
+_REPORT_TOKENS = ["", "{", "}", "[", "]", ",", ":", '"', "null", "NaN", "-", "1e999", "0", "7",
+                  "true", '"auc"', "\\u0000"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=eval_reports(), data=st.data())
+def test_mutated_report_text_loads_usably_or_raises_report_error(report, data):
+    text = report.to_json()
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 4))
+        token = data.draw(st.sampled_from(_REPORT_TOKENS) | st.text(max_size=3))
+        text = text[:i] + token + text[i + cut :]
+    _accepted_report_is_usable(text)
+
+
+def _edited(edit) -> str:
+    d = json.loads(build_report([0, 1, 1], [0, 1, 0], 2, score_matrix=np.eye(3, 2)).to_json())
+    edit(d)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "expected an object with keys num_classes, total, accuracy"),
+    ("{", "not JSON: "),
+    ("[" * 100_000, "not JSON: "),
+    ('{"total": 1, "total": 2}', "duplicate key 'total'"),
+    (_edited(lambda d: d.pop("macro_auc")), "expected an object with keys"),
+    (_edited(lambda d: d.update(extra=1)), "expected an object with keys"),
+    (_edited(lambda d: d.update(accuracy="x")), "field accuracy: expected a finite number"),
+    (_edited(lambda d: d.update(accuracy=float("nan"))), "field accuracy: expected a finite"),
+    (_edited(lambda d: d.update(weighted_specificity=1)), "field weighted_specificity:"),
+    (_edited(lambda d: d.update(num_classes=True)), "field num_classes: expected an integer"),
+    (_edited(lambda d: d.update(num_classes=3)), "field per_class_auc: expected null or a list"),
+    (_edited(lambda d: d.update(total=-1)), "field total: expected an integer >= 0"),
+    (_edited(lambda d: d["per_class_auc"].__setitem__(1, 1.5)), "field per_class_auc:"),
+    (_edited(lambda d: d.update(macro_auc=-0.1)), "field macro_auc:"),
+    (_edited(lambda d: d.update(per_class_auc=None)), "field macro_auc:"),
+    (_edited(lambda d: d["per_class"].pop()), "field per_class: expected a list of 2 rows"),
+    (_edited(lambda d: d["per_class"][1].pop("auc")), "field per_class[1]: expected an object"),
+    (_edited(lambda d: d["per_class"][1].update(class_id=0)), "field per_class[1].class_id:"),
+    (_edited(lambda d: d["per_class"][0].update(support=0.5)), "field per_class[0].support:"),
+    (_edited(lambda d: d["per_class"][0].update(precision=None)), "field per_class[0].precision:"),
+    (_edited(lambda d: d["per_class"][0].update(undefined=["x"])), "field per_class[0].undefined:"),
+    (_edited(lambda d: d["per_class"][0].update(undefined=["sensitivity", "auc"])),
+     "field per_class[0].undefined:"),
+    (_edited(lambda d: d["per_class"][0].update(auc="0.5")), "field per_class[0].auc:"),
+    (_edited(lambda d: d["confusion"][1].append(0)), "field confusion: expected a 2x2 matrix"),
+    (_edited(lambda d: d["confusion"][0].__setitem__(0, -1)), "field confusion:"),
+])
+def test_report_reader_refuses_what_to_json_never_writes(text, message):
+    with pytest.raises(ReportError, match=re.escape(message)):
+        EvalReport.from_json(text)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dxpipe import synth
 from dxpipe.enhance import hist_equalize, images_per_block
 from dxpipe.image import Image, Rotation, load_pgm, save_pgm, write_pgm
 from dxpipe.synth import (
@@ -30,6 +32,107 @@ def test_generate_image_deterministic():
     b = generate_image(2, p, 17)
     assert a == b
     assert generate_image(2, p, 18) != a
+
+
+# SHA-256 over the PGM bytes of generate_image(class, SynthParams(image_size,
+# rng_seed), seed) for the seeds below, one digest per class; recorded with the
+# whole-canvas renderer that _reference_image keeps
+_PINNED_SEEDS = (0, 1, 2**40 + 3)
+_PINNED_DIGESTS = [
+    (16, 5, (
+        "2d9ef4a10f76f55eebce6867834d724e4083725ecab163c197161d01a58a3d45",
+        "5a7362310733b978bf3303f935cc95105b933a83aa59930aee31776b7b75b951",
+        "9931833d0c2258671b54eaf4f4c391ab5e7e444ec89c8b77740ac540be935dec",
+        "8ca246af459227a85049a5b1808d2f4511da80d27fd66be008b725f6d61d00e1",
+        "526a1392e32a84d3218faa9c0a440fe628fafe2e50fb666812f8c96d501a8427",
+        "0200ccff12430a981dfbdc8b2e1bdea07e6c7826a9ebfc0bedae9ae6ab857311",
+    )),
+    (32, 42, (
+        "dd9011ed862a54ce9a76131a0b26988e5e373962f3ce503d96b1e512b58e83eb",
+        "f5694fdc78bf5eadd25eb91122461ef9f6ae05fac2d8aa43a6a995645f9f8d9b",
+        "1858fb3e939768a7707892334c1d63d2291d01508e008561ce0580ddfde7fc64",
+        "542b1e8591af17acfb3f8d5e58d8c6b1d1d3779d78c5795b1a9a4053702e9b58",
+        "73d2d0f8962e3f9ece93a2ca118d86b8a911222b090a01e716a3db35ec96db99",
+        "b90bc2925fe4b2af8b653d09a6c94fd48df2f7eff64881a0902638429480a1c4",
+    )),
+    (33, 7, (
+        "26121520f7f32b9c77bc274eeb978d30d9aad08f7c2bd02900d1e59788e893a3",
+        "c43594ab734ef01378c26d83d69df79c2021f7cbdb6c915b025d655b10be460f",
+        "40a961f6bebd0ce2409ee4bf566854ed6e6b6e4bf1a9c2bcce48f76dd804f2f5",
+        "87e9a4cbcc96de446280339a5f544e7297562d157d25e8c6247770501f3d52d3",
+        "79c270eea8edd2ee74c2c619cd7bc49f9c2c1d193a06f22d0a7a8ea07e989115",
+        "f50e3b8522d00cc74b93e9577381e31b261b2aa2ad599dd9fd86d84403957b8c",
+    )),
+    (257, 1, (
+        "b14f86d28b40a4fa8b350eafbd29e282a2d2ff23c8f5bdb99e4a9ef5cb021e85",
+        "925da6ce834bd73dad41a3530b9bc6fe50cd303189c1446a2f7ce91093157226",
+        "2fc5e75ead2928a4393dd214679adc83a2e1880dc6d28c802023f06daf2190c3",
+        "e7fb5ff0b20d96b3e485469264991e882d8e2008ac48a536aa34ad3adc0a2878",
+        "6b2fb5232a5a9c9d79d342aad7df2f04ec48418db65c419ba5ea5853ac4018f0",
+        "a023ede005b56e66fdb3db4cdae32ac58b8f43e3ee5b2c74194202362a080a71",
+    )),
+    (1024, 3, (
+        "98761ea3061b4c84d8e437ce60b9779038adadd3a2daf0b49ec335ed636436e0",
+        "1bf8c34365e9e4b24123b1d2f7fa9324f7e49e48dc07050a4c1672b44260daaa",
+        "46472c523840ca38744b7c517154d76ced2a094de22f23c3bdfe7cd1cdc951bc",
+        "42e2c161de316f5a0f896a5da5b689cefb8daaf829d09a950d29c101175d958f",
+        "896eae0fa4dc06a608e8c69c6b24a1951cf194e9ecf095ecd1f4ed1ad8b28603",
+        "9202a1291032be264406bd93069454267f82a8aadba8c1906a4fac8a8de9b24d",
+    )),
+]
+
+
+@pytest.mark.parametrize("size, rng_seed, digests", _PINNED_DIGESTS)
+def test_generate_image_bytes_are_pinned(size, rng_seed, digests):
+    p = SynthParams(image_size=size, rng_seed=rng_seed)
+    got = []
+    for cid in range(NUM_CLASSES):
+        h = hashlib.sha256()
+        for seed in _PINNED_SEEDS:
+            h.update(write_pgm(generate_image(cid, p, seed)))
+        got.append(h.hexdigest())
+    assert got == list(digests)
+
+
+def _reference_image(class_id: int, p: SynthParams, seed: int) -> np.ndarray:
+    """generate_image with every blob's ellipse tested over the whole canvas."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([p.rng_seed & (2**64 - 1), class_id, seed & (2**64 - 1)])
+    )
+    s = p.image_size
+    rows = np.arange(s, dtype=np.float64)
+    base = synth._BG_TOP + (synth._BG_BOTTOM - synth._BG_TOP) * rows / (s - 1)
+    bg = base[:, None] + rng.integers(-synth._BG_JITTER, synth._BG_JITTER + 1, size=(s, s))
+    canvas = np.clip(bg, 2, 63)
+    x0f, x1f, y0f, y1f = synth._CLASS_BOXES[class_id]
+    x0, x1 = x0f * s, x1f * s
+    y0, y1 = y0f * s, y1f * s
+    lo, hi = p.blob_count_range
+    n_blobs = int(rng.integers(lo, hi + 1))
+    yy, xx = np.mgrid[0:s, 0:s]
+    for i in range(n_blobs):
+        cx = x0 + (i + 0.5) * (x1 - x0) / n_blobs + rng.uniform(-0.04, 0.04) * s
+        cy = (y0 + y1) / 2.0 + rng.uniform(-0.08, 0.08) * s
+        rx = max(1.0, rng.uniform(0.025, 0.05) * s)
+        ry = rng.uniform(0.10, 0.16) * s
+        val = float(rng.integers(synth._BLOB_MIN_VAL, synth._BLOB_MAX_VAL + 1))
+        mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+        canvas = np.where(mask, np.maximum(canvas, val), canvas)
+    out = canvas.astype(np.uint8)
+    if p.noise_impulse_prob > 0.0:
+        impulses = rng.random((s, s)) < p.noise_impulse_prob
+        salt = rng.integers(0, 2, size=(s, s)).astype(np.uint8) * 255
+        out = np.where(impulses, salt, out)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(16, 300), class_id=st.integers(0, NUM_CLASSES - 1),
+       rng_seed=st.integers(0, 2**64 - 1), seed=st.integers(0, 2**64 - 1))
+def test_boxed_blobs_match_the_whole_canvas_renderer(size, class_id, rng_seed, seed):
+    p = SynthParams(image_size=size, rng_seed=rng_seed)
+    got = generate_image(class_id, p, seed).to_array()
+    np.testing.assert_array_equal(got, _reference_image(class_id, p, seed))
 
 
 def test_generate_image_rejects_bad_class():

@@ -1,0 +1,68 @@
+"""Byte-identity check: run a fixed CLI script and print a digest of every file.
+
+    python tools/golden_run.py OUT_DIR
+
+OUT_DIR must be missing or empty. The script synthesizes a 32 px dataset
+(scale 0.1) and a 1024 px one (scale 0.005), enhances the large images,
+trains the region classifier with a weighting report and the pose model,
+then predicts and evaluates on the validation split. It prints one
+`sha256  relpath` line per file written, in path order, and last the SHA-256
+of those lines. Run it on two trees (each with its own `src/`) into two
+directories: the same last line means every artefact has the same bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dxpipe.cli import run  # noqa: E402
+
+
+def _script(out: Path) -> list[list[str]]:
+    small, large, train = out / "small", out / "large", out / "train"
+    fit = ["--manifest", str(small / "manifest.csv"), "--epochs"]
+    val = ["--manifest", str(train / "val_manifest.csv")]
+    ckpt = ["--checkpoint", str(train / "checkpoint.bin")]
+    return [
+        ["--out-dir", str(small), "synth", "--scale", "0.1", "--image-size", "32"],
+        ["--out-dir", str(large), "synth", "--scale", "0.005", "--image-size", "1024"],
+        ["--out-dir", str(out / "enhanced"), "enhance", str(large)],
+        ["--out-dir", str(train), "train", *fit, "2",
+         "--weighting-report", str(train / "weighting.json")],
+        ["--out-dir", str(out / "orient"), "orient-train", *fit, "1"],
+        ["--out-dir", str(out / "predict"), "predict", *ckpt, *val],
+        ["--out-dir", str(out / "eval"), "eval", *ckpt, *val],
+    ]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/golden_run.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists() and any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 2
+    for args in _script(out):
+        with contextlib.redirect_stdout(sys.stderr):  # stdout holds only the digests
+            status = run(args)
+        if status != 0:
+            print(f"error: dxpipe {' '.join(args)} failed", file=sys.stderr)
+            return 1
+    lines = [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+        for path in sorted(p for p in out.rglob("*") if p.is_file())
+    ]
+    summary = "\n".join(lines) + "\n"
+    sys.stdout.write(summary)
+    print(hashlib.sha256(summary.encode("ascii")).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
