@@ -13,6 +13,12 @@ block is a row strip of one image larger than that, or as many whole smaller
 images as fit.  Each output pixel goes through the same integer or
 floating-point operations whatever the blocks are, so the output depends
 neither on the block size nor on which images share a stack.
+
+CLAHE interpolates per tile band: a band is a run of rows that all lie
+between the same two tile-row centres.  Per block, each pixel's offsets into
+its left and right tile tables are computed once; each band the block
+crosses then gathers from the tables of its two tile rows only, and a band
+above the first or below the last tile centre reads one tile row.
 """
 
 from __future__ import annotations
@@ -298,7 +304,11 @@ def clahe(img: Image, p: ClaheParams) -> Image:
 
 
 def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
-    """clahe over an (N, H, W) uint8 stack, each image with its own tiles."""
+    """clahe over an (N, H, W) uint8 stack, each image with its own tiles.
+
+    Works per block and, within it, per tile band (see the module
+    docstring); every pixel gets the products and sums of the whole-image
+    bilinear interpolation in the same order."""
     a = _as_stack(stack)
     n, h, w = a.shape
     if p.tiles_x > w or p.tiles_y > h:
@@ -307,30 +317,69 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
         )
     xs = tile_bounds(w, p.tiles_x)
     ys = tile_bounds(h, p.tiles_y)
-    flat = _tile_luts(a, xs, ys, p.clip_factor).reshape(-1)
+    luts = _tile_luts(a, xs, ys, p.clip_factor)
 
     cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
     cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
-    ix0, ix1, wx = _interp_axis(np.arange(w), cx)
-    iy0, iy1, wy = _interp_axis(np.arange(h), cy)
-
+    ix0, ix1, wx1 = _interp_axis(np.arange(w), cx)
+    iy0, iy1, wy1 = _interp_axis(np.arange(h), cy)
+    wx0, wy0 = 1.0 - wx1, (1.0 - wy1)[:, None]
+    wy1 = wy1[:, None]
     col0, col1 = ix0 * 256, ix1 * 256
-    row0, row1 = iy0 * (p.tiles_x * 256), iy1 * (p.tiles_x * 256)
-    per_image = p.tiles_y * p.tiles_x * 256
-    wx, wy = wx[None, :], wy[:, None]
+    # bands: runs of rows with one (iy0, iy1) tile-row pair
+    edges = [0, *(np.flatnonzero(np.diff(iy0) | np.diff(iy1)) + 1).tolist(), h]
+    bands = list(zip(edges[:-1], edges[1:]))
+
     out = np.empty_like(a)
     for i0, i1, r0, r1 in _blocks(n, h, w):
-        # luts[i, iy, ix, a] over the block as one gather from the flat table
+        # in a band's tile-row tables, (i1 - i0, tiles_x, 256) flat, pixel x
+        # of image i0 + j reads entry j * tiles_x * 256 + ix * 256 + value
         block = a[i0:i1, r0:r1]
         lo, hi = block + col0, block + col1
-        image0 = (np.arange(i0, i1) * per_image)[:, None, None]
-        top0, bot0 = row0[r0:r1, None] + image0, row1[r0:r1, None] + image0
-        top = _lerp(wx, flat[lo + top0], flat[hi + top0])
-        bot = _lerp(wx, flat[lo + bot0], flat[hi + bot0])
-        v = _lerp(wy[r0:r1], top, bot)
-        v += 0.5
-        out[i0:i1, r0:r1] = np.clip(np.floor(v, out=v), 0, 255, out=v)
+        if i1 > i0 + 1:
+            image0 = (np.arange(i1 - i0) * (p.tiles_x * 256))[:, None, None]
+            lo += image0
+            hi += image0
+        for b0, b1 in bands:
+            b0, b1 = max(b0, r0), min(b1, r1)
+            if b0 >= b1:
+                continue
+            rows = slice(b0 - r0, b1 - r0)
+            lo_b, hi_b = lo[:, rows], hi[:, rows]
+            t0, t1 = iy0[b0], iy1[b0]
+            # (1 - w) * lo + w * hi along x, then along y: the products and
+            # sums of whole-image bilinear interpolation, in that order
+            v = _mix_x(luts[i0:i1, t0], lo_b, hi_b, wx0, wx1)
+            if t1 != t0:
+                bot = _mix_x(luts[i0:i1, t1], lo_b, hi_b, wx0, wx1)
+                v *= wy0[b0:b1]
+                bot *= wy1[b0:b1]
+                v += bot
+            # else wy is 0 over the band, and v * 1.0 + bot * 0.0 is v
+            v += 0.5
+            # v mixes table entries in 0..255 with weights in [0, 1] that sum
+            # to 1, so v + 0.5 lies in [0.5, 255.5] (give or take rounding
+            # far below 0.5): the uint8 store truncates it to floor(v + 0.5),
+            # and no floor or clip is needed
+            out[i0:i1, b0:b1] = v
     return out
+
+
+def _mix_x(tables: np.ndarray, lo: np.ndarray, hi: np.ndarray, w0, w1) -> np.ndarray:
+    """(1 - wx) * table[lo] + wx * table[hi] in float64, given w0 = 1 - wx
+    and w1 = wx; table is one tile row's (images, tiles_x, 256) uint8
+    tables, flat.  It becomes float64 before the gathers when it holds no
+    more entries than there are pixels to gather, else the gathered values
+    do: the same values either way."""
+    table = tables.ravel()
+    if table.size <= lo.size:
+        table = table.astype(np.float64)
+    v = np.take(table, lo).astype(np.float64, copy=False)
+    v *= w0
+    u = np.take(table, hi).astype(np.float64, copy=False)
+    u *= w1
+    v += u
+    return v
 
 
 def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:
@@ -371,13 +420,6 @@ def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:
         lut[np.count_nonzero(hist, axis=-1) <= 1] = np.arange(256, dtype=np.uint8)
         luts[i0:i1, t0:t1] = lut
     return luts
-
-
-def _lerp(weight: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(1 - weight) * lo + weight * hi, summed in place."""
-    out = (1.0 - weight) * lo
-    out += weight * hi
-    return out
 
 
 def _interp_axis(coords: np.ndarray, centers: np.ndarray):

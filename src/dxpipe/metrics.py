@@ -286,7 +286,11 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The report as JSON; raises ReportError, naming the field, when
+        from_json would refuse the text."""
+        text = json.dumps(self.to_dict(), indent=2) + "\n"
+        _check_layout(json.loads(text))  # as from_json parses it
+        return text
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":

@@ -142,12 +142,13 @@ def _pool_taps(shape) -> list[tuple[slice, ...]]:
     ]
 
 
-def maxpool2_forward(x: np.ndarray):
+def maxpool2_forward(x: np.ndarray, index: bool = True):
     """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
 
     Each window's output is its first maximum in window order (0,0), (0,1),
     (1,0), (1,1), the element np.argmax over the window picks; the cache
-    holds that element's index (0-3) per window.  np.maximum returns its
+    holds that element's index (0-3) per window, or is None when index is
+    false (a pass with no backward to read it).  np.maximum returns its
     second operand when the two compare equal (x86 max semantics, pinned
     by the tests), so every pair passes the earlier tap second: a window
     whose maximum is both -0.0 and +0.0 yields the earlier zero.  x must be
@@ -155,6 +156,8 @@ def maxpool2_forward(x: np.ndarray):
     """
     t00, t01, t10, t11 = (x[tap] for tap in _pool_taps(x.shape))
     out = np.maximum(np.maximum(t11, t10), np.maximum(t01, t00))
+    if not index:
+        return out, None
     # first = (t00 != out) * (1 + (t01 != out) * (1 + (t10 != out)))
     first = (t10 != out).astype(np.uint8)
     first += 1
@@ -350,15 +353,16 @@ class FusionNet:
         p = self.params
         name = f"branch_{branch}"
         c = cache[name] = type(cache)()
+        index = not isinstance(c, _NoCache)  # the pool indices only backward reads
         x, c["cols1"] = conv2d_forward(x, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
         _require_finite(f"{name}.conv1", x)
         c["c1"] = np.maximum(x, 0, out=x)
-        x, c["pool1"] = maxpool2_forward(x)
+        x, c["pool1"] = maxpool2_forward(x, index)
         c["p1"] = x
         x, c["cols2"] = conv2d_forward(x, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
         _require_finite(f"{name}.conv2", x)
         c["c2"] = np.maximum(x, 0, out=x)
-        x, c["pool2"] = maxpool2_forward(x)
+        x, c["pool2"] = maxpool2_forward(x, index)
         c["p2"] = x
         c["flat"] = x = x.reshape(len(x), -1)
         feat = dense_forward(x, p[f"{name}.fc.w"], p[f"{name}.fc.b"])

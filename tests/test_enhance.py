@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_image, random_image
 from dxpipe import enhance
@@ -678,3 +682,88 @@ def test_for_each_stack_processes_what_was_read_before_a_failure():
     with pytest.raises(OSError, match="unreadable c"):
         enhance.for_each_stack(pairs(), lambda keys, stack: runs.append((keys, stack.shape)))
     assert runs == [(["a", "b"], (2, 4, 4))]
+
+
+def _lerp(weight, lo, hi):
+    out = (1.0 - weight) * lo
+    out += weight * hi
+    return out
+
+
+def _reference_clahe(stack, p):
+    """clahe_stack's interpolation before it went per tile band, run on the
+    whole stack as one block: every pixel's four table entries gathered by
+    flat index from all the stack's tile tables, then floor and clip."""
+    n, h, w = stack.shape
+    xs, ys = tile_bounds(w, p.tiles_x), tile_bounds(h, p.tiles_y)
+    flat = enhance._tile_luts(stack, xs, ys, p.clip_factor).reshape(-1)
+    cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
+    cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
+    ix0, ix1, wx = _interp_axis(np.arange(w), cx)
+    iy0, iy1, wy = _interp_axis(np.arange(h), cy)
+    col0, col1 = ix0 * 256, ix1 * 256
+    row0, row1 = iy0 * (p.tiles_x * 256), iy1 * (p.tiles_x * 256)
+    image0 = (np.arange(n) * (p.tiles_y * p.tiles_x * 256))[:, None, None]
+    wx, wy = wx[None, :], wy[:, None]
+    lo, hi = stack + col0, stack + col1
+    top0, bot0 = row0[:, None] + image0, row1[:, None] + image0
+    top = _lerp(wx, flat[lo + top0], flat[hi + top0])
+    bot = _lerp(wx, flat[lo + bot0], flat[hi + bot0])
+    v = _lerp(wy, top, bot)
+    v += 0.5
+    return np.clip(np.floor(v, out=v), 0, 255, out=v).astype(np.uint8)
+
+
+@st.composite
+def _clahe_cases(draw):
+    """(stack, params, block pixels): 1-3 images of up to 300 x 300 px,
+    random, quantized to a few levels, or constant; grids up to 9 x 9;
+    blocks of one row up to three whole images, so that row strips and
+    multi-image blocks both start and end inside tile bands."""
+    n, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "quantized", "constant"]))
+    if kind == "random":
+        stack = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
+    elif kind == "quantized":
+        levels = rng.choice(256, size=draw(st.integers(1, 4)), replace=False)
+        stack = levels[rng.integers(0, len(levels), size=(n, h, w))].astype(np.uint8)
+    else:
+        stack = np.full((n, h, w), draw(st.integers(0, 255)), dtype=np.uint8)
+    p = ClaheParams(draw(st.integers(1, min(9, w))), draw(st.integers(1, min(9, h))),
+                    draw(st.floats(1.0, 5.0)))
+    per_block = draw(st.integers(0, n))  # whole images a block, 0: row strips
+    if per_block:
+        pixels = per_block * h * w + draw(st.integers(0, h * w - 1))
+    else:
+        pixels = draw(st.integers(1, max(1, h * w - 1)))
+    return stack, p, pixels
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_clahe_cases())
+def test_clahe_bands_match_the_whole_block_reference(case):
+    stack, p, pixels = case
+    expected = _reference_clahe(stack, p).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enhance, "STRIP_PIXELS", pixels)
+        assert enhance.clahe_stack(stack, p).tobytes() == expected
+
+
+@pytest.mark.parametrize("n, size, grid, clip, clahe_digest, chain_digest", [
+    (4, 1024, (8, 8), 2.0,
+     "835f38abf05004e64c61325bf6eb05f3fbc7765e4986ed9e174ec80e17763cb2",
+     "eb1234b90b2faef8bc74df2ba65f597307dcb4879560f6f41c9cab2079e12bf4"),
+    (64, 32, (2, 2), 1.5,
+     "c555c0d078864c80bbdd2cd6e143a4ac6115fb993f979961a9a0d830fe98f7f2",
+     "fcb765a68fa00a0b0994c29583ae336aed80ff5297a00cfd52866ec8223560c2"),
+    (64, 32, (3, 5), 1.5,
+     "cb8428cc6d49a94485c2d8d7be4e1f3b24087deb14e5531b8c99250aa97fb547",
+     "6e0cff33ff264f05e4375b4bd2475426c66f6f76e94600d13552eb60f4e26ee4"),
+])
+def test_clahe_and_chain_bytes_are_pinned(n, size, grid, clip, clahe_digest, chain_digest):
+    # digests of the output before CLAHE interpolated per tile band
+    stack = _stack_images(n, (size, size), seed=size)
+    p = ClaheParams(*grid, clip)
+    assert hashlib.sha256(enhance.clahe_stack(stack, p).tobytes()).hexdigest() == clahe_digest
+    assert hashlib.sha256(enhance.chain_stack(stack, p).tobytes()).hexdigest() == chain_digest

@@ -429,3 +429,43 @@ def _edited(edit) -> str:
 def test_report_reader_refuses_what_to_json_never_writes(text, message):
     with pytest.raises(ReportError, match=re.escape(message)):
         EvalReport.from_json(text)
+
+
+def test_to_json_refuses_a_report_without_its_rows():
+    report = make_report(0.87, 0.88, 0.87)  # six classes, per_class=[] and confusion=[]
+    with pytest.raises(ReportError, match=re.escape("field per_class: expected a list of 6 rows")):
+        report.to_json()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(accuracy=float("nan")), "field accuracy: expected a finite number"),
+    (lambda d: d.update(weighted_precision=float("inf")), "field weighted_precision:"),
+    (lambda d: d.update(total=-1), "field total: expected an integer >= 0"),
+    (lambda d: d.update(num_classes=3), "field per_class_auc: expected null or a list"),
+    (lambda d: d.update(per_class_auc=None), "field macro_auc:"),
+    (lambda d: d["per_class"].pop(), "field per_class: expected a list of 2 rows"),
+    (lambda d: d["per_class"][1].pop("auc"), "field per_class[1]: expected an object"),
+    (lambda d: d["per_class"][1].update(class_id=0), "field per_class[1].class_id:"),
+    (lambda d: d["per_class"][0].update(undefined=["x"]), "field per_class[0].undefined:"),
+    (lambda d: d["confusion"][1].append(0), "field confusion: expected a 2x2 matrix"),
+])
+def test_to_json_refuses_what_from_json_refuses(edit, message):
+    d = json.loads(build_report([0, 1, 1], [0, 1, 0], 2, score_matrix=np.eye(3, 2)).to_json())
+    edit(d)
+    with pytest.raises(ReportError, match=re.escape(message)):
+        EvalReport.from_json(json.dumps(d))
+    with pytest.raises(ReportError, match=re.escape(message)):
+        EvalReport(**d).to_json()
+
+
+def test_every_build_report_output_round_trips():
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for size in (0, 1, 2, 5, 40):
+            labels = rng.integers(0, n, size=size)
+            one_class = np.full(size, n - 1)  # every other class lacks positives
+            for truth in (labels, one_class):
+                preds = rng.integers(0, n, size=size)
+                for scores in (None, rng.random((size, n)), np.zeros((size, n))):
+                    text = build_report(truth, preds, n, score_matrix=scores).to_json()
+                    assert EvalReport.from_json(text).to_json() == text

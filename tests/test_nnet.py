@@ -162,6 +162,8 @@ def test_maxpool_matches_argmax_oracle_bytes(dtype, kind, hw):
     dx = maxpool2_backward(dout, cache)
     assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
     assert out.tobytes() == ref_out.tobytes()
+    assert maxpool2_forward(x, index=False)[0].tobytes() == ref_out.tobytes()
+    assert maxpool2_forward(x, index=False)[1] is None
     assert dx.dtype == ref_dx.dtype and dx.shape == ref_dx.shape
     assert dx.tobytes() == ref_dx.tobytes()
     if kind == "signed_zeros":  # the case is really there: ties of -0.0 and +0.0
@@ -658,3 +660,43 @@ def test_branch_backward_matches_the_full_resolution_relu_backward_bytes(monkeyp
     parent = model.backward(cache, dlogits)
     for key in parent:
         assert grads[key].tobytes() == parent[key].tobytes(), key
+
+
+def _always_indexed(monkeypatch):
+    """Make every max-pool compute its first-max index, as eval passes did
+    before they skipped it; returns the index flags the model passed."""
+    flags = []
+
+    def pool(x, index=True):
+        flags.append(index)
+        return maxpool2_forward(x)
+
+    monkeypatch.setattr(nnet, "maxpool2_forward", pool)
+    return flags
+
+
+def test_eval_pass_skips_the_pool_index_and_keeps_its_logits(monkeypatch):
+    monkeypatch.setattr(nnet, "EVAL_BATCH", 4)
+    model = FusionNet(ModelConfig(), seed=11)
+    x = np.random.default_rng(11).random((9, 1, 32, 32)).astype(np.float32)
+    logits = model.eval_logits(x)
+    flags = _always_indexed(monkeypatch)
+    assert model.eval_logits(x).tobytes() == logits.tobytes()
+    assert flags == [False] * 12  # 3 chunks x 2 branches x 2 pools
+    flags.clear()
+    model.forward(x[:2], train_mode=True, rng=np.random.default_rng(0))
+    model.forward(x[:2])
+    assert flags == [True] * 8
+
+
+def test_training_caches_keep_the_pool_index_for_the_gate_signature():
+    model = FusionNet(ModelConfig(), seed=12)
+    x = np.random.default_rng(12).random((3, 1, 32, 32)).astype(np.float32)
+    for train_mode in (True, False):
+        _, cache = model.forward(x, train_mode=train_mode, rng=np.random.default_rng(1))
+        for br in ("branch_a", "branch_b"):
+            c = cache[br]
+            for pool, conv in (("pool1", "c1"), ("pool2", "c2")):
+                first, x_shape = c[pool]
+                assert x_shape == c[conv].shape
+                assert first.tobytes() == maxpool2_forward(c[conv])[1][0].tobytes()

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import dxpipe
+from dxpipe import nnet
 from dxpipe import trainer as trainer_mod
-from dxpipe.checkpoint import model_from_checkpoint
+from dxpipe.checkpoint import model_from_checkpoint, save_checkpoint
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.orient import train_orient
 from dxpipe.synth import (
@@ -243,3 +244,22 @@ def test_a_training_set_gives_the_results_of_its_manifest(tiny_dataset):
         compare_weighting(tiny_dataset, ModelConfig(), t).to_dict()
         == compare_weighting(data, ModelConfig(), t).to_dict()
     )
+
+
+def test_checkpoint_bytes_do_not_depend_on_skipping_the_eval_pool_index(
+    tiny_dataset, tmp_path, monkeypatch
+):
+    # validation passes pick the best epoch and no longer compute the
+    # max-pool index; computing it there again must leave every byte as it is
+    t = TrainConfig(**FAST)
+    data = training_set(tiny_dataset, t)
+
+    def run(name):
+        ckpt, log = train(data, ModelConfig(), t)
+        save_checkpoint(ckpt, tmp_path / name)
+        return (tmp_path / name).read_bytes(), log.to_csv()
+
+    skipped = run("skipped.bin")
+    pool = nnet.maxpool2_forward
+    monkeypatch.setattr(nnet, "maxpool2_forward", lambda x, index=True: pool(x))
+    assert run("indexed.bin") == skipped

@@ -4,8 +4,10 @@
 
 OUT_DIR must be missing or empty. The script synthesizes a 32 px dataset
 (scale 0.1) and a 1024 px one (scale 0.005), enhances the large images,
-trains the region classifier with a weighting report and the pose model,
-then predicts and evaluates on the validation split. It prints one
+runs CLAHE alone with a 3x5 tile grid on the small ones (stacks of whole
+images, with tile-band edges inside each stack), trains the region
+classifier with a weighting report and the pose model, then predicts and
+evaluates on the validation split. It prints one
 `sha256  relpath` line per file written, in path order, and last the SHA-256
 of those lines. Run it on two trees (each with its own `src/`) into two
 directories: the same last line means every artefact has the same bytes.
@@ -32,6 +34,8 @@ def _script(out: Path) -> list[list[str]]:
         ["--out-dir", str(small), "synth", "--scale", "0.1", "--image-size", "32"],
         ["--out-dir", str(large), "synth", "--scale", "0.005", "--image-size", "1024"],
         ["--out-dir", str(out / "enhanced"), "enhance", str(large)],
+        ["--out-dir", str(out / "clahe"), "enhance", str(small), "--stage", "clahe",
+         "--tiles", "3", "5", "--clip", "1.5"],
         ["--out-dir", str(train), "train", *fit, "2",
          "--weighting-report", str(train / "weighting.json")],
         ["--out-dir", str(out / "orient"), "orient-train", *fit, "1"],
