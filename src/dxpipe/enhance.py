@@ -14,11 +14,16 @@ images as fit.  Each output pixel goes through the same integer or
 floating-point operations whatever the blocks are, so the output depends
 neither on the block size nor on which images share a stack.
 
-CLAHE interpolates per tile band: a band is a run of rows that all lie
-between the same two tile-row centres.  Per block, each pixel's offsets into
-its left and right tile tables are computed once; each band the block
-crosses then gathers from the tables of its two tile rows only, and a band
-above the first or below the last tile centre reads one tile row.
+The 3x3 median shares work between neighbouring columns: each block sorts
+every padded column's three rows once, and each pixel combines the sorts of
+its three columns.  CLAHE counts each tile of at least TILE_BINCOUNT_PIXELS
+pixels with a bincount of its own; smaller tiles share one per block.  It
+interpolates per tile band: a band is a run of rows that all lie between
+the same two tile-row centres.  Each column reads one (left, right) pair of
+tiles, so per block and tile row the tables are laid out as (left, right)
+entry pairs; each pixel's offset into them is computed once per block, and
+each band the block crosses gathers one pair per pixel from each of its two
+tile rows (one tile row above the first or below the last tile centre).
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ from dxpipe.image import Image
 
 # pixels per block: the kernels' block temporaries then fit in L2
 STRIP_PIXELS = 1 << 16
+# CLAHE tiles of at least this many pixels (16 a bin) get one bincount each
+# over their own uint8 pixels; smaller ones share a bincount per block over
+# (image, tile, value) indices, as a call per tile would cost more than it counts
+TILE_BINCOUNT_PIXELS = 1 << 12
 
 
 def images_per_block(h: int, w: int) -> int:
@@ -161,20 +170,28 @@ def median_filter(img: Image, radius: int) -> Image:
 def median_stack(stack: np.ndarray, radius: int) -> np.ndarray:
     """median_filter over an (N, H, W) uint8 stack.
 
-    An odd window's median is one of its own pixels, so a comparator network
-    selects it exactly: the n = (2*radius+1)^2 shifted views of the padded
-    images run through Batcher's merge-exchange sorting network, pruned to
-    the comparators that the middle output depends on, with each comparator
-    an elementwise uint8 np.minimum / np.maximum.  Slot n // 2 is the median.
+    An odd window's median is one of its own pixels, so a network of
+    comparators, each an elementwise uint8 np.minimum / np.maximum, selects
+    it exactly.  For radius 1, each block sorts every padded column's three
+    rows once, on full-width rows; a pixel's median is then the median of
+    the max of its three columns' minima, the median of their middles and
+    the min of their maxima (18 min/max ops a pixel).  Larger radii run the
+    n = (2*radius+1)^2 shifted views of the padded images through Batcher's
+    merge-exchange sorting network, pruned to the comparators that the
+    middle output depends on; slot n // 2 is the median.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     a = _as_stack(stack)
     w = a.shape[2]
     p = np.pad(a, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
+    out = np.empty_like(a)
+    if radius == 1:
+        for i0, i1, r0, r1 in _blocks(*a.shape):
+            _median3x3(p[i0:i1, r0 : r1 + 2], out[i0:i1, r0:r1])
+        return out
     win = 2 * radius + 1
     network = _median_network(win * win)
-    out = np.empty_like(a)
     for i0, i1, r0, r1 in _blocks(*a.shape):
         block = p[i0:i1]
         # the views overlap in the pad, so comparators allocate their outputs
@@ -187,6 +204,33 @@ def median_stack(stack: np.ndarray, radius: int) -> np.ndarray:
                 slots[j] = np.maximum(x, y)
         out[i0:i1, r0:r1] = slots[win * win // 2]
     return out
+
+
+def _med3(x: np.ndarray, y: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
+    """Elementwise median of three: max(min(x, y), min(max(x, y), z))."""
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    np.minimum(hi, z, out=hi)
+    return np.maximum(lo, hi, out=out)
+
+
+def _median3x3(padded: np.ndarray, out: np.ndarray) -> None:
+    """Writes into out, (n, h, w), the 3x3 medians of padded, (n, h + 2,
+    w + 2).  Each padded column's three rows are sorted into lo <= mid <= hi
+    (three comparators), then every pixel takes the median of three column
+    sorts: med3(max of the minima, med3 of the middles, min of the maxima)."""
+    h = out.shape[1]
+    top, centre, bottom = padded[:, :h], padded[:, 1 : h + 1], padded[:, 2:]
+    lo, hi = np.minimum(top, centre), np.maximum(top, centre)
+    upper = np.maximum(lo, bottom)
+    np.minimum(lo, bottom, out=lo)
+    mid = np.minimum(hi, upper)
+    np.maximum(hi, upper, out=hi)
+    # the three column sorts of each window: columns x, x + 1 and x + 2
+    low = np.maximum(lo[..., :-2], lo[..., 1:-1])
+    np.maximum(low, lo[..., 2:], out=low)
+    high = np.minimum(hi[..., :-2], hi[..., 1:-1])
+    np.minimum(high, hi[..., 2:], out=high)
+    _med3(low, _med3(mid[..., :-2], mid[..., 1:-1], mid[..., 2:]), high, out=out)
 
 
 def _merge_exchange(n: int) -> list[tuple[int, int]]:
@@ -306,9 +350,10 @@ def clahe(img: Image, p: ClaheParams) -> Image:
 def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     """clahe over an (N, H, W) uint8 stack, each image with its own tiles.
 
-    Works per block and, within it, per tile band (see the module
-    docstring); every pixel gets the products and sums of the whole-image
-    bilinear interpolation in the same order."""
+    Works per block and, within it, per tile band, gathering (left, right)
+    table entry pairs (see the module docstring); every pixel gets the
+    products and sums of the whole-image bilinear interpolation in the same
+    order."""
     a = _as_stack(stack)
     n, h, w = a.shape
     if p.tiles_x > w or p.tiles_y > h:
@@ -323,35 +368,40 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
     ix0, ix1, wx1 = _interp_axis(np.arange(w), cx)
     iy0, iy1, wy1 = _interp_axis(np.arange(h), cy)
-    wx0, wy0 = 1.0 - wx1, (1.0 - wy1)[:, None]
-    wy1 = wy1[:, None]
-    col0, col1 = ix0 * 256, ix1 * 256
+    wx = np.stack((1.0 - wx1, wx1), axis=-1)  # (w, 2): each column's (1 - wx, wx)
+    wy0, wy1 = (1.0 - wy1)[:, None], wy1[:, None]
+    # each column reads one (left, right) tile pair of a tile row: slot
+    # ix1 + (ix0 == tiles_x - 1) of its _pair_table
+    col = (ix1 + (ix0 == p.tiles_x - 1)) * 256
     # bands: runs of rows with one (iy0, iy1) tile-row pair
     edges = [0, *(np.flatnonzero(np.diff(iy0) | np.diff(iy1)) + 1).tolist(), h]
     bands = list(zip(edges[:-1], edges[1:]))
 
     out = np.empty_like(a)
     for i0, i1, r0, r1 in _blocks(n, h, w):
-        # in a band's tile-row tables, (i1 - i0, tiles_x, 256) flat, pixel x
-        # of image i0 + j reads entry j * tiles_x * 256 + ix * 256 + value
-        block = a[i0:i1, r0:r1]
-        lo, hi = block + col0, block + col1
+        # in a tile row's pair table, (i1 - i0, tiles_x + 1, 256) flat, pixel
+        # x of image i0 + j reads entry j * (tiles_x + 1) * 256 + col[x] + value
         if i1 > i0 + 1:
-            image0 = (np.arange(i1 - i0) * (p.tiles_x * 256))[:, None, None]
-            lo += image0
-            hi += image0
+            offsets = col + (np.arange(i1 - i0) * ((p.tiles_x + 1) * 256))[:, None, None]
+        else:
+            offsets = col
+        idx = a[i0:i1, r0:r1] + offsets
+        held: dict = {}  # the pair tables of the band's tile rows
         for b0, b1 in bands:
             b0, b1 = max(b0, r0), min(b1, r1)
             if b0 >= b1:
                 continue
-            rows = slice(b0 - r0, b1 - r0)
-            lo_b, hi_b = lo[:, rows], hi[:, rows]
             t0, t1 = iy0[b0], iy1[b0]
+            held = {
+                t: held[t] if t in held else _pair_table(luts[i0:i1, t], idx.size)
+                for t in (t0, t1)
+            }
+            idx_b = idx[:, b0 - r0 : b1 - r0]
             # (1 - w) * lo + w * hi along x, then along y: the products and
             # sums of whole-image bilinear interpolation, in that order
-            v = _mix_x(luts[i0:i1, t0], lo_b, hi_b, wx0, wx1)
+            v = _mix_x(held[t0], idx_b, wx)
             if t1 != t0:
-                bot = _mix_x(luts[i0:i1, t1], lo_b, hi_b, wx0, wx1)
+                bot = _mix_x(held[t1], idx_b, wx)
                 v *= wy0[b0:b1]
                 bot *= wy1[b0:b1]
                 v += bot
@@ -365,29 +415,44 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     return out
 
 
-def _mix_x(tables: np.ndarray, lo: np.ndarray, hi: np.ndarray, w0, w1) -> np.ndarray:
-    """(1 - wx) * table[lo] + wx * table[hi] in float64, given w0 = 1 - wx
-    and w1 = wx; table is one tile row's (images, tiles_x, 256) uint8
-    tables, flat.  It becomes float64 before the gathers when it holds no
-    more entries than there are pixels to gather, else the gathered values
-    do: the same values either way."""
-    table = tables.ravel()
-    if table.size <= lo.size:
-        table = table.astype(np.float64)
-    v = np.take(table, lo).astype(np.float64, copy=False)
-    v *= w0
-    u = np.take(table, hi).astype(np.float64, copy=False)
-    u *= w1
-    v += u
-    return v
+def _pair_table(tables: np.ndarray, pixels: int) -> np.ndarray:
+    """One tile row's (images, tiles_x, 256) uint8 tables as (left, right)
+    entry pairs, (images, tiles_x + 1, 256) flat, one pair an element.  Slot
+    s pairs tiles max(s - 1, 0) and min(s, tiles_x - 1): the columns left of
+    the first tile centre read slot 0, those from centre k to centre k + 1
+    slot k + 1, and those from the last centre on slot tiles_x.  The pairs
+    are float64, as complex128, when at most a quarter as many as the
+    block's pixels, else uint8, as uint16, and converted after the gathers:
+    building float64 pairs costs more than converting the gathered ones."""
+    n, tiles_x = tables.shape[:2]
+    dtype = np.float64 if 4 * n * (tiles_x + 1) * 256 <= pixels else np.uint8
+    pairs = np.empty((n, tiles_x + 1, 256, 2), dtype=dtype)
+    pairs[:, 1:, :, 0] = tables
+    pairs[:, 0, :, 0] = tables[:, 0]
+    pairs[:, :-1, :, 1] = tables
+    pairs[:, -1, :, 1] = tables[:, -1]
+    return pairs.view(np.complex128 if dtype == np.float64 else np.uint16).ravel()
+
+
+def _mix_x(pairs: np.ndarray, idx: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """(1 - wx) * left + wx * right in float64 for the entry pairs at idx
+    in a _pair_table, given wx, the (w, 2) rows of (1 - wx, wx): the
+    products and sum of (1 - wx) * table[lo] + wx * table[hi]."""
+    g = np.take(pairs, idx)
+    g = g.view(np.float64 if g.dtype == np.complex128 else np.uint8).reshape(*idx.shape, 2)
+    g = g.astype(np.float64, copy=False)
+    g *= wx
+    return np.add(g[..., 0], g[..., 1])
 
 
 def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:
     """(N, tiles_y, tiles_x, 256) uint8 tile mappings of an (N, H, W) stack.
 
     The tables go in blocks of whole images' tables or of runs of tile rows
-    of one image.  A block's histograms come from one bincount over (image,
-    tile, pixel) indices per pixel block of its rows; their rows of 256 are
+    of one image.  When every tile holds at least TILE_BINCOUNT_PIXELS
+    pixels, each tile's histogram is a bincount of its own uint8 pixels;
+    else a block's histograms come from one bincount over (image, tile,
+    pixel) indices per pixel block of its rows.  Their rows of 256 are
     clipped (clip_histogram) and equalized (equalize_lut) at once, and a tile
     with at most one occupied level keeps the identity mapping.
     """
@@ -404,17 +469,24 @@ def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:
     row_of = np.repeat(np.arange(tiles_y), heights) * row
     col_of = np.repeat(np.arange(tiles_x), widths) * 256
     luts = np.empty((n, tiles_y, tiles_x, 256), dtype=np.uint8)
+    per_tile = sizes.min() >= TILE_BINCOUNT_PIXELS
     # a quarter of STRIP_PIXELS histogram entries per block, as the LUT
     # arithmetic holds several int64 and float64 copies of each entry
     for i0, i1, t0, t1 in _blocks(n, tiles_y, 4 * row):
-        y0, y1 = ys[t0][0], ys[t1 - 1][1]
-        hist = np.zeros((i1 - i0) * (t1 - t0) * row, dtype=np.int64)
-        for j0, j1, s0, s1 in _blocks(i1 - i0, y1 - y0, w):
-            rows = slice(y0 + s0, y0 + s1)
-            # image i0 + j's tile row t is row j * (t1 - t0) + t - t0 of the block
-            idx = a[i0 + j0 : i0 + j1, rows] + col_of
-            idx += row_of[rows, None] + ((np.arange(j0, j1) * (t1 - t0) - t0) * row)[:, None, None]
-            hist += np.bincount(idx.ravel(), minlength=hist.size)
+        if per_tile:
+            hist = np.array([
+                np.bincount(a[i, y0:y1, x0:x1].ravel(), minlength=256)
+                for i in range(i0, i1) for y0, y1 in ys[t0:t1] for x0, x1 in xs
+            ])
+        else:
+            y0, y1 = ys[t0][0], ys[t1 - 1][1]
+            hist = np.zeros((i1 - i0) * (t1 - t0) * row, dtype=np.int64)
+            for j0, j1, s0, s1 in _blocks(i1 - i0, y1 - y0, w):
+                rows = slice(y0 + s0, y0 + s1)
+                # image i0 + j's tile row t is row j * (t1 - t0) + t - t0 of the block
+                idx = a[i0 + j0 : i0 + j1, rows] + col_of
+                idx += row_of[rows, None] + ((np.arange(j0, j1) * (t1 - t0) - t0) * row)[:, None, None]
+                hist += np.bincount(idx.ravel(), minlength=hist.size)
         hist = hist.reshape(i1 - i0, t1 - t0, tiles_x, 256)
         lut = equalize_lut(clip_histogram(hist, clip[t0:t1]), sizes[t0:t1])
         lut[np.count_nonzero(hist, axis=-1) <= 1] = np.arange(256, dtype=np.uint8)

@@ -106,7 +106,8 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 def read_pgm(data: bytes) -> Image:
     """Decode a binary (P5) or ASCII (P2) PGM byte string with maxval <= 255.
-    Header numbers and P2 pixels must be ASCII decimal digits."""
+    Header numbers and P2 pixels must be ASCII decimal digits, and no pixel
+    may exceed maxval."""
     data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P2"):
@@ -132,6 +133,10 @@ def read_pgm(data: bytes) -> Image:
             raise PgmError(
                 f"truncated PGM payload: expected {count} bytes, got {len(payload)}"
             )
+        if maxval < 255:  # a byte cannot exceed 255
+            above = np.flatnonzero(np.frombuffer(payload, dtype=np.uint8) > maxval)
+            if above.size:
+                raise PgmError(f"malformed PGM pixel value {payload[above[0]]} (maxval {maxval})")
         return Image(width=width, height=height, pixels=payload)
 
     # each pixel takes a separator and a digit: refuse a header whose count

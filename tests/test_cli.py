@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import re
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -880,3 +884,39 @@ def test_a_training_command_splits_once_and_reads_each_image_once(
                 "--manifest", str(data / "manifest.csv")] + argv[1:]) == 0
     assert sorted(reads) == sorted(str(manifest.resolve(e)) for e in manifest.entries)
     assert len(splits) == 1
+
+
+_ENHANCE_PGMS = [
+    b"P5\n5 4\n255\n" + bytes(range(0, 250, 13))[:20],
+    b"P5\n5 4\n200\n" + bytes(range(0, 200, 10)),
+    b"P2\n# c\n5 4\n15\n" + b" ".join(b"%d" % (v % 16) for v in range(20)) + b"\n",
+]
+_ENHANCE_TOKENS = [b"", b" ", b"\n", b"#", b"P2", b"P5", b"0", b"4", b"5", b"15", b"200",
+                   b"255", b"256", b"99999999999", b"\xff", b"\xc9", b"-"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enhance_on_mutated_pgms_exits_0_or_with_one_error_line(tmp_path_factory, data):
+    # three inputs (P5 at maxval 255 and 200, P2 at maxval 15), each mutated
+    # or not; enhance runs on their directory, so the good ones share stacks
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    (work / "in").mkdir()
+    for k, sample in enumerate(_ENHANCE_PGMS):
+        buf = bytearray(sample)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(buf)))
+            cut = data.draw(st.integers(0, 3))
+            buf[i : i + cut] = data.draw(st.sampled_from(_ENHANCE_TOKENS) | st.binary(max_size=3))
+        (work / "in" / f"{k}.pgm").write_bytes(bytes(buf))
+    stage = data.draw(st.sampled_from(["chain", "median", "clahe"]))
+    tiles = [str(data.draw(st.integers(1, 3))) for _ in range(2)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["--out-dir", str(work / "out"), "enhance", str(work / "in"),
+                    "--stage", stage, "--tiles", *tiles])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -363,7 +363,8 @@ def _hist_equalize_oracle(a):
     return _equalize_lut_oracle(np.bincount(a.ravel(), minlength=256), a.size)[a]
 
 
-def _clahe_oracle(a, p):
+def _tile_luts_oracle(a, p):
+    """One image's (tiles_y, tiles_x, 256) tile mappings, tile by tile."""
     h, w = a.shape
     xs = tile_bounds(w, p.tiles_x)
     ys = tile_bounds(h, p.tiles_y)
@@ -379,6 +380,14 @@ def _clahe_oracle(a, p):
             limit = p.clip_factor * n / 256.0
             clip = n if limit >= n else max(1, int(limit))
             luts[ty, tx] = _equalize_lut_oracle(_clip_histogram_oracle(hist, clip), n)
+    return luts
+
+
+def _clahe_oracle(a, p):
+    h, w = a.shape
+    xs = tile_bounds(w, p.tiles_x)
+    ys = tile_bounds(h, p.tiles_y)
+    luts = _tile_luts_oracle(a, p)
     cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
     cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
     ix0, ix1, wx = _interp_axis(np.arange(w), cx)
@@ -604,7 +613,9 @@ def test_stack_kernels_match_whole_image_oracles(monkeypatch, n):
             assert got[name] == expected[name], (name, pixels)
 
 
-@pytest.mark.parametrize("shape", [(48, 48), (1, 1000), (1000, 1), (300, 500)])
+# (64, 64): three images in one block, whose 1x1 and 3x5 grids gather
+# float64 pairs and whose 8x8 grid uint8 pairs
+@pytest.mark.parametrize("shape", [(48, 48), (64, 64), (1, 1000), (1000, 1), (300, 500)])
 def test_stacks_of_odd_shapes_match_whole_image_oracles(shape):
     stack = _stack_images(3, shape, seed=shape[0] + shape[1])
     h, w = shape
@@ -715,11 +726,10 @@ def _reference_clahe(stack, p):
 
 
 @st.composite
-def _clahe_cases(draw):
-    """(stack, params, block pixels): 1-3 images of up to 300 x 300 px,
-    random, quantized to a few levels, or constant; grids up to 9 x 9;
-    blocks of one row up to three whole images, so that row strips and
-    multi-image blocks both start and end inside tile bands."""
+def _stacks_and_blocks(draw):
+    """(stack, block pixels): 1-3 images of up to 300 x 300 px, random,
+    quantized to a few levels, or constant; blocks of one row up to three
+    whole images, so that row strips and multi-image blocks both occur."""
     n, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 300)), draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "quantized", "constant"]))
@@ -730,13 +740,22 @@ def _clahe_cases(draw):
         stack = levels[rng.integers(0, len(levels), size=(n, h, w))].astype(np.uint8)
     else:
         stack = np.full((n, h, w), draw(st.integers(0, 255)), dtype=np.uint8)
-    p = ClaheParams(draw(st.integers(1, min(9, w))), draw(st.integers(1, min(9, h))),
-                    draw(st.floats(1.0, 5.0)))
     per_block = draw(st.integers(0, n))  # whole images a block, 0: row strips
     if per_block:
         pixels = per_block * h * w + draw(st.integers(0, h * w - 1))
     else:
         pixels = draw(st.integers(1, max(1, h * w - 1)))
+    return stack, pixels
+
+
+@st.composite
+def _clahe_cases(draw):
+    """(stack, params, block pixels): _stacks_and_blocks with grids up to
+    9 x 9, so that blocks start and end inside tile bands."""
+    stack, pixels = draw(_stacks_and_blocks())
+    h, w = stack.shape[1:]
+    p = ClaheParams(draw(st.integers(1, min(9, w))), draw(st.integers(1, min(9, h))),
+                    draw(st.floats(1.0, 5.0)))
     return stack, p, pixels
 
 
@@ -767,3 +786,48 @@ def test_clahe_and_chain_bytes_are_pinned(n, size, grid, clip, clahe_digest, cha
     p = ClaheParams(*grid, clip)
     assert hashlib.sha256(enhance.clahe_stack(stack, p).tobytes()).hexdigest() == clahe_digest
     assert hashlib.sha256(enhance.chain_stack(stack, p).tobytes()).hexdigest() == chain_digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_stacks_and_blocks())
+def test_median_r1_column_sorts_match_the_network(case):
+    stack, pixels = case
+    expected = _per_image(lambda a: _median_network_oracle(a, 1), stack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enhance, "STRIP_PIXELS", pixels)
+        assert enhance.median_stack(stack, 1).tobytes() == expected
+
+
+@pytest.mark.parametrize("shape, grid, per_tile", [
+    ((64, 63), (1, 1), False),  # 4032 px: below the threshold
+    ((64, 64), (1, 1), True),  # 4096 px: at it
+    ((65, 64), (1, 1), True),
+    ((127, 64), (1, 2), False),  # tiles of 63 and 64 rows: the smaller decides
+    ((128, 64), (1, 2), True),
+    ((32, 32), (8, 8), False),
+    ((1024, 1024), (8, 8), True),
+])
+def test_tile_histograms_match_the_oracle_on_both_sides_of_the_threshold(
+    monkeypatch, shape, grid, per_tile
+):
+    assert enhance.TILE_BINCOUNT_PIXELS == 4096
+    n = 2 if shape[0] > 500 else 5
+    stack = _stack_images(n, shape, seed=shape[0] + shape[1])
+    h, w = shape
+    p = ClaheParams(*grid, 1.5)
+    xs, ys = tile_bounds(w, p.tiles_x), tile_bounds(h, p.tiles_y)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, *a, **k: calls.append(x) or bincount(x, *a, **k))
+    luts = enhance._tile_luts(stack, xs, ys, p.clip_factor)
+    monkeypatch.undo()
+    tiles = n * p.tiles_x * p.tiles_y
+    # one bincount of its uint8 pixels a tile, or fewer bincounts than tiles
+    # of (image, tile, value) indices
+    assert sum(x.size for x in calls) == stack.size
+    if per_tile:
+        assert len(calls) == tiles and all(x.dtype == np.uint8 for x in calls)
+    else:
+        assert len(calls) < tiles and all(x.dtype != np.uint8 for x in calls)
+    for k in range(n):
+        assert luts[k].tobytes() == _tile_luts_oracle(stack[k], p).tobytes(), k

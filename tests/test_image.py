@@ -57,6 +57,24 @@ def test_maxval_too_large():
         read_pgm(b"P5\n1 1\n65535\n\x00\x00")
 
 
+@pytest.mark.parametrize("magic, raster", [(b"P5", b"\xff\x10"), (b"P2", b"255 16")])
+def test_pixels_above_maxval_refused_in_both_formats(magic, raster):
+    with pytest.raises(PgmError, match=r"^malformed PGM pixel value 255 \(maxval 15\)$"):
+        read_pgm(magic + b"\n2 1\n15\n" + raster)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maxval=st.integers(1, 255), raster=st.binary(min_size=1, max_size=12))
+def test_p5_parses_exactly_when_no_pixel_exceeds_maxval(maxval, raster):
+    data = b"P5\n%d 1\n%d\n" % (len(raster), maxval) + raster
+    above = [v for v in raster if v > maxval]
+    if above:
+        with pytest.raises(PgmError, match=rf"pixel value {above[0]} \(maxval {maxval}\)"):
+            read_pgm(data)
+    else:
+        assert read_pgm(data).pixels == raster
+
+
 def test_bad_magic():
     with pytest.raises(PgmError, match="magic"):
         read_pgm(b"P6\n1 1\n255\n\x00")

@@ -3,9 +3,12 @@
     python tools/golden_run.py OUT_DIR
 
 OUT_DIR must be missing or empty. The script synthesizes a 32 px dataset
-(scale 0.1) and a 1024 px one (scale 0.005), enhances the large images,
-runs CLAHE alone with a 3x5 tile grid on the small ones (stacks of whole
-images, with tile-band edges inside each stack), trains the region
+(scale 0.1) and a 1024 px one (scale 0.005). It enhances the large images
+(row strips, large-tile histograms), runs their radius-2 median alone (the
+comparator network), enhances the small ones with 8x8 tiles (stacks of
+whole images: small-tile histograms, the 3x3 median and tile tables of
+several images in one block), runs CLAHE alone with a 3x5 tile grid on the
+small ones (tile-band edges inside each stack), trains the region
 classifier with a weighting report and the pose model, then predicts and
 evaluates on the validation split. It prints one
 `sha256  relpath` line per file written, in path order, and last the SHA-256
@@ -34,6 +37,9 @@ def _script(out: Path) -> list[list[str]]:
         ["--out-dir", str(small), "synth", "--scale", "0.1", "--image-size", "32"],
         ["--out-dir", str(large), "synth", "--scale", "0.005", "--image-size", "1024"],
         ["--out-dir", str(out / "enhanced"), "enhance", str(large)],
+        ["--out-dir", str(out / "median2"), "enhance", str(large), "--stage", "median",
+         "--median-radius", "2"],
+        ["--out-dir", str(out / "enhanced_small"), "enhance", str(small)],
         ["--out-dir", str(out / "clahe"), "enhance", str(small), "--stage", "clahe",
          "--tiles", "3", "5", "--clip", "1.5"],
         ["--out-dir", str(train), "train", *fit, "2",
