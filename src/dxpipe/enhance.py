@@ -24,6 +24,12 @@ tiles, so per block and tile row the tables are laid out as (left, right)
 entry pairs; each pixel's offset into them is computed once per block, and
 each band the block crosses gathers one pair per pixel from each of its two
 tile rows (one tile row above the first or below the last tile centre).
+When every interpolation weight is a multiple of 1/256, as with tile
+centres a power of two apart, at most 128 px (8x8 tiles of 1024 px, 2x2 or
+8x8 tiles of 32 px), the bands interpolate in integers: a pixel's four
+entries share one uint32, and both tile rows are mixed along x at once, a
+16-bit lane each.  The float64 interpolation that other grids run is exact
+in that case, so the two give the same bytes (see clahe_stack).
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ STRIP_PIXELS = 1 << 16
 # over their own uint8 pixels; smaller ones share a bincount per block over
 # (image, tile, value) indices, as a call per tile would cost more than it counts
 TILE_BINCOUNT_PIXELS = 1 << 12
+# CLAHE interpolates in fixed point when every weight is k / 2**m with m at
+# most this: a 16-bit lane then holds 255 * 2**m
+FIXED_POINT_BITS = 8
 
 
 def images_per_block(h: int, w: int) -> int:
@@ -351,9 +360,24 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     """clahe over an (N, H, W) uint8 stack, each image with its own tiles.
 
     Works per block and, within it, per tile band, gathering (left, right)
-    table entry pairs (see the module docstring); every pixel gets the
-    products and sums of the whole-image bilinear interpolation in the same
-    order."""
+    table entry pairs (see the module docstring).  Every pixel's output is
+    floor(v + 0.5) of the whole-image bilinear interpolation v =
+    (1 - wy) * ((1 - wx) * A + wx * B) + wy * ((1 - wx) * C + wx * D).
+
+    When every weight is k / 2**m with m <= FIXED_POINT_BITS (8), as when
+    neighbouring tile centres lie a power of two apart, at most 128 px, the
+    bands run in integers, as Zuiderveld's reference CLAHE does (Graphics
+    Gems IV, 1994), which also turns the division into a shift for tiles a
+    power of two in size: the output is (N + 2**(2m-1)) >> 2m, with N = l0
+    * (k0 * A + k1 * B) + l1 * (k0 * C + k1 * D) and k0, k1, l0, l1 the
+    weights' numerators.  Byte for byte that is the float64 result: the
+    entries are integers in 0..255, so every product and sum above is a
+    numerator below 2**53 over a power of two, which float64 computes
+    exactly.  A pixel's mixes along x of its two tile rows share one uint32,
+    a 16-bit lane each, as k0 * A + k1 * B <= 255 * 2**m <= 65280.  Other
+    grids interpolate in float64, with the products and sums in the order
+    written above.
+    """
     a = _as_stack(stack)
     n, h, w = a.shape
     if p.tiles_x > w or p.tiles_y > h:
@@ -368,8 +392,16 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
     ix0, ix1, wx1 = _interp_axis(np.arange(w), cx)
     iy0, iy1, wy1 = _interp_axis(np.arange(h), cy)
-    wx = np.stack((1.0 - wx1, wx1), axis=-1)  # (w, 2): each column's (1 - wx, wx)
-    wy0, wy1 = (1.0 - wy1)[:, None], wy1[:, None]
+    bits = _weight_bits(np.concatenate((wx1, wy1)))
+    if bits is None:
+        wx = np.stack((1.0 - wx1, wx1), axis=-1)  # (w, 2): each column's (1 - wx, wx)
+        wy0, wy1 = (1.0 - wy1)[:, None], wy1[:, None]
+    else:  # each weight times 2**bits: integers, exactly
+        one = 1 << bits
+        kx = (wx1 * one).astype(np.uint32)
+        ky = (wy1 * one).astype(np.uint32)
+        wx = (one - kx, kx)
+        wy0, wy1 = (one - ky)[:, None], ky[:, None]
     # each column reads one (left, right) tile pair of a tile row: slot
     # ix1 + (ix0 == tiles_x - 1) of its _pair_table
     col = (ix1 + (ix0 == p.tiles_x - 1)) * 256
@@ -392,11 +424,12 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
             if b0 >= b1:
                 continue
             t0, t1 = iy0[b0], iy1[b0]
-            held = {
-                t: held[t] if t in held else _pair_table(luts[i0:i1, t], idx.size)
-                for t in (t0, t1)
-            }
+            held = {t: held[t] if t in held else _pair_table(luts[i0:i1, t]) for t in (t0, t1)}
             idx_b = idx[:, b0 - r0 : b1 - r0]
+            if bits is not None:
+                _mix_fixed(held[t0], held[t1], idx_b, wx, wy0[b0:b1], wy1[b0:b1], bits,
+                           out[i0:i1, b0:b1])
+                continue
             # (1 - w) * lo + w * hi along x, then along y: the products and
             # sums of whole-image bilinear interpolation, in that order
             v = _mix_x(held[t0], idx_b, wx)
@@ -415,34 +448,76 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     return out
 
 
-def _pair_table(tables: np.ndarray, pixels: int) -> np.ndarray:
+def _weight_bits(weights: np.ndarray) -> int | None:
+    """The fewest bits m, at most FIXED_POINT_BITS, such that every weight
+    times 2**m is an integer; None if there is no such m."""
+    for bits in range(FIXED_POINT_BITS + 1):
+        scaled = weights * (1 << bits)  # exact: a power of two
+        if np.array_equal(scaled, np.floor(scaled)):
+            return bits
+    return None
+
+
+def _pair_table(tables: np.ndarray) -> np.ndarray:
     """One tile row's (images, tiles_x, 256) uint8 tables as (left, right)
-    entry pairs, (images, tiles_x + 1, 256) flat, one pair an element.  Slot
-    s pairs tiles max(s - 1, 0) and min(s, tiles_x - 1): the columns left of
-    the first tile centre read slot 0, those from centre k to centre k + 1
-    slot k + 1, and those from the last centre on slot tiles_x.  The pairs
-    are float64, as complex128, when at most a quarter as many as the
-    block's pixels, else uint8, as uint16, and converted after the gathers:
-    building float64 pairs costs more than converting the gathered ones."""
+    entry pairs, (images, tiles_x + 1, 256) flat, one uint16 a pair, left in
+    the low byte.  Slot s pairs tiles max(s - 1, 0) and min(s, tiles_x - 1):
+    the columns left of the first tile centre read slot 0, those from centre
+    k to centre k + 1 slot k + 1, and those from the last centre on slot
+    tiles_x."""
     n, tiles_x = tables.shape[:2]
-    dtype = np.float64 if 4 * n * (tiles_x + 1) * 256 <= pixels else np.uint8
-    pairs = np.empty((n, tiles_x + 1, 256, 2), dtype=dtype)
+    pairs = np.empty((n, tiles_x + 1, 256, 2), dtype=np.uint8)
     pairs[:, 1:, :, 0] = tables
     pairs[:, 0, :, 0] = tables[:, 0]
     pairs[:, :-1, :, 1] = tables
     pairs[:, -1, :, 1] = tables[:, -1]
-    return pairs.view(np.complex128 if dtype == np.float64 else np.uint16).ravel()
+    return pairs.view(np.uint16).ravel()
 
 
 def _mix_x(pairs: np.ndarray, idx: np.ndarray, wx: np.ndarray) -> np.ndarray:
     """(1 - wx) * left + wx * right in float64 for the entry pairs at idx
     in a _pair_table, given wx, the (w, 2) rows of (1 - wx, wx): the
     products and sum of (1 - wx) * table[lo] + wx * table[hi]."""
-    g = np.take(pairs, idx)
-    g = g.view(np.float64 if g.dtype == np.complex128 else np.uint8).reshape(*idx.shape, 2)
-    g = g.astype(np.float64, copy=False)
+    g = np.take(pairs, idx).view(np.uint8).reshape(*idx.shape, 2).astype(np.float64)
     g *= wx
     return np.add(g[..., 0], g[..., 1])
+
+
+def _mix_fixed(top, bottom, idx, kx, l0, l1, bits, out) -> None:
+    """Writes into out, uint8, the fixed-point interpolation of the entry
+    pairs at idx in the _pair_tables of the tile rows above and below, given
+    kx, the columns' (k0, k1) = 2**bits * (1 - wx, wx), and l0, l1, the
+    rows' 2**bits * (1 - wy, wy), all uint32.
+
+    Each pixel's four entries go in one uint32, the top pair in the low 16
+    bits and the bottom pair in the high: the table of the band's pairs
+    when it has no more entries than the band has pixels, else two gathers.
+    Both rows are then mixed along x at once, one in each 16-bit lane, which
+    holds at most 255 * 2**bits <= 65280, so no carry crosses lanes."""
+    if top.size <= idx.size:
+        quad = bottom.astype(np.uint32)
+        quad <<= 16
+        quad |= top
+        g = np.take(quad, idx)
+    else:
+        g = np.take(bottom, idx).astype(np.uint32)
+        g <<= 16
+        g |= np.take(top, idx)
+    # (A, C) * k0 + (B, D) * k1, lane by lane
+    x = np.bitwise_and(g, 0x00FF00FF)
+    x *= kx[0]
+    g >>= 8
+    g &= 0x00FF00FF
+    g *= kx[1]
+    x += g
+    # top * l0 + bottom * l1 + 2**(2 bits - 1), then the shift rounds it
+    np.bitwise_and(x, 0xFFFF, out=g)
+    g *= l0
+    x >>= 16
+    x *= l1
+    x += g
+    x += (1 << (2 * bits)) >> 1
+    np.right_shift(x, 2 * bits, out=out, casting="unsafe")
 
 
 def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:

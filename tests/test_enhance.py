@@ -613,8 +613,9 @@ def test_stack_kernels_match_whole_image_oracles(monkeypatch, n):
             assert got[name] == expected[name], (name, pixels)
 
 
-# (64, 64): three images in one block, whose 1x1 and 3x5 grids gather
-# float64 pairs and whose 8x8 grid uint8 pairs
+# (64, 64): three images in one block, whose 8x8 and 1x1 grids interpolate in
+# fixed point, from two gathers a band and from a table of the band's pairs,
+# and whose 3x5 grid in float64
 @pytest.mark.parametrize("shape", [(48, 48), (64, 64), (1, 1000), (1000, 1), (300, 500)])
 def test_stacks_of_odd_shapes_match_whole_image_oracles(shape):
     stack = _stack_images(3, shape, seed=shape[0] + shape[1])
@@ -654,11 +655,13 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n, size", [(1, 1024), (64, 32)])
+@pytest.mark.parametrize("n, size", [(1, 1024), (1, 1000), (64, 32)])
 def test_clahe_allocates_a_few_strips_not_whole_images(n, size):
-    # one float64 strip is STRIP_PIXELS * 8 bytes; the interpolation holds
-    # about eight such temporaries at once, and the histogram pass less (its
-    # int64 tables for 64 images of 32 px with 8x8 tiles would be 8 MB whole)
+    # one float64 strip is STRIP_PIXELS * 8 bytes; the float64 interpolation
+    # (1000 px) holds about eight such temporaries at once, the fixed-point
+    # one (8x8 tiles of 1024 or 32 px) a few uint32 and int64 ones, and the
+    # histogram pass less (its int64 tables for 64 images of 32 px with 8x8
+    # tiles would be 8 MB whole)
     stack = _stack_images(n, (size, size), seed=size)
     p = ClaheParams(8, 8, 2.0)
     outputs = stack.nbytes + n * 64 * 256  # result and tile tables, one byte each
@@ -726,11 +729,11 @@ def _reference_clahe(stack, p):
 
 
 @st.composite
-def _stacks_and_blocks(draw):
+def _stacks_and_blocks(draw, heights=st.integers(1, 300), widths=st.integers(1, 300)):
     """(stack, block pixels): 1-3 images of up to 300 x 300 px, random,
     quantized to a few levels, or constant; blocks of one row up to three
     whole images, so that row strips and multi-image blocks both occur."""
-    n, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    n, h, w = draw(st.integers(1, 3)), draw(heights), draw(widths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "quantized", "constant"]))
     if kind == "random":
@@ -749,14 +752,27 @@ def _stacks_and_blocks(draw):
 
 
 @st.composite
+def _power_of_two_tiles(draw):
+    """(extent, tiles): 1-9 tiles of 2**e px each, e in 0..7, at most 300 px."""
+    e = draw(st.integers(0, 7))
+    tiles = draw(st.integers(1, min(9, 300 >> e)))
+    return tiles << e, tiles
+
+
+@st.composite
 def _clahe_cases(draw):
     """(stack, params, block pixels): _stacks_and_blocks with grids up to
-    9 x 9, so that blocks start and end inside tile bands."""
-    stack, pixels = draw(_stacks_and_blocks())
-    h, w = stack.shape[1:]
-    p = ClaheParams(draw(st.integers(1, min(9, w))), draw(st.integers(1, min(9, h))),
-                    draw(st.floats(1.0, 5.0)))
-    return stack, p, pixels
+    9 x 9, so that blocks start and end inside tile bands; in about half the
+    cases the tiles are 2**e px, so that every weight is a multiple of
+    2**-(e + 1) and the bands interpolate in fixed point."""
+    if draw(st.booleans()):
+        (h, tiles_y), (w, tiles_x) = draw(_power_of_two_tiles()), draw(_power_of_two_tiles())
+        stack, pixels = draw(_stacks_and_blocks(st.just(h), st.just(w)))
+    else:
+        stack, pixels = draw(_stacks_and_blocks())
+        h, w = stack.shape[1:]
+        tiles_x, tiles_y = draw(st.integers(1, min(9, w))), draw(st.integers(1, min(9, h)))
+    return stack, ClaheParams(tiles_x, tiles_y, draw(st.floats(1.0, 5.0))), pixels
 
 
 @settings(max_examples=80, deadline=None)
@@ -767,6 +783,44 @@ def test_clahe_bands_match_the_whole_block_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enhance, "STRIP_PIXELS", pixels)
         assert enhance.clahe_stack(stack, p).tobytes() == expected
+
+
+@pytest.mark.parametrize("n, size, grid, bits, pixels", [
+    (1, 1024, (8, 8), 8, None),  # the default grid at radiograph size: row strips
+    (2, 256, (2, 2), 8, None),  # one whole image a block
+    (2, 256, (2, 2), 8, 1000),  # row strips of 3 rows
+    (1, 512, (2, 2), None, None),  # tile centres 256 px apart: 9-bit weights
+    (1, 1024, (4, 4), None, None),
+    (65, 32, (2, 2), 5, None),  # 64-image blocks, then one image
+    (65, 32, (8, 8), 3, None),
+    (3, 32, (16, 16), 2, 100),  # row strips of 3 rows
+    (3, 32, (1, 1), 0, None),  # one tile: every weight 0
+    (65, 32, (3, 5), None, None),
+])
+def test_clahe_fixed_point_runs_exactly_when_weights_have_few_bits(
+    monkeypatch, n, size, grid, bits, pixels
+):
+    if pixels is not None:
+        monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
+    stack = _stack_images(n, (size, size), seed=size + grid[0])
+    p = ClaheParams(*grid, 1.5)
+    ran = []
+
+    def spy(name):
+        real = getattr(enhance, name)
+
+        def call(*args):
+            result = real(*args)
+            ran.append((name, result))
+            return result
+        return call
+
+    for name in ("_weight_bits", "_mix_fixed", "_mix_x"):
+        monkeypatch.setattr(enhance, name, spy(name))
+    got = enhance.clahe_stack(stack, p).tobytes()
+    assert ran[0] == ("_weight_bits", bits)
+    assert {name for name, _ in ran[1:]} == {"_mix_x" if bits is None else "_mix_fixed"}
+    assert got == _reference_clahe(stack, p).tobytes()
 
 
 @pytest.mark.parametrize("n, size, grid, clip, clahe_digest, chain_digest", [

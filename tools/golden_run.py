@@ -4,11 +4,15 @@
 
 OUT_DIR must be missing or empty. The script synthesizes a 32 px dataset
 (scale 0.1) and a 1024 px one (scale 0.005). It enhances the large images
-(row strips, large-tile histograms), runs their radius-2 median alone (the
-comparator network), enhances the small ones with 8x8 tiles (stacks of
-whole images: small-tile histograms, the 3x3 median and tile tables of
-several images in one block), runs CLAHE alone with a 3x5 tile grid on the
-small ones (tile-band edges inside each stack), trains the region
+(row strips, large-tile histograms, CLAHE in fixed point: 8x8 tiles of
+1024 px put every weight on a multiple of 1/256), runs their radius-2
+median alone (the comparator network) and their CLAHE alone with 4x4 tiles
+(weights in 1/512ths: the floating-point interpolation on row strips),
+enhances the small ones with 8x8 tiles (stacks of whole images:
+small-tile histograms, the 3x3 median and tile tables of several images in
+one block) and with 2x2 tiles (the configuration the inference benchmark
+uses), runs CLAHE alone with a 3x5 tile grid on the small ones (tile-band
+edges inside each stack, floating point), trains the region
 classifier with a weighting report and the pose model, then predicts and
 evaluates on the validation split. It prints one
 `sha256  relpath` line per file written, in path order, and last the SHA-256
@@ -39,7 +43,11 @@ def _script(out: Path) -> list[list[str]]:
         ["--out-dir", str(out / "enhanced"), "enhance", str(large)],
         ["--out-dir", str(out / "median2"), "enhance", str(large), "--stage", "median",
          "--median-radius", "2"],
+        ["--out-dir", str(out / "clahe_large"), "enhance", str(large), "--stage", "clahe",
+         "--tiles", "4", "4"],
         ["--out-dir", str(out / "enhanced_small"), "enhance", str(small)],
+        ["--out-dir", str(out / "enhanced_small_2x2"), "enhance", str(small),
+         "--tiles", "2", "2", "--clip", "1.5"],
         ["--out-dir", str(out / "clahe"), "enhance", str(small), "--stage", "clahe",
          "--tiles", "3", "5", "--clip", "1.5"],
         ["--out-dir", str(train), "train", *fit, "2",
