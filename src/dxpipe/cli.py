@@ -142,7 +142,10 @@ def _cmd_synth(args) -> int:
     params = synth_mod.SynthParams(
         image_size=args.image_size, noise_impulse_prob=args.noise, rng_seed=args.seed
     )
-    specs = synth_mod.default_class_specs(args.scale)
+    try:
+        specs = synth_mod.default_class_specs(args.scale)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None  # the message starts with "scale"
     manifest = synth_mod.generate_dataset(specs, params, args.out_dir)
     if args.amplify:
         counts = manifest.class_counts()
@@ -180,8 +183,16 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
+def _load_manifest(path: Path) -> synth_mod.DatasetManifest:
+    """The manifest at path; one without images is refused by name."""
+    manifest = synth_mod.load_manifest(path)
+    if not manifest.entries:
+        raise synth_mod.ManifestError(f"manifest {path}: no images")
+    return manifest
+
+
 def _cmd_cluster(args) -> int:
-    manifest = synth_mod.load_manifest(args.manifest)
+    manifest = _load_manifest(args.manifest)
     report = cluster_mod.cluster_report(manifest, args.k, seed=args.seed)
     _write_text(args.out_dir / "clusters.csv", cluster_mod.report_to_csv(report))
     _write_text(args.out_dir / "contingency.csv", cluster_mod.contingency_to_csv(report))
@@ -196,7 +207,7 @@ def _training_set(args, t: trainer_mod.TrainConfig) -> trainer_mod.TrainingSet:
     """args.manifest split and read once; a manifest that training cannot
     split is refused by name before any image is read, and one whose images
     are not --input-size square before training starts."""
-    manifest = synth_mod.load_manifest(args.manifest)
+    manifest = _load_manifest(args.manifest)
     try:
         data = trainer_mod.training_set(manifest, t)
     except synth_mod.ManifestError as exc:
@@ -295,7 +306,7 @@ def _predict_paths(args) -> list:
     if args.manifest is not None:
         if args.inputs:
             raise ValueError("give --manifest or image paths, not both")
-        manifest = synth_mod.load_manifest(args.manifest)
+        manifest = _load_manifest(args.manifest)
         return [manifest.resolve(e) for e in manifest.entries]
     if not args.inputs:
         raise ValueError("provide --manifest or image paths")
@@ -373,7 +384,7 @@ def _read_predictions(path: Path) -> dict[str, np.ndarray]:
 def _cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
-    manifest = synth_mod.load_manifest(args.manifest)
+    manifest = _load_manifest(args.manifest)
     labels = manifest.labels()
     if args.checkpoint is not None:
         model = ckpt_io.load_model(args.checkpoint)

@@ -24,12 +24,10 @@ tiles, so per block and tile row the tables are laid out as (left, right)
 entry pairs; each pixel's offset into them is computed once per block, and
 each band the block crosses gathers one pair per pixel from each of its two
 tile rows (one tile row above the first or below the last tile centre).
-When every interpolation weight is a multiple of 1/256, as with tile
-centres a power of two apart, at most 128 px (8x8 tiles of 1024 px, 2x2 or
-8x8 tiles of 32 px), the bands interpolate in integers: a pixel's four
-entries share one uint32, and both tile rows are mixed along x at once, a
-16-bit lane each.  The float64 interpolation that other grids run is exact
-in that case, so the two give the same bytes (see clahe_stack).
+Every band interpolates in integers, as Zuiderveld's reference CLAHE does:
+a pixel's four entries share one uint32 (a uint64 when tile centres lie
+more than 128 px apart), both tile rows are mixed along x at once, a lane
+each, and one exact division rounds the mix (see clahe_stack).
 """
 
 from __future__ import annotations
@@ -47,9 +45,6 @@ STRIP_PIXELS = 1 << 16
 # over their own uint8 pixels; smaller ones share a bincount per block over
 # (image, tile, value) indices, as a call per tile would cost more than it counts
 TILE_BINCOUNT_PIXELS = 1 << 12
-# CLAHE interpolates in fixed point when every weight is k / 2**m with m at
-# most this: a 16-bit lane then holds 255 * 2**m
-FIXED_POINT_BITS = 8
 
 
 def images_per_block(h: int, w: int) -> int:
@@ -360,23 +355,23 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     """clahe over an (N, H, W) uint8 stack, each image with its own tiles.
 
     Works per block and, within it, per tile band, gathering (left, right)
-    table entry pairs (see the module docstring).  Every pixel's output is
-    floor(v + 0.5) of the whole-image bilinear interpolation v =
-    (1 - wy) * ((1 - wx) * A + wx * B) + wy * ((1 - wx) * C + wx * D).
+    table entry pairs (see the module docstring).  A pixel between the
+    entries A, B of the tile row above and C, E of the one below, with kx /
+    dx and ky / dy the weights of the right and the lower tile (see
+    _interp_axis), interpolates to N / D exactly, N = (dy - ky) * ((dx - kx)
+    * A + kx * B) + ky * ((dx - kx) * C + kx * E) and D = dx * dy, all
+    integers, as in Zuiderveld's reference CLAHE (Graphics Gems IV, 1994).
+    Its output is floor(N / D + 0.5) = floor((2N + D) / 2D), computed
+    exactly for every grid.
 
-    When every weight is k / 2**m with m <= FIXED_POINT_BITS (8), as when
-    neighbouring tile centres lie a power of two apart, at most 128 px, the
-    bands run in integers, as Zuiderveld's reference CLAHE does (Graphics
-    Gems IV, 1994), which also turns the division into a shift for tiles a
-    power of two in size: the output is (N + 2**(2m-1)) >> 2m, with N = l0
-    * (k0 * A + k1 * B) + l1 * (k0 * C + k1 * D) and k0, k1, l0, l1 the
-    weights' numerators.  Byte for byte that is the float64 result: the
-    entries are integers in 0..255, so every product and sum above is a
-    numerator below 2**53 over a power of two, which float64 computes
-    exactly.  A pixel's mixes along x of its two tile rows share one uint32,
-    a 16-bit lane each, as k0 * A + k1 * B <= 255 * 2**m <= 65280.  Other
-    grids interpolate in float64, with the products and sums in the order
-    written above.
+    A pixel's four entries share one unsigned integer, and both tile rows
+    are mixed along x at once, one lane each: 16-bit lanes in a uint32
+    when no two neighbouring tile centres lie more than 128 px apart (dx, dy
+    <= 256: a lane holds at most 255 * 256 = 65280, and 2N + D at most 511 *
+    2**16), else 32-bit lanes in a uint64 (which hold 255 * dx for images
+    less than 2**23 px a side).  When the tiles along each axis are all one
+    size, 2D is one number for the whole image, which numpy divides by
+    about as fast as it shifts; else each column has its own.
     """
     a = _as_stack(stack)
     n, h, w = a.shape
@@ -388,24 +383,19 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     ys = tile_bounds(h, p.tiles_y)
     luts = _tile_luts(a, xs, ys, p.clip_factor)
 
-    cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
-    cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
-    ix0, ix1, wx1 = _interp_axis(np.arange(w), cx)
-    iy0, iy1, wy1 = _interp_axis(np.arange(h), cy)
-    bits = _weight_bits(np.concatenate((wx1, wy1)))
-    if bits is None:
-        wx = np.stack((1.0 - wx1, wx1), axis=-1)  # (w, 2): each column's (1 - wx, wx)
-        wy0, wy1 = (1.0 - wy1)[:, None], wy1[:, None]
-    else:  # each weight times 2**bits: integers, exactly
-        one = 1 << bits
-        kx = (wx1 * one).astype(np.uint32)
-        ky = (wy1 * one).astype(np.uint32)
-        wx = (one - kx, kx)
-        wy0, wy1 = (one - ky)[:, None], ky[:, None]
+    ix0, ix1, kx, dx = _interp_axis(xs)
+    iy0, iy1, ky, dy = _interp_axis(ys)
+    dtype = np.uint32 if max(dx.max(), dy.max()) <= 256 else np.uint64  # see _mix
+    if (dx == dx[0]).all():
+        dx = dx[:1]  # one divisor a band, which numpy divides by fastest
+    kx = ((dx - kx).astype(dtype), kx.astype(dtype))
+    dx = dx.astype(dtype)
+    # twice the row weights: the y mix then sums to 2N
+    ly = (2 * (dy - ky)).astype(dtype)[:, None], (2 * ky).astype(dtype)[:, None]
     # each column reads one (left, right) tile pair of a tile row: slot
     # ix1 + (ix0 == tiles_x - 1) of its _pair_table
     col = (ix1 + (ix0 == p.tiles_x - 1)) * 256
-    # bands: runs of rows with one (iy0, iy1) tile-row pair
+    # bands: runs of rows with one (iy0, iy1) tile-row pair, and so one dy
     edges = [0, *(np.flatnonzero(np.diff(iy0) | np.diff(iy1)) + 1).tolist(), h]
     bands = list(zip(edges[:-1], edges[1:]))
 
@@ -425,37 +415,9 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
                 continue
             t0, t1 = iy0[b0], iy1[b0]
             held = {t: held[t] if t in held else _pair_table(luts[i0:i1, t]) for t in (t0, t1)}
-            idx_b = idx[:, b0 - r0 : b1 - r0]
-            if bits is not None:
-                _mix_fixed(held[t0], held[t1], idx_b, wx, wy0[b0:b1], wy1[b0:b1], bits,
-                           out[i0:i1, b0:b1])
-                continue
-            # (1 - w) * lo + w * hi along x, then along y: the products and
-            # sums of whole-image bilinear interpolation, in that order
-            v = _mix_x(held[t0], idx_b, wx)
-            if t1 != t0:
-                bot = _mix_x(held[t1], idx_b, wx)
-                v *= wy0[b0:b1]
-                bot *= wy1[b0:b1]
-                v += bot
-            # else wy is 0 over the band, and v * 1.0 + bot * 0.0 is v
-            v += 0.5
-            # v mixes table entries in 0..255 with weights in [0, 1] that sum
-            # to 1, so v + 0.5 lies in [0.5, 255.5] (give or take rounding
-            # far below 0.5): the uint8 store truncates it to floor(v + 0.5),
-            # and no floor or clip is needed
-            out[i0:i1, b0:b1] = v
+            _mix(held[t0], held[t1], idx[:, b0 - r0 : b1 - r0], kx, ly[0][b0:b1],
+                 ly[1][b0:b1], dx * dtype(dy[b0]), out[i0:i1, b0:b1])
     return out
-
-
-def _weight_bits(weights: np.ndarray) -> int | None:
-    """The fewest bits m, at most FIXED_POINT_BITS, such that every weight
-    times 2**m is an integer; None if there is no such m."""
-    for bits in range(FIXED_POINT_BITS + 1):
-        scaled = weights * (1 << bits)  # exact: a power of two
-        if np.array_equal(scaled, np.floor(scaled)):
-            return bits
-    return None
 
 
 def _pair_table(tables: np.ndarray) -> np.ndarray:
@@ -474,50 +436,45 @@ def _pair_table(tables: np.ndarray) -> np.ndarray:
     return pairs.view(np.uint16).ravel()
 
 
-def _mix_x(pairs: np.ndarray, idx: np.ndarray, wx: np.ndarray) -> np.ndarray:
-    """(1 - wx) * left + wx * right in float64 for the entry pairs at idx
-    in a _pair_table, given wx, the (w, 2) rows of (1 - wx, wx): the
-    products and sum of (1 - wx) * table[lo] + wx * table[hi]."""
-    g = np.take(pairs, idx).view(np.uint8).reshape(*idx.shape, 2).astype(np.float64)
-    g *= wx
-    return np.add(g[..., 0], g[..., 1])
+def _mix(top, bottom, idx, kx, l0, l1, d, out) -> None:
+    """Writes into out, uint8, floor((2N + D) / 2D) for the entry pairs at
+    idx in the _pair_tables of the tile rows above and below (see
+    clahe_stack), given the columns' kx = (dx - kx, kx), the rows' l0, l1 =
+    2 * (dy - ky), 2 * ky and D = d, the columns' dx times the band's dy,
+    all uint32, which hold two 16-bit lanes, or uint64, two 32-bit lanes.
 
-
-def _mix_fixed(top, bottom, idx, kx, l0, l1, bits, out) -> None:
-    """Writes into out, uint8, the fixed-point interpolation of the entry
-    pairs at idx in the _pair_tables of the tile rows above and below, given
-    kx, the columns' (k0, k1) = 2**bits * (1 - wx, wx), and l0, l1, the
-    rows' 2**bits * (1 - wy, wy), all uint32.
-
-    Each pixel's four entries go in one uint32, the top pair in the low 16
-    bits and the bottom pair in the high: the table of the band's pairs
+    Each pixel's four entries go in one integer, the top pair in the low
+    lane and the bottom pair in the high: the table of the band's pairs
     when it has no more entries than the band has pixels, else two gathers.
-    Both rows are then mixed along x at once, one in each 16-bit lane, which
-    holds at most 255 * 2**bits <= 65280, so no carry crosses lanes."""
+    Both rows are then mixed along x at once, one in each lane, which holds
+    at most 255 * dx, so no carry crosses lanes."""
+    dtype = kx[0].dtype
+    lane = 4 * dtype.itemsize
     if top.size <= idx.size:
-        quad = bottom.astype(np.uint32)
-        quad <<= 16
+        quad = bottom.astype(dtype)
+        quad <<= lane
         quad |= top
         g = np.take(quad, idx)
     else:
-        g = np.take(bottom, idx).astype(np.uint32)
-        g <<= 16
+        g = np.take(bottom, idx).astype(dtype)
+        g <<= lane
         g |= np.take(top, idx)
-    # (A, C) * k0 + (B, D) * k1, lane by lane
-    x = np.bitwise_and(g, 0x00FF00FF)
+    # (A, C) * (dx - kx) + (B, E) * kx, lane by lane
+    entries = (0xFF << lane) | 0xFF
+    x = np.bitwise_and(g, entries)
     x *= kx[0]
     g >>= 8
-    g &= 0x00FF00FF
+    g &= entries
     g *= kx[1]
     x += g
-    # top * l0 + bottom * l1 + 2**(2 bits - 1), then the shift rounds it
-    np.bitwise_and(x, 0xFFFF, out=g)
+    # 2N + D = top * l0 + bottom * l1 + D, then one exact division
+    np.bitwise_and(x, (1 << lane) - 1, out=g)
     g *= l0
-    x >>= 16
+    x >>= lane
     x *= l1
     x += g
-    x += (1 << (2 * bits)) >> 1
-    np.right_shift(x, 2 * bits, out=out, casting="unsafe")
+    x += d
+    np.floor_divide(x, 2 * d, out=out, casting="unsafe")
 
 
 def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:
@@ -569,18 +526,22 @@ def _tile_luts(a: np.ndarray, xs, ys, clip_factor: float) -> np.ndarray:
     return luts
 
 
-def _interp_axis(coords: np.ndarray, centers: np.ndarray):
-    """Per-coordinate (lower tile, upper tile, weight); clamps past the ends."""
-    j = np.searchsorted(centers, coords, side="right") - 1
-    i0 = np.clip(j, 0, len(centers) - 1)
-    i1 = np.clip(j + 1, 0, len(centers) - 1)
-    weight = np.zeros(len(coords))
-    interior = (j >= 0) & (j < len(centers) - 1)
-    if interior.any():
-        lo = centers[i0[interior]]
-        hi = centers[i1[interior]]
-        weight[interior] = (coords[interior] - lo) / (hi - lo)
-    return i0, i1, weight
+def _interp_axis(bounds):
+    """Per coordinate of the axis that the tile spans `bounds` partition:
+    (lower tile, upper tile, k, d), the upper tile's weight being k / d,
+    exactly.  Between the centres (s0 + e0 - 1) / 2 and (s1 + e1 - 1) / 2
+    of neighbouring tiles, coordinate c has k = 2c - (s0 + e0 - 1) and d =
+    (s1 + e1) - (s0 + e0), twice its distance from the lower centre and
+    twice the centres' distance.  Past the outermost centres the weight is
+    0, over the axis' largest d (1 with one tile)."""
+    centres = np.array([s + e - 1 for s, e in bounds])  # twice each tile centre
+    c = 2 * np.arange(bounds[-1][1])
+    j = np.searchsorted(centres, c, side="right") - 1
+    i0 = np.clip(j, 0, len(centres) - 1)
+    i1 = np.clip(j + 1, 0, len(centres) - 1)
+    d = centres[i1] - centres[i0]  # 0 past the outermost centres
+    k = np.where(d > 0, c - centres[i0], 0)
+    return i0, i1, k, np.where(d > 0, d, max(d.max(), 1))
 
 
 def enhance_chain(img: Image, p: ClaheParams, median_radius: int = 1) -> Image:

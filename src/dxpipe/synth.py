@@ -112,11 +112,15 @@ class DatasetManifest:
 
 
 def default_class_specs(scale: float = 0.2) -> list[ClassSpec]:
-    """Scale the full-size class counts, rounding to the nearest integer."""
-    return [
-        ClassSpec(cid, CLASS_DESCRIPTIONS[cid], round(FULL_CLASS_COUNTS[cid] * scale))
-        for cid in range(NUM_CLASSES)
-    ]
+    """Scale the full-size class counts, rounding to the nearest integer.
+    A scale that is not finite and positive, or that rounds every count to
+    0, gives no dataset and raises ValueError."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    counts = [round(FULL_CLASS_COUNTS[cid] * scale) for cid in range(NUM_CLASSES)]
+    if not any(counts):
+        raise ValueError(f"scale {scale} gives no images: every class count rounds to 0")
+    return [ClassSpec(cid, CLASS_DESCRIPTIONS[cid], counts[cid]) for cid in range(NUM_CLASSES)]
 
 
 # bounding boxes (x0, x1, y0, y1) as fractions of the image side

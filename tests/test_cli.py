@@ -920,3 +920,32 @@ def test_enhance_on_mutated_pgms_exits_0_or_with_one_error_line(tmp_path_factory
     else:
         assert code == 1
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "1e-6"])
+def test_synth_refuses_a_scale_that_gives_no_dataset_by_name(tmp_path, capsys, scale):
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "data"), "synth", "--scale", scale]) == 1
+    assert "--scale" in _one_error_line(capsys)
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "cluster", "train", "orient-train", "predict", "eval --checkpoint", "eval --predictions",
+])
+def test_an_empty_manifest_is_refused_by_name(trained, tmp_path, capsys, command):
+    _, out = trained
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("# seed=0\npath,class_id,rotation\n")
+    preds = tmp_path / "predictions.csv"
+    preds.write_text("path,predicted,score_0\na.pgm,0,1.000000\n")
+    ckpt = ["--checkpoint", str(out / "checkpoint.bin")]
+    argv = {
+        "predict": ["predict", *ckpt],
+        "eval --checkpoint": ["eval", *ckpt],
+        "eval --predictions": ["eval", "--predictions", str(preds)],
+    }.get(command, [command])
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "out"), *argv, "--manifest", str(manifest)]) == 1
+    assert _one_error_line(capsys) == f"error: manifest {manifest}: no images\n"
+    assert not (tmp_path / "out").exists()

@@ -10,7 +10,6 @@ from dxpipe import enhance
 from dxpipe.enhance import (
     STRIP_PIXELS,
     ClaheParams,
-    _interp_axis,
     _median_network,
     clahe,
     clip_histogram,
@@ -383,34 +382,43 @@ def _tile_luts_oracle(a, p):
     return luts
 
 
+def _axis_weights(extent, tiles):
+    """Per coordinate: (lower tile, upper tile, k, d), the upper tile's
+    weight being k / d exactly, from twice the tile centres, one coordinate
+    at a time; past the outermost centres the weight is 0 / 1."""
+    centres = [s + e - 1 for s, e in tile_bounds(extent, tiles)]
+    rows = []
+    for c in range(extent):
+        t = sum(centre <= 2 * c for centre in centres) - 1  # last centre at or before c
+        if t < 0 or t == tiles - 1:
+            rows.append((max(t, 0), max(t, 0), 0, 1))
+        else:
+            rows.append((t, t + 1, 2 * c - centres[t], centres[t + 1] - centres[t]))
+    return np.array(rows, dtype=np.int64).T
+
+
+def _exact_clahe(stack, luts):
+    """The exact integer CLAHE interpolation of an (N, H, W) stack given its
+    (N, tiles_y, tiles_x, 256) tile mappings, all at once in int64: each
+    pixel's bilinear mix is num / den exactly, and floor(num / den + 1/2) =
+    (2 num + den) // (2 den)."""
+    n, h, w = stack.shape
+    y0, y1, ky, dy = (v[:, None] for v in _axis_weights(h, luts.shape[1]))
+    x0, x1, kx, dx = _axis_weights(w, luts.shape[2])
+    image = np.arange(n)[:, None, None]
+
+    def entry(ty, tx):
+        return luts[image, ty, tx, stack].astype(np.int64)
+
+    top = (dx - kx) * entry(y0, x0) + kx * entry(y0, x1)
+    bottom = (dx - kx) * entry(y1, x0) + kx * entry(y1, x1)
+    num, den = (dy - ky) * top + ky * bottom, dx * dy
+    return ((2 * num + den) // (2 * den)).astype(np.uint8)
+
+
 def _clahe_oracle(a, p):
-    h, w = a.shape
-    xs = tile_bounds(w, p.tiles_x)
-    ys = tile_bounds(h, p.tiles_y)
-    luts = _tile_luts_oracle(a, p)
-    cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
-    cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
-    ix0, ix1, wx = _interp_axis(np.arange(w), cx)
-    iy0, iy1, wy = _interp_axis(np.arange(h), cy)
-    flat = luts.reshape(-1)
-
-    def mapped(iy, ix):
-        idx = (iy * (p.tiles_x * 256))[:, None] + (ix * 256)[None, :]
-        idx += a
-        return flat[idx]
-
-    def lerp(weight, lo, hi):
-        out = (1.0 - weight) * lo
-        out += weight * hi
-        return out
-
-    wx = wx[None, :]
-    wy = wy[:, None]
-    top = lerp(wx, mapped(iy0, ix0), mapped(iy0, ix1))
-    bot = lerp(wx, mapped(iy1, ix0), mapped(iy1, ix1))
-    out = lerp(wy, top, bot)
-    out += 0.5
-    return np.clip(np.floor(out, out=out), 0, 255).astype(np.uint8)
+    """One image's CLAHE from tile-by-tile mappings and the exact oracle."""
+    return _exact_clahe(a[None], _tile_luts_oracle(a, p)[None])[0]
 
 
 # (300, 500): three strips of 131, 131 and 38 rows; (3, 70000): wider than a
@@ -613,9 +621,9 @@ def test_stack_kernels_match_whole_image_oracles(monkeypatch, n):
             assert got[name] == expected[name], (name, pixels)
 
 
-# (64, 64): three images in one block, whose 8x8 and 1x1 grids interpolate in
-# fixed point, from two gathers a band and from a table of the band's pairs,
-# and whose 3x5 grid in float64
+# (64, 64): three images in one block, whose bands interpolate from two
+# gathers a band and from a table of the band's pairs; the 3x5 grid divides
+# each column by its own tile spacing
 @pytest.mark.parametrize("shape", [(48, 48), (64, 64), (1, 1000), (1000, 1), (300, 500)])
 def test_stacks_of_odd_shapes_match_whole_image_oracles(shape):
     stack = _stack_images(3, shape, seed=shape[0] + shape[1])
@@ -655,15 +663,14 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n, size", [(1, 1024), (1, 1000), (64, 32)])
-def test_clahe_allocates_a_few_strips_not_whole_images(n, size):
-    # one float64 strip is STRIP_PIXELS * 8 bytes; the float64 interpolation
-    # (1000 px) holds about eight such temporaries at once, the fixed-point
-    # one (8x8 tiles of 1024 or 32 px) a few uint32 and int64 ones, and the
-    # histogram pass less (its int64 tables for 64 images of 32 px with 8x8
-    # tiles would be 8 MB whole)
+@pytest.mark.parametrize("n, size, tiles", [(1, 1024, 8), (1, 1000, 8), (1, 1024, 4), (64, 32, 8)])
+def test_clahe_allocates_a_few_strips_not_whole_images(n, size, tiles):
+    # one int64 strip is STRIP_PIXELS * 8 bytes; the interpolation holds a
+    # few uint32 or (4x4 tiles of 1024 px) uint64 ones and an int64 index,
+    # and the histogram pass less (its int64 tables for 64 images of 32 px
+    # with 8x8 tiles would be 8 MB whole)
     stack = _stack_images(n, (size, size), seed=size)
-    p = ClaheParams(8, 8, 2.0)
+    p = ClaheParams(tiles, tiles, 2.0)
     outputs = stack.nbytes + n * 64 * 256  # result and tile tables, one byte each
     assert _traced_peak(lambda: enhance.clahe_stack(stack, p)) < outputs + 10 * STRIP_PIXELS * 8
 
@@ -698,34 +705,12 @@ def test_for_each_stack_processes_what_was_read_before_a_failure():
     assert runs == [(["a", "b"], (2, 4, 4))]
 
 
-def _lerp(weight, lo, hi):
-    out = (1.0 - weight) * lo
-    out += weight * hi
-    return out
-
-
 def _reference_clahe(stack, p):
-    """clahe_stack's interpolation before it went per tile band, run on the
-    whole stack as one block: every pixel's four table entries gathered by
-    flat index from all the stack's tile tables, then floor and clip."""
-    n, h, w = stack.shape
+    """clahe_stack's result from the exact oracle, all the stack's tile
+    mappings computed at once."""
+    h, w = stack.shape[1:]
     xs, ys = tile_bounds(w, p.tiles_x), tile_bounds(h, p.tiles_y)
-    flat = enhance._tile_luts(stack, xs, ys, p.clip_factor).reshape(-1)
-    cx = np.array([(x0 + x1 - 1) / 2.0 for x0, x1 in xs])
-    cy = np.array([(y0 + y1 - 1) / 2.0 for y0, y1 in ys])
-    ix0, ix1, wx = _interp_axis(np.arange(w), cx)
-    iy0, iy1, wy = _interp_axis(np.arange(h), cy)
-    col0, col1 = ix0 * 256, ix1 * 256
-    row0, row1 = iy0 * (p.tiles_x * 256), iy1 * (p.tiles_x * 256)
-    image0 = (np.arange(n) * (p.tiles_y * p.tiles_x * 256))[:, None, None]
-    wx, wy = wx[None, :], wy[:, None]
-    lo, hi = stack + col0, stack + col1
-    top0, bot0 = row0[:, None] + image0, row1[:, None] + image0
-    top = _lerp(wx, flat[lo + top0], flat[hi + top0])
-    bot = _lerp(wx, flat[lo + bot0], flat[hi + bot0])
-    v = _lerp(wy, top, bot)
-    v += 0.5
-    return np.clip(np.floor(v, out=v), 0, 255, out=v).astype(np.uint8)
+    return _exact_clahe(stack, enhance._tile_luts(stack, xs, ys, p.clip_factor))
 
 
 @st.composite
@@ -752,30 +737,17 @@ def _stacks_and_blocks(draw, heights=st.integers(1, 300), widths=st.integers(1, 
 
 
 @st.composite
-def _power_of_two_tiles(draw):
-    """(extent, tiles): 1-9 tiles of 2**e px each, e in 0..7, at most 300 px."""
-    e = draw(st.integers(0, 7))
-    tiles = draw(st.integers(1, min(9, 300 >> e)))
-    return tiles << e, tiles
-
-
-@st.composite
 def _clahe_cases(draw):
-    """(stack, params, block pixels): _stacks_and_blocks with grids up to
-    9 x 9, so that blocks start and end inside tile bands; in about half the
-    cases the tiles are 2**e px, so that every weight is a multiple of
-    2**-(e + 1) and the bands interpolate in fixed point."""
-    if draw(st.booleans()):
-        (h, tiles_y), (w, tiles_x) = draw(_power_of_two_tiles()), draw(_power_of_two_tiles())
-        stack, pixels = draw(_stacks_and_blocks(st.just(h), st.just(w)))
-    else:
-        stack, pixels = draw(_stacks_and_blocks())
-        h, w = stack.shape[1:]
-        tiles_x, tiles_y = draw(st.integers(1, min(9, w))), draw(st.integers(1, min(9, h)))
+    """(stack, params, block pixels): _stacks_and_blocks with any grid up
+    to 9 x 9, so that blocks start and end inside tile bands, and tile
+    centres lie a power of two apart or not."""
+    stack, pixels = draw(_stacks_and_blocks())
+    h, w = stack.shape[1:]
+    tiles_x, tiles_y = draw(st.integers(1, min(9, w))), draw(st.integers(1, min(9, h)))
     return stack, ClaheParams(tiles_x, tiles_y, draw(st.floats(1.0, 5.0))), pixels
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(case=_clahe_cases())
 def test_clahe_bands_match_the_whole_block_reference(case):
     stack, p, pixels = case
@@ -785,41 +757,35 @@ def test_clahe_bands_match_the_whole_block_reference(case):
         assert enhance.clahe_stack(stack, p).tobytes() == expected
 
 
-@pytest.mark.parametrize("n, size, grid, bits, pixels", [
-    (1, 1024, (8, 8), 8, None),  # the default grid at radiograph size: row strips
-    (2, 256, (2, 2), 8, None),  # one whole image a block
-    (2, 256, (2, 2), 8, 1000),  # row strips of 3 rows
-    (1, 512, (2, 2), None, None),  # tile centres 256 px apart: 9-bit weights
-    (1, 1024, (4, 4), None, None),
-    (65, 32, (2, 2), 5, None),  # 64-image blocks, then one image
-    (65, 32, (8, 8), 3, None),
-    (3, 32, (16, 16), 2, 100),  # row strips of 3 rows
-    (3, 32, (1, 1), 0, None),  # one tile: every weight 0
-    (65, 32, (3, 5), None, None),
+@pytest.mark.parametrize("n, shape, grid, lane, pixels", [
+    (1, (1024, 1024), (8, 8), 16, None),  # the default grid at radiograph size: row strips
+    (1, (1000, 1000), (8, 8), 16, None),  # centres 125 px apart: a division, not a shift
+    (2, (256, 256), (2, 2), 16, None),  # centres 128 px apart: the widest 16-bit lanes take
+    (2, (256, 256), (2, 2), 16, 1000),  # row strips of 3 rows
+    (2, (258, 258), (2, 2), 32, None),  # centres 129 px apart
+    (1, (512, 512), (2, 2), 32, None),
+    (1, (1024, 1024), (4, 4), 32, None),
+    (1, (600, 40), (3, 2), 32, None),  # tile rows 300 px apart, columns 13 and 14 px
+    (65, (32, 32), (2, 2), 16, None),  # 64-image blocks, then one image
+    (65, (32, 32), (3, 5), 16, None),  # tiles of 10 and 11 px, 6 and 7 px
+    (3, (32, 32), (16, 16), 16, 100),  # row strips of 3 rows
+    (3, (32, 32), (1, 1), 16, None),  # one tile: every weight 0
 ])
-def test_clahe_fixed_point_runs_exactly_when_weights_have_few_bits(
-    monkeypatch, n, size, grid, bits, pixels
-):
+def test_clahe_lanes_are_as_wide_as_the_tile_spacing_needs(monkeypatch, n, shape, grid, lane, pixels):
     if pixels is not None:
         monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
-    stack = _stack_images(n, (size, size), seed=size + grid[0])
+    stack = _stack_images(n, shape, seed=shape[0] + grid[0])
     p = ClaheParams(*grid, 1.5)
-    ran = []
+    dtypes = set()
+    mix = enhance._mix
 
-    def spy(name):
-        real = getattr(enhance, name)
+    def spy(top, bottom, idx, kx, *args):
+        dtypes.add(kx[0].dtype)
+        mix(top, bottom, idx, kx, *args)
 
-        def call(*args):
-            result = real(*args)
-            ran.append((name, result))
-            return result
-        return call
-
-    for name in ("_weight_bits", "_mix_fixed", "_mix_x"):
-        monkeypatch.setattr(enhance, name, spy(name))
+    monkeypatch.setattr(enhance, "_mix", spy)
     got = enhance.clahe_stack(stack, p).tobytes()
-    assert ran[0] == ("_weight_bits", bits)
-    assert {name for name, _ in ran[1:]} == {"_mix_x" if bits is None else "_mix_fixed"}
+    assert dtypes == {np.dtype(np.uint32 if lane == 16 else np.uint64)}  # two lanes each
     assert got == _reference_clahe(stack, p).tobytes()
 
 
@@ -830,12 +796,15 @@ def test_clahe_fixed_point_runs_exactly_when_weights_have_few_bits(
     (64, 32, (2, 2), 1.5,
      "c555c0d078864c80bbdd2cd6e143a4ac6115fb993f979961a9a0d830fe98f7f2",
      "fcb765a68fa00a0b0994c29583ae336aed80ff5297a00cfd52866ec8223560c2"),
+    # tiles of unequal sizes: 8 pixels of each digest differ from the float64
+    # interpolation's, which rounded exact .5 ties down
     (64, 32, (3, 5), 1.5,
-     "cb8428cc6d49a94485c2d8d7be4e1f3b24087deb14e5531b8c99250aa97fb547",
-     "6e0cff33ff264f05e4375b4bd2475426c66f6f76e94600d13552eb60f4e26ee4"),
+     "d5fe8bf75c81e8284e66d0b37dd0c87296a16dd49efddd3c53d9d4d443c802eb",
+     "5f0a8067d5a8f3bc59aa995827b1d9187fd0b1c87a1b48647db9c39ab7a5b36e"),
 ])
 def test_clahe_and_chain_bytes_are_pinned(n, size, grid, clip, clahe_digest, chain_digest):
-    # digests of the output before CLAHE interpolated per tile band
+    # the power-of-two grids' digests date from before CLAHE interpolated
+    # per tile band
     stack = _stack_images(n, (size, size), seed=size)
     p = ClaheParams(*grid, clip)
     assert hashlib.sha256(enhance.clahe_stack(stack, p).tobytes()).hexdigest() == clahe_digest

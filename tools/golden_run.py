@@ -3,16 +3,18 @@
     python tools/golden_run.py OUT_DIR
 
 OUT_DIR must be missing or empty. The script synthesizes a 32 px dataset
-(scale 0.1) and a 1024 px one (scale 0.005). It enhances the large images
-(row strips, large-tile histograms, CLAHE in fixed point: 8x8 tiles of
-1024 px put every weight on a multiple of 1/256), runs their radius-2
-median alone (the comparator network) and their CLAHE alone with 4x4 tiles
-(weights in 1/512ths: the floating-point interpolation on row strips),
-enhances the small ones with 8x8 tiles (stacks of whole images:
-small-tile histograms, the 3x3 median and tile tables of several images in
-one block) and with 2x2 tiles (the configuration the inference benchmark
-uses), runs CLAHE alone with a 3x5 tile grid on the small ones (tile-band
-edges inside each stack, floating point), trains the region
+(scale 0.1), a 1024 px one and a 1000 px one (scale 0.005 each). It
+enhances the 1024 px images (row strips, large-tile histograms, CLAHE in
+16-bit lanes with tile centres 128 px apart), runs their radius-2 median
+alone (the comparator network) and their CLAHE alone with 4x4 tiles
+(centres 256 px apart: 32-bit lanes, on row strips), runs CLAHE alone
+with 8x8 tiles on the 1000 px images (centres 125 px apart: 16-bit lanes
+and a divisor that is no power of two, at radiograph scale), enhances the small
+images with 8x8 tiles (stacks of whole images: small-tile histograms, the
+3x3 median and tile tables of several images in one block) and with 2x2
+tiles (the configuration the inference benchmark uses), runs CLAHE alone
+with a 3x5 tile grid on the small ones (tile-band edges inside each stack,
+tiles of unequal sizes: a divisor per column), trains the region
 classifier with a weighting report and the pose model, then predicts and
 evaluates on the validation split. It prints one
 `sha256  relpath` line per file written, in path order, and last the SHA-256
@@ -33,7 +35,7 @@ from dxpipe.cli import run  # noqa: E402
 
 
 def _script(out: Path) -> list[list[str]]:
-    small, large, train = out / "small", out / "large", out / "train"
+    small, large, mid, train = out / "small", out / "large", out / "mid", out / "train"
     fit = ["--manifest", str(small / "manifest.csv"), "--epochs"]
     val = ["--manifest", str(train / "val_manifest.csv")]
     ckpt = ["--checkpoint", str(train / "checkpoint.bin")]
@@ -45,6 +47,9 @@ def _script(out: Path) -> list[list[str]]:
          "--median-radius", "2"],
         ["--out-dir", str(out / "clahe_large"), "enhance", str(large), "--stage", "clahe",
          "--tiles", "4", "4"],
+        ["--out-dir", str(mid), "synth", "--scale", "0.005", "--image-size", "1000"],
+        ["--out-dir", str(out / "clahe_mid"), "enhance", str(mid), "--stage", "clahe",
+         "--tiles", "8", "8"],
         ["--out-dir", str(out / "enhanced_small"), "enhance", str(small)],
         ["--out-dir", str(out / "enhanced_small_2x2"), "enhance", str(small),
          "--tiles", "2", "2", "--clip", "1.5"],
