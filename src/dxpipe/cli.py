@@ -9,8 +9,6 @@ is reproducible from (inputs, flags, seed); all randomness flows from the
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -291,13 +289,12 @@ def _cmd_orient(args) -> int:
     images = load_pgms(args.inputs)
     _check_input_size(args, model, args.inputs[0], (images[0].height, images[0].width))
     results = orient_mod.correct_orientation(model, images)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "detected_turns", "confidence"])
+    rows = []
     for name, (corrected, detected, confidence) in zip(names, results):
         save_pgm(corrected, args.out_dir / name)
-        writer.writerow([name, int(detected), f"{confidence:.6f}"])
-    _write_text(args.out_dir / "orientation.csv", buf.getvalue())
+        rows.append([name, int(detected), f"{confidence:.6f}"])
+    text = fileio.csv_text(["path", "detected_turns", "confidence"], rows)
+    _write_text(args.out_dir / "orientation.csv", text)
     print(f"corrected {len(args.inputs)} image(s) -> {args.out_dir}")
     return 0
 
@@ -313,13 +310,15 @@ def _predict_paths(args) -> list:
     return list(args.inputs)
 
 
+def _predictions_header(num_classes: int) -> list[str]:
+    return ["path", "predicted"] + [f"score_{i}" for i in range(num_classes)]
+
+
 def _predictions_to_csv(names: list[str], scores: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "predicted"] + [f"score_{i}" for i in range(scores.shape[1])])
-    for name, row in zip(names, scores):
-        writer.writerow([name, int(row.argmax())] + [f"{v:.6f}" for v in row])
-    return buf.getvalue()
+    return fileio.csv_text(
+        _predictions_header(scores.shape[1]),
+        ([name, int(row.argmax())] + [f"{v:.6f}" for v in row] for name, row in zip(names, scores)),
+    )
 
 
 def _cmd_predict(args) -> int:
@@ -345,22 +344,17 @@ def _read_predictions(path: Path) -> dict[str, np.ndarray]:
     """Name -> score row of a predictions CSV: ASCII, the header
     path,predicted,score_0..score_{C-1}, then one row per image with a
     predicted class in 0..C-1 and C plain decimal scores."""
-    try:
-        text = path.read_bytes().decode("ascii")
-    except UnicodeDecodeError:
-        raise PredictionsError(f"{path}: not ASCII text") from None
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
-    except csv.Error as exc:
-        raise PredictionsError(f"{path}: {exc}") from None
-    c = len(rows[0]) - 2 if rows else 0
-    if c < 1 or rows[0] != ["path", "predicted"] + [f"score_{i}" for i in range(c)]:
-        raise PredictionsError(f"{path}: expected a 'path,predicted,score_0,...' header")
-    if len(rows) == 1:
+    text = fileio.read_ascii(path, PredictionsError, str(path))
+    records = list(fileio.csv_records(text, PredictionsError, str(path)))
+    header = records[0][1] if records else []
+    c = len(header) - 2
+    if c < 1 or header != _predictions_header(c):
+        raise PredictionsError(f"{path}: expected a '{','.join(_predictions_header(1))},...' header")
+    if len(records) == 1:
         raise PredictionsError(f"{path}: no prediction rows")
     classes = [str(i) for i in range(c)]
     by_name = {}
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in records[1:]:
         if not row:
             raise PredictionsError(f"{path}: blank line {line}")
         if row[0] in by_name:
@@ -425,10 +419,9 @@ def _cmd_eval(args) -> int:
 
 def _read_report(path: Path) -> metrics_mod.EvalReport:
     """The eval report JSON at path; a ReportError names the file."""
+    text = fileio.read_ascii(path, metrics_mod.ReportError, f"eval report {path}")
     try:
-        return metrics_mod.EvalReport.from_json(path.read_bytes().decode("ascii"))
-    except UnicodeDecodeError:
-        raise metrics_mod.ReportError(f"eval report {path}: not ASCII text") from None
+        return metrics_mod.EvalReport.from_json(text)
     except metrics_mod.ReportError as exc:
         raise metrics_mod.ReportError(f"eval report {path}: {exc}") from None
 

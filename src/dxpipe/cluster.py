@@ -10,12 +10,11 @@ never increase.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from dxpipe.fileio import csv_text
 from dxpipe.image import load_pgm
 from dxpipe.phash import PHash, phash
 from dxpipe.synth import NUM_CLASSES, DatasetManifest
@@ -133,18 +132,11 @@ def cluster_report(manifest: DatasetManifest, k: int, seed: int = 0) -> ClusterR
 
 
 def report_to_csv(report: ClusterReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "class_id", "cluster", "phash"])
-    for path, cid, cluster, hx in report.rows:
-        writer.writerow([path, cid, cluster, hx])
-    return buf.getvalue()
+    return csv_text(["path", "class_id", "cluster", "phash"], report.rows)
 
 
 def contingency_to_csv(report: ClusterReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cluster"] + [f"class_{c}" for c in range(NUM_CLASSES)])
-    for c, row in enumerate(report.contingency):
-        writer.writerow([c] + [int(v) for v in row])
-    return buf.getvalue()
+    return csv_text(
+        ["cluster"] + [f"class_{c}" for c in range(NUM_CLASSES)],
+        ([c] + [int(v) for v in row] for c, row in enumerate(report.contingency)),
+    )

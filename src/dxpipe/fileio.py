@@ -1,7 +1,14 @@
-"""The one function that writes files, and the CLI's one-write-per-path rule."""
+r"""The one function that writes files, the CLI's one-write-per-path rule,
+and the one CSV dialect and ASCII decode of every text artefact.
+
+A CSV file has a header row, minimal quoting and "\n" row ends; a row with
+a "\r" in a field has every field quoted.  Readers also take "\r\n" ends.
+"""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
@@ -62,3 +69,35 @@ def write_atomic(path: Path | str, data: bytes) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_ascii(path: Path | str, error: type[ValueError], name: str) -> str:
+    """The file's text; bytes that are not ASCII raise error(f"{name}: not ASCII text")."""
+    try:
+        return Path(path).read_bytes().decode("ascii")
+    except UnicodeDecodeError:
+        raise error(f"{name}: not ASCII text") from None
+
+
+def csv_text(header, rows) -> str:
+    r"""The CSV text of a header row and then rows.  Minimal quoting leaves a
+    lone "\r" bare, where a reader ends the row, so a row with one in a field
+    has every field quoted."""
+    buf = io.StringIO()
+    minimal = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in (header, *rows):
+        (quoted if any("\r" in str(field) for field in row) else minimal).writerow(row)
+    return buf.getvalue()
+
+
+def csv_records(text: str, error: type[ValueError], name: str, lines_before: int = 0):
+    """(line, fields) of each record of CSV text, read strictly: line is the
+    physical line that the record ends on, counted from lines_before + 1; a
+    blank line has no fields.  Text that is not CSV raises error(f"{name} line ...")."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        for fields in reader:
+            yield lines_before + reader.line_num, fields
+    except csv.Error as exc:
+        raise error(f"{name} line {lines_before + reader.line_num}: {exc}") from None

@@ -10,13 +10,13 @@ with no positives or no negatives) is None, flagged the same way.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from dxpipe.fileio import csv_text
 
 
 def confusion(labels, predictions, num_classes: int) -> np.ndarray:
@@ -153,12 +153,11 @@ def multiclass_auc(score_matrix: np.ndarray, labels) -> tuple[list[float], float
 
 
 def roc_to_csv(curve: RocCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["threshold", "fpr", "tpr"])
-    for th, (fpr, tpr) in zip(curve.thresholds, curve.points):
-        writer.writerow([repr(float(th)), repr(float(fpr)), repr(float(tpr))])
-    return buf.getvalue()
+    return csv_text(
+        ["threshold", "fpr", "tpr"],
+        ([repr(float(th)), repr(float(fpr)), repr(float(tpr))]
+         for th, (fpr, tpr) in zip(curve.thresholds, curve.points)),
+    )
 
 
 class ReportError(ValueError):
@@ -271,19 +270,7 @@ class EvalReport:
     roc_curves: list[RocCurve | None] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "total": self.total,
-            "accuracy": self.accuracy,
-            "balanced_precision": self.balanced_precision,
-            "weighted_precision": self.weighted_precision,
-            "weighted_sensitivity": self.weighted_sensitivity,
-            "weighted_specificity": self.weighted_specificity,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-            "per_class_auc": self.per_class_auc,
-            "macro_auc": self.macro_auc,
-        }
+        return {key: getattr(self, key) for key in _REPORT_KEYS}
 
     def to_json(self) -> str:
         """The report as JSON; raises ReportError, naming the field, when
@@ -411,11 +398,8 @@ def compare_report(
 
 
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "accuracy", "balanced_precision", "specificity"])
-    for r in rows:
-        writer.writerow(
-            [r.name, f"{r.accuracy:.2f}", f"{r.balanced_precision:.2f}", f"{r.specificity:.2f}"]
-        )
-    return buf.getvalue()
+    return csv_text(
+        ["name", "accuracy", "balanced_precision", "specificity"],
+        ([r.name, f"{r.accuracy:.2f}", f"{r.balanced_precision:.2f}", f"{r.specificity:.2f}"]
+         for r in rows),
+    )

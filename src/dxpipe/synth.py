@@ -20,8 +20,6 @@ manifest's directory.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import re
@@ -31,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from dxpipe.enhance import equalize_stack, for_each_stack
-from dxpipe.fileio import write_atomic
+from dxpipe.fileio import csv_records, csv_text, read_ascii, write_atomic
 from dxpipe.image import Image, Rotation, load_pgm, save_pgm
 
 NUM_CLASSES = 6
@@ -238,18 +236,18 @@ def amplify_minority(
     return out
 
 
+_MANIFEST_HEADER = "path,class_id,rotation"
+
+
 def manifest_to_csv(manifest: DatasetManifest, relative_to: Path | None = None) -> str:
     """CSV text; paths are rewritten relative to `relative_to` when given."""
-    buf = io.StringIO()
-    buf.write(f"# seed={manifest.seed}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "class_id", "rotation"])
+    rows = []
     for e in manifest.entries:
         rel = e.path
         if relative_to is not None:
             rel = os.path.relpath(manifest.root / e.path, relative_to)
-        writer.writerow([rel, e.class_id, int(e.rotation)])
-    return buf.getvalue()
+        rows.append([rel, e.class_id, int(e.rotation)])
+    return f"# seed={manifest.seed}\n" + csv_text(_MANIFEST_HEADER.split(","), rows)
 
 
 def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
@@ -265,6 +263,8 @@ class ManifestError(ValueError):
 # the class_id and rotation fields save_manifest writes, and their values
 _CLASS_FIELDS = {str(c): c for c in range(NUM_CLASSES)}
 _ROTATION_FIELDS = {str(r): Rotation(r) for r in range(4)}
+# a "#" line before the header, and its row end
+_COMMENT_LINE = re.compile(r"#([^\r\n]*)(?:\r\n?|\n)?")
 
 
 def load_manifest(path: Path | str) -> DatasetManifest:
@@ -272,16 +272,13 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     (one may be '# seed=<n>') before the header, then one path,class_id,rotation
     row per image.  Anything else raises ManifestError naming the file."""
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("ascii")
-    except UnicodeDecodeError:
-        raise ManifestError(f"manifest {path}: not ASCII text") from None
-    lines = text.splitlines()
-    comments = 0
+    text = read_ascii(path, ManifestError, f"manifest {path}")
+    start = comments = 0
     seed = 0
-    while comments < len(lines) and lines[comments].startswith("#"):
-        stripped = lines[comments][1:].strip()
+    while comment := _COMMENT_LINE.match(text, start):
+        start = comment.end()
         comments += 1
+        stripped = comment[1].strip()
         if stripped.startswith("seed="):
             value = stripped[len("seed=") :]
             try:
@@ -292,26 +289,22 @@ def load_manifest(path: Path | str) -> DatasetManifest:
                 raise ManifestError(f"manifest {path}: bad seed {value!r}") from None
     entries = []
     seen = set()
-    try:
-        reader = csv.reader(lines[comments:], strict=True)
-        header = next(reader, None)
-        if header != ["path", "class_id", "rotation"]:
-            raise ManifestError(f"bad manifest header {header!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            line = comments + reader.line_num
-            if len(row) != 3 or not row[0]:
-                raise ManifestError(f"manifest {path} line {line}: expected path,class_id,rotation")
-            rel, cid, rot = row[0], _CLASS_FIELDS.get(row[1]), _ROTATION_FIELDS.get(row[2])
-            if cid is None:
-                raise ManifestError(f"manifest {path} line {line}: bad class_id {row[1]!r}")
-            if rot is None:
-                raise ManifestError(f"manifest {path} line {line}: bad rotation {row[2]!r}")
-            if rel in seen:
-                raise ManifestError(f"duplicate manifest path {rel!r} in {path}")
-            seen.add(rel)
-            entries.append(ManifestEntry(rel, cid, rot))
-    except csv.Error as exc:
-        raise ManifestError(f"manifest {path} line {comments + reader.line_num}: {exc}") from None
+    records = csv_records(text[start:], ManifestError, f"manifest {path}", comments)
+    _, header = next(records, (0, None))
+    if header != _MANIFEST_HEADER.split(","):
+        raise ManifestError(f"bad manifest header {header!r} in {path}")
+    for line, row in records:
+        if not row:
+            continue
+        if len(row) != 3 or not row[0]:
+            raise ManifestError(f"manifest {path} line {line}: expected {_MANIFEST_HEADER}")
+        rel, cid, rot = row[0], _CLASS_FIELDS.get(row[1]), _ROTATION_FIELDS.get(row[2])
+        if cid is None:
+            raise ManifestError(f"manifest {path} line {line}: bad class_id {row[1]!r}")
+        if rot is None:
+            raise ManifestError(f"manifest {path} line {line}: bad rotation {row[2]!r}")
+        if rel in seen:
+            raise ManifestError(f"duplicate manifest path {rel!r} in {path}")
+        seen.add(rel)
+        entries.append(ManifestEntry(rel, cid, rot))
     return DatasetManifest(entries=entries, seed=seed, root=path.parent)

@@ -12,14 +12,13 @@ and log bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from dxpipe.checkpoint import Checkpoint, checkpoint_from_model
+from dxpipe.fileio import csv_text
 from dxpipe.image import Rotation, load_pgms, rotate_array
 from dxpipe.metrics import confusion, per_class_metrics
 from dxpipe.nnet import FusionNet, ModelConfig, sgd_step, softmax, to_input, weighted_ce
@@ -69,14 +68,11 @@ class TrainLog:
     best_scores: np.ndarray | None = None  # the best epoch's validation softmax scores
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_acc", "lr"])
-        for e in self.epochs:
-            writer.writerow(
-                [e.epoch, f"{e.train_loss:.6f}", f"{e.val_loss:.6f}", f"{e.val_acc:.6f}", f"{e.lr:.8g}"]
-            )
-        return buf.getvalue()
+        return csv_text(
+            ["epoch", "train_loss", "val_loss", "val_acc", "lr"],
+            ([e.epoch, f"{e.train_loss:.6f}", f"{e.val_loss:.6f}", f"{e.val_acc:.6f}", f"{e.lr:.8g}"]
+             for e in self.epochs),
+        )
 
 
 def compute_class_weights(manifest: DatasetManifest, num_classes: int = 6) -> np.ndarray:

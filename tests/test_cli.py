@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_image
+from conftest import constant_image, random_image
 from dxpipe import enhance, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
@@ -20,6 +20,8 @@ from dxpipe.image import Image, load_pgm, save_pgm
 from dxpipe.metrics import EvalReport, build_report
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import load_manifest
+from test_metrics import _REPORT_TOKENS
+from test_synth import _MANIFEST_TOKENS
 
 
 def tree_bytes(root):
@@ -489,7 +491,7 @@ def test_weighting_report_onto_any_train_output_is_refused_before_training(
 
 _PREDICTIONS_SAMPLE = (b"path,predicted,score_0,score_1\n"
                        b"a.pgm,1,0.250000,0.750000\n\"b,c.pgm\",0,1.000000,0.000000\n")
-_PREDICTIONS_TOKENS = [b"", b",", b"\n", b"\r\n", b'"', b"-", b"+", b"_", b".", b"e5", b"nan",
+_PREDICTIONS_TOKENS = [b"", b",", b"\n", b"\r\n", b"\r", b'"', b"-", b"+", b"_", b".", b"e5", b"nan",
                        b"inf", b"0", b"1", b"2", b"\xff", b"\x00", b"score_2"]
 
 
@@ -529,7 +531,7 @@ def test_mutated_predictions_read_or_raise_predictions_error(tmp_path_factory, d
 
 @settings(max_examples=100, deadline=None)
 @given(
-    names=st.lists(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1,
+    names=st.lists(st.text(st.characters(min_codepoint=0x01, max_codepoint=0x7F), min_size=1,
                            max_size=12), min_size=1, max_size=8, unique=True),
     data=st.data(),
 )
@@ -543,6 +545,24 @@ def test_predictions_write_then_read_round_trips_exactly(tmp_path_factory, names
     by_name = _read_predictions(path)
     assert list(by_name) == names
     assert np.array_equal(np.stack(list(by_name.values())), scores)
+
+
+def test_eval_reads_the_predictions_of_a_name_with_a_carriage_return(tmp_path, capsys):
+    # minimal CSV quoting leaves a lone "\r" bare, and a reader ends the row there
+    names = ["a\rb.pgm", "plain.pgm"]
+    rng = np.random.default_rng(0)
+    for name in names:
+        save_pgm(random_image(rng, 32, 32), tmp_path / name)
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b'# seed=0\npath,class_id,rotation\n"a\rb.pgm",0,0\nplain.pgm,1,0\n')
+    ckpt = str(_checkpoint(tmp_path))
+    assert run(["--out-dir", str(tmp_path / "pred"), "predict", "--checkpoint", ckpt,
+                *(str(tmp_path / name) for name in names)]) == 0
+    preds = tmp_path / "pred" / "predictions.csv"
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "ev"), "eval", "--predictions", str(preds),
+                "--manifest", str(manifest)]) == 0, capsys.readouterr().err
+    assert list(_read_predictions(preds)) == names
 
 
 @pytest.mark.parametrize("text", [
@@ -915,6 +935,49 @@ def test_enhance_on_mutated_pgms_exits_0_or_with_one_error_line(tmp_path_factory
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(["--out-dir", str(work / "out"), "enhance", str(work / "in"),
                     "--stage", stage, "--tiles", *tiles])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+_READER_MANIFEST = b'# seed=0\npath,class_id,rotation\na.pgm,0,0\n"b,c.pgm",1,3\n'
+_READER_REPORT = build_report([0, 1], [0, 1], 2, score_matrix=np.eye(2)).to_json().encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_readers_on_mutated_files_exit_0_or_with_one_error_line(tmp_path_factory, data):
+    # a manifest for cluster, a manifest and predictions for eval --predictions,
+    # or an eval report for report; each file mutated or not
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    rng = np.random.default_rng(0)
+    for name in ("a.pgm", "b,c.pgm"):
+        save_pgm(random_image(rng, 32, 32), work / name)
+
+    def mutated(name, sample, tokens):
+        buf = bytearray(sample)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(buf)))
+            cut = data.draw(st.integers(0, 3))
+            buf[i : i + cut] = data.draw(st.sampled_from(tokens) | st.binary(max_size=3))
+        (work / name).write_bytes(bytes(buf))
+        return str(work / name)
+
+    command = data.draw(st.sampled_from(["cluster", "eval", "report"]))
+    if command == "cluster":
+        argv = ["cluster", "--k", "2", "--manifest",
+                mutated("m.csv", _READER_MANIFEST, _MANIFEST_TOKENS)]
+    elif command == "eval":
+        argv = ["eval", "--manifest", mutated("m.csv", _READER_MANIFEST, _MANIFEST_TOKENS),
+                "--predictions", mutated("p.csv", _PREDICTIONS_SAMPLE, _PREDICTIONS_TOKENS)]
+    else:
+        report = mutated("r.json", _READER_REPORT, [t.encode() for t in _REPORT_TOKENS])
+        argv = ["report", "--model", report, "--annotators", report]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["--out-dir", str(work / "out"), *argv])
     if code == 0:
         assert err.getvalue() == ""
     else:

@@ -1,10 +1,13 @@
 import ast
 import builtins
 import errno
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_image
 from dxpipe import cli, fileio
@@ -189,3 +192,34 @@ def test_write_scan_passes_reads(code):
 def test_write_atomic_creates_missing_directories(tmp_path):
     fileio.write_atomic(tmp_path / "a" / "b" / "f", b"x")
     assert (tmp_path / "a" / "b" / "f").read_bytes() == b"x"
+
+
+_FIELDS = st.lists(st.text(st.characters(exclude_characters="\x00"), max_size=6), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=_FIELDS, rows=st.lists(_FIELDS, max_size=5))
+def test_csv_records_read_back_what_csv_text_writes(header, rows):
+    records = list(fileio.csv_records(fileio.csv_text(header, rows), ValueError, "t"))
+    assert [fields for _, fields in records] == [header, *rows]
+    lines = [line for line, _ in records]
+    assert lines == sorted(set(lines))
+
+
+def test_csv_text_quotes_only_the_rows_with_a_carriage_return():
+    text = fileio.csv_text(["path", "n"], [["a\rb", 1], ["a\nb", 2], ["a,b", 3], ["ab", 4]])
+    assert text == 'path,n\n"a\rb","1"\n"a\nb",2\n"a,b",3\nab,4\n'
+
+
+def test_csv_records_count_physical_lines_and_name_the_line_of_an_error():
+    text = 'h\r\n"a\nb"\n\nc\r"d"e\n'
+    records = fileio.csv_records(text, ValueError, "f.csv", lines_before=2)
+    assert [next(records) for _ in range(4)] == [(3, ["h"]), (5, ["a\nb"]), (6, []), (7, ["c"])]
+    with pytest.raises(ValueError, match=re.escape("f.csv line 8: ',' expected after '\"'")):
+        next(records)
+
+
+def test_only_fileio_speaks_csv():
+    users = [p.name for p in sorted(SRC.glob("*.py"))
+             if re.search(r"^(import|from) csv\b", p.read_text(), re.M)]
+    assert users == ["fileio.py"]

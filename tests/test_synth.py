@@ -311,7 +311,7 @@ def test_manifest_rejects_non_ascii(tmp_path):
 
 
 _MANIFEST_SAMPLE = b'# seed=42\npath,class_id,rotation\nclass0_0000.pgm,0,0\n"a,b.pgm",5,3\n'
-_MANIFEST_TOKENS = [b"", b",", b"\n", b"\r\n", b"#", b'"', b"seed=", b"-", b"+", b"_", b"0",
+_MANIFEST_TOKENS = [b"", b",", b"\n", b"\r\n", b"\r", b"#", b'"', b"seed=", b"-", b"+", b"_", b"0",
                     b"5", b"6", b"9", b"\xff", b"\x00", b"path,class_id,rotation"]
 
 
@@ -348,9 +348,9 @@ def test_mutated_manifest_loads_or_raises_manifest_error(tmp_path_factory, data)
     _load_manifest_bytes(tmp_path_factory.getbasetemp(), bytes(buf))
 
 
-# printable ASCII file names; no "/", because save_manifest rewrites paths
-# relative to the manifest's directory
-_NAMES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters="/"),
+# ASCII file names, line breaks too; no NUL, which no file name holds, and
+# no "/", because save_manifest rewrites paths relative to the manifest's directory
+_NAMES = st.text(st.characters(min_codepoint=0x01, max_codepoint=0x7F, exclude_characters="/"),
                  min_size=1, max_size=12)
 
 

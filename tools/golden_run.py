@@ -14,9 +14,12 @@ images with 8x8 tiles (stacks of whole images: small-tile histograms, the
 3x3 median and tile tables of several images in one block) and with 2x2
 tiles (the configuration the inference benchmark uses), runs CLAHE alone
 with a 3x5 tile grid on the small ones (tile-band edges inside each stack,
-tiles of unequal sizes: a divisor per column), trains the region
-classifier with a weighting report and the pose model, then predicts and
-evaluates on the validation split. It prints one
+tiles of unequal sizes: a divisor per column), clusters the small images,
+trains the region classifier with a weighting report and the pose model,
+corrects the pose of one small image of each class, predicts and evaluates
+on the validation split, evaluates the predictions CSV too, and merges the
+two eval reports into a comparison table, so every CSV and JSON writer
+and every text reader runs. It prints one
 `sha256  relpath` line per file written, in path order, and last the SHA-256
 of those lines. Run it on two trees (each with its own `src/`) into two
 directories: the same last line means every artefact has the same bytes.
@@ -39,6 +42,7 @@ def _script(out: Path) -> list[list[str]]:
     fit = ["--manifest", str(small / "manifest.csv"), "--epochs"]
     val = ["--manifest", str(train / "val_manifest.csv")]
     ckpt = ["--checkpoint", str(train / "checkpoint.bin")]
+    posed = [str(small / f"class{c}_0000.pgm") for c in range(6)]
     return [
         ["--out-dir", str(small), "synth", "--scale", "0.1", "--image-size", "32"],
         ["--out-dir", str(large), "synth", "--scale", "0.005", "--image-size", "1024"],
@@ -57,9 +61,16 @@ def _script(out: Path) -> list[list[str]]:
          "--tiles", "3", "5", "--clip", "1.5"],
         ["--out-dir", str(train), "train", *fit, "2",
          "--weighting-report", str(train / "weighting.json")],
+        ["--out-dir", str(out / "cluster"), "cluster", "--manifest", str(small / "manifest.csv")],
         ["--out-dir", str(out / "orient"), "orient-train", *fit, "1"],
+        ["--out-dir", str(out / "posed"), "orient", "--checkpoint",
+         str(out / "orient" / "orient_checkpoint.bin"), *posed],
         ["--out-dir", str(out / "predict"), "predict", *ckpt, *val],
         ["--out-dir", str(out / "eval"), "eval", *ckpt, *val],
+        ["--out-dir", str(out / "eval_predictions"), "eval", "--predictions",
+         str(out / "predict" / "predictions.csv"), *val],
+        ["--out-dir", str(out / "report"), "report", "--model", str(out / "eval" / "eval_report.json"),
+         "--annotators", str(out / "eval_predictions" / "eval_report.json")],
     ]
 
 
