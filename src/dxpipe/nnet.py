@@ -41,7 +41,12 @@ class ModelConfig:
             raise ValueError(f"input_size must be >= 16, got {self.input_size}")
 
 
-EVAL_BATCH = 128  # rows per eval-mode forward pass
+# An eval pass runs EVAL_BATCH rows through the dense layers at once: their
+# GEMMs' last bits depend on the row count, so it is part of the logits'
+# bytes.  Its conv stages run EVAL_CHUNK samples at a time, which bounds the
+# columns and maps alive at once and changes no byte (see _forward_branch).
+EVAL_BATCH = 128
+EVAL_CHUNK = 32
 
 
 def to_input(images: np.ndarray) -> np.ndarray:
@@ -203,6 +208,9 @@ def dropout_backward(dout: np.ndarray, mask: np.ndarray, rate: float) -> np.ndar
     return dout * mask / (1.0 - rate)
 
 
+# Finite logits more than the float range apart overflow their difference
+# to -inf, whose exp is the 0 it would have underflowed to anyway.
+@np.errstate(over="ignore")
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -346,13 +354,12 @@ class FusionNet:
         """Copy with parameters cast to dtype (float64 for gradient checks)."""
         return FusionNet(self.config, params={k: v.astype(dtype) for k, v in self.params.items()})
 
-    def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
-        """Branch features.  Each layer's output replaces its input in x, and
-        what backward needs goes only to the cache, so a _NoCache frees every
-        column matrix and activation once the next layer has used it."""
+    def _conv_stages(self, name: str, x: np.ndarray, c: dict) -> np.ndarray:
+        """A branch's conv1 relu pool conv2 relu pool flatten: its flat
+        features.  Each layer's output replaces its input in x, and what
+        backward needs goes only to c, so a _NoCache frees every column
+        matrix and activation once the next layer has used it."""
         p = self.params
-        name = f"branch_{branch}"
-        c = cache[name] = type(cache)()
         index = not isinstance(c, _NoCache)  # the pool indices only backward reads
         x, c["cols1"] = conv2d_forward(x, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
         _require_finite(f"{name}.conv1", x)
@@ -364,8 +371,27 @@ class FusionNet:
         c["c2"] = np.maximum(x, 0, out=x)
         x, c["pool2"] = maxpool2_forward(x, index)
         c["p2"] = x
-        c["flat"] = x = x.reshape(len(x), -1)
-        feat = dense_forward(x, p[f"{name}.fc.w"], p[f"{name}.fc.b"])
+        return x.reshape(len(x), -1)
+
+    def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
+        """Branch features.  A training pass runs the conv stages once over
+        its batch.  An eval pass (a _NoCache) runs them per EVAL_CHUNK
+        samples, so only one chunk's columns and maps are alive at a time;
+        its fc layer still runs once over all the pass's rows.  Each conv
+        GEMM is one GEMM per sample, and ReLU, pooling and the finiteness
+        check work element by element, so the chunks give the features'
+        bytes of one call over the whole pass."""
+        name = f"branch_{branch}"
+        c = cache[name] = type(cache)()
+        if isinstance(c, _NoCache):
+            flat = np.concatenate(
+                [self._conv_stages(name, x[i : i + EVAL_CHUNK], c)
+                 for i in range(0, len(x), EVAL_CHUNK)]
+            )
+        else:
+            flat = self._conv_stages(name, x, c)
+        c["flat"] = flat
+        feat = dense_forward(flat, self.params[f"{name}.fc.w"], self.params[f"{name}.fc.b"])
         _require_finite(f"{name}.fc", feat)
         return feat
 
@@ -444,8 +470,13 @@ class FusionNet:
         self._backward_branch("b", dfused_in[:, a_dim:], cache, grads)
         return grads
 
+    # A checkpoint with non-finite or huge weights is refused by
+    # _require_finite, naming the layer, as one error; numpy's overflow and
+    # invalid-value warnings would only precede it on stderr.
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode logits for (N, 1, S, S) inputs, EVAL_BATCH rows per pass."""
+        """Eval-mode logits for (N, 1, S, S) inputs: passes of EVAL_BATCH
+        rows, each running its conv stages per EVAL_CHUNK samples."""
         return np.concatenate(
             [
                 self._forward(x[i : i + EVAL_BATCH], _NoCache())

@@ -147,10 +147,14 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
     )
     s = p.image_size
 
+    # The jitter is an integer, so floor(base + jitter) = floor(base) + jitter:
+    # the background has the bytes of the float sum clipped and truncated to
+    # uint8, as the blobs do of their float maximum.
     rows = np.arange(s, dtype=np.float64)
-    base = _BG_TOP + (_BG_BOTTOM - _BG_TOP) * rows / (s - 1)
-    bg = base[:, None] + rng.integers(-_BG_JITTER, _BG_JITTER + 1, size=(s, s))
-    canvas = np.clip(bg, 2, 63)
+    base = np.floor(_BG_TOP + (_BG_BOTTOM - _BG_TOP) * rows / (s - 1)).astype(np.int32)
+    bg = rng.integers(-_BG_JITTER, _BG_JITTER + 1, size=(s, s), dtype=np.int32)
+    bg += base[:, None]
+    canvas = np.clip(bg, 2, 63, out=bg).astype(np.uint8)
 
     x0f, x1f, y0f, y1f = _CLASS_BOXES[class_id]
     x0, x1 = x0f * s, x1f * s
@@ -164,7 +168,7 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
         cy = (y0 + y1) / 2.0 + rng.uniform(-0.08, 0.08) * s
         rx = max(1.0, rng.uniform(0.025, 0.05) * s)
         ry = rng.uniform(0.10, 0.16) * s
-        val = float(rng.integers(_BLOB_MIN_VAL, _BLOB_MAX_VAL + 1))
+        val = int(rng.integers(_BLOB_MIN_VAL, _BLOB_MAX_VAL + 1))
         # The blob is drawn in its bounding box, padded by one pixel on each
         # side. A pixel outside the box is at least rx + 1 (or ry + 1) from the
         # centre, so its x (or y) term exceeds 1 by far more than float
@@ -175,14 +179,13 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
         yy = np.arange(r0, r1)[:, None]
         mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
         box = canvas[r0:r1, c0:c1]
-        box[...] = np.where(mask, np.maximum(box, val), box)
+        np.maximum(box, val, out=box, where=mask)
 
-    out = canvas.astype(np.uint8)
     if p.noise_impulse_prob > 0.0:
         impulses = rng.random((s, s)) < p.noise_impulse_prob
-        salt = rng.integers(0, 2, size=(s, s)).astype(np.uint8) * 255
-        out = np.where(impulses, salt, out)
-    return Image.from_array(out)
+        salt = rng.integers(0, 2, size=(s, s), dtype=np.int32)
+        canvas[impulses] = salt[impulses] * 255
+    return Image.from_array(canvas)
 
 
 def generate_dataset(

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import re
+import struct
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -915,6 +917,33 @@ _ENHANCE_TOKENS = [b"", b" ", b"\n", b"#", b"P2", b"P5", b"0", b"4", b"5", b"15"
                    b"255", b"256", b"99999999999", b"\xff", b"\xc9", b"-"]
 
 
+def _mutated(data, sample: bytes, tokens, positions=None) -> bytes:
+    """sample with 0-3 spans of 0-3 bytes, each at one of positions (default:
+    anywhere), replaced by a token or by random bytes."""
+    buf = bytearray(sample)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(buf)) if positions is None else positions)
+        cut = data.draw(st.integers(0, 3))
+        buf[i : i + cut] = data.draw(st.sampled_from(tokens) | st.binary(max_size=3))
+    return bytes(buf)
+
+
+def _exits_0_or_with_one_error_line(argv) -> None:
+    """run(argv) returns 0 with nothing on stderr, or 1 with one error line;
+    it raises no numpy warning, which pytest would take out of stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_enhance_on_mutated_pgms_exits_0_or_with_one_error_line(tmp_path_factory, data):
@@ -923,23 +952,11 @@ def test_enhance_on_mutated_pgms_exits_0_or_with_one_error_line(tmp_path_factory
     work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
     (work / "in").mkdir()
     for k, sample in enumerate(_ENHANCE_PGMS):
-        buf = bytearray(sample)
-        for _ in range(data.draw(st.integers(0, 3))):
-            i = data.draw(st.integers(0, len(buf)))
-            cut = data.draw(st.integers(0, 3))
-            buf[i : i + cut] = data.draw(st.sampled_from(_ENHANCE_TOKENS) | st.binary(max_size=3))
-        (work / "in" / f"{k}.pgm").write_bytes(bytes(buf))
+        (work / "in" / f"{k}.pgm").write_bytes(_mutated(data, sample, _ENHANCE_TOKENS))
     stage = data.draw(st.sampled_from(["chain", "median", "clahe"]))
     tiles = [str(data.draw(st.integers(1, 3))) for _ in range(2)]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run(["--out-dir", str(work / "out"), "enhance", str(work / "in"),
-                    "--stage", stage, "--tiles", *tiles])
-    if code == 0:
-        assert err.getvalue() == ""
-    else:
-        assert code == 1
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    _exits_0_or_with_one_error_line(["--out-dir", str(work / "out"), "enhance", str(work / "in"),
+                                     "--stage", stage, "--tiles", *tiles])
 
 
 _READER_MANIFEST = b'# seed=0\npath,class_id,rotation\na.pgm,0,0\n"b,c.pgm",1,3\n'
@@ -957,12 +974,7 @@ def test_text_readers_on_mutated_files_exit_0_or_with_one_error_line(tmp_path_fa
         save_pgm(random_image(rng, 32, 32), work / name)
 
     def mutated(name, sample, tokens):
-        buf = bytearray(sample)
-        for _ in range(data.draw(st.integers(0, 3))):
-            i = data.draw(st.integers(0, len(buf)))
-            cut = data.draw(st.integers(0, 3))
-            buf[i : i + cut] = data.draw(st.sampled_from(tokens) | st.binary(max_size=3))
-        (work / name).write_bytes(bytes(buf))
+        (work / name).write_bytes(_mutated(data, sample, tokens))
         return str(work / name)
 
     command = data.draw(st.sampled_from(["cluster", "eval", "report"]))
@@ -975,14 +987,75 @@ def test_text_readers_on_mutated_files_exit_0_or_with_one_error_line(tmp_path_fa
     else:
         report = mutated("r.json", _READER_REPORT, [t.encode() for t in _REPORT_TOKENS])
         argv = ["report", "--model", report, "--annotators", report]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run(["--out-dir", str(work / "out"), *argv])
-    if code == 0:
-        assert err.getvalue() == ""
+    _exits_0_or_with_one_error_line(["--out-dir", str(work / "out"), *argv])
+
+
+_MODEL_PGMS = [
+    b"P5\n16 16\n255\n" + bytes(range(0, 256, 1)),
+    b"P2\n16 16\n15\n" + b" ".join(b"%d" % (v % 16) for v in range(256)) + b"\n",
+]
+_CHECKPOINT_TOKENS = [b"", b"\n", b"=", b",", b"@", b"[config]", b"[tensors]", b"input_size",
+                      b"num_classes", b"dropout_rate", b".w", b"-", b"0", b"1", b"4", b"16",
+                      b"99999999999", b"nan", b"inf", b"\xff", b"\x00"]
+# float32 bit patterns: +-inf, nan, the largest float, -1e30, a subnormal
+_WEIGHT_BITS = [struct.pack("<f", v) for v in (np.inf, -np.inf, np.nan, 3.4e38, -1e30, 1e-45)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_model_readers_on_mutated_inputs_exit_0_or_with_one_error_line(tmp_path_factory, data):
+    # a pose checkpoint for predict, eval --checkpoint or orient, mutated in
+    # its header and metadata, or with weights overwritten in place; and
+    # mutated PGM inputs for predict and orient
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    # a small pose model: 16 px input, dense layers of 3, 3 and 4 units
+    save_model(FusionNet(ModelConfig(16, 3, 3, 4, num_classes=4), seed=0), work / "model.bin")
+    sample = (work / "model.bin").read_bytes()
+    meta_end = 20 + struct.unpack_from("<Q", sample, 12)[0]
+    buf = bytearray(_mutated(data, sample, _CHECKPOINT_TOKENS, st.integers(0, meta_end)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = meta_end + 4 * data.draw(st.integers(0, (len(sample) - meta_end) // 4 - 1))
+        buf[i : i + 4] = data.draw(st.sampled_from(_WEIGHT_BITS) | st.binary(min_size=4, max_size=4))
+    (work / "model.bin").write_bytes(bytes(buf))
+    ckpt = ["--checkpoint", str(work / "model.bin")]
+    command = data.draw(st.sampled_from(["predict", "eval", "orient"]))
+    if command == "eval":
+        for name, pgm in zip(("a.pgm", "b,c.pgm"), _MODEL_PGMS):
+            (work / name).write_bytes(pgm)
+        (work / "m.csv").write_bytes(_READER_MANIFEST)
+        argv = ["eval", *ckpt, "--manifest", str(work / "m.csv")]
     else:
-        assert code == 1
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        images = []
+        for k, pgm in enumerate(_MODEL_PGMS):
+            (work / f"{k}.pgm").write_bytes(_mutated(data, pgm, _ENHANCE_TOKENS))
+            images.append(str(work / f"{k}.pgm"))
+        argv = [command, *ckpt, *images]
+    _exits_0_or_with_one_error_line(["--out-dir", str(work / "out"), *argv])
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("command", ["predict", "eval", "orient"])
+def test_a_non_finite_weight_is_one_error_line_naming_its_layer(
+    tmp_path, capsys, recwarn, command, value
+):
+    manifest = _class_manifest(tmp_path / "data", [1, 1, 1])
+    images = [str(tmp_path / "data" / f"c{c}_0.pgm") for c in range(3)]
+    model = FusionNet(ModelConfig(num_classes=4 if command == "orient" else 6), seed=0)
+    model.params["branch_a.conv1.w"][0, 0, 1, 1] = value
+    save_model(model, tmp_path / "bad.bin")
+    ckpt = ["--checkpoint", str(tmp_path / "bad.bin")]
+    argv = {
+        "predict": ["predict", *ckpt, *images],
+        "eval": ["eval", *ckpt, "--manifest", str(manifest)],
+        "orient": ["orient", *ckpt, *images],
+    }[command]
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "run")] + argv) == 1
+    assert _one_error_line(capsys) == "error: non-finite values in branch_a.conv1\n"
+    # numpy's invalid-value warnings, which pytest would otherwise take out
+    # of stderr, are not raised
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "1e-6"])

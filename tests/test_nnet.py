@@ -226,6 +226,15 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-6)
 
 
+def test_softmax_of_logits_beyond_the_float_range_apart_warns_nothing():
+    import warnings
+
+    logits = np.array([[3.4e38, -3.4e38, 0.0]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(softmax(logits), [[1.0, 0.0, 0.0]])
+
+
 def test_weighted_ce_symmetric_logits():
     loss, _ = weighted_ce(np.zeros((1, 2)), np.array([0]), np.ones(2))
     assert abs(loss - math.log(2)) < 1e-9
@@ -451,6 +460,36 @@ def test_eval_pass_frees_each_layer_once_the_next_has_used_it():
     # the largest layer: branch b's conv1 columns (25 taps) and its output (8 maps)
     largest = len(x) * (25 + 8) * 28 * 28 * 4
     assert peaks["eval"] < 1.25 * largest < peaks["forward"] / 2
+
+
+@pytest.mark.parametrize("n", [1, 31, 33, 129, 300])
+def test_eval_logits_bytes_do_not_depend_on_the_conv_chunk(monkeypatch, n):
+    model = FusionNet(ModelConfig(), seed=n)
+    x = np.random.default_rng(n).random((n, 1, 32, 32)).astype(np.float32)
+    # the training path runs the conv stages once over each whole pass
+    passes = [model.forward(x[i : i + nnet.EVAL_BATCH])[0] for i in range(0, n, nnet.EVAL_BATCH)]
+    expected = np.concatenate(passes).tobytes()
+    for chunk in (1, 7, 32, nnet.EVAL_BATCH):
+        monkeypatch.setattr(nnet, "EVAL_CHUNK", chunk)
+        assert model.eval_logits(x).tobytes() == expected, chunk
+
+
+def test_eval_pass_keeps_one_chunk_of_conv_layers_alive():
+    import tracemalloc
+
+    model = FusionNet(ModelConfig(), seed=8)
+    x = np.random.default_rng(8).random((505, 1, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        model.eval_logits(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk's largest layer: branch b's conv1 columns (25 taps) and its
+    # output (8 maps); and a pass's flat features, 16 + 24 maps of 6x6
+    largest = nnet.EVAL_CHUNK * (25 + 8) * 28 * 28 * 4
+    flat = nnet.EVAL_BATCH * (16 + 24) * 6 * 6 * 4
+    assert peak < 1.25 * (largest + flat)
 
 
 def test_param_shapes_match_initialised_params():

@@ -95,7 +95,8 @@ def test_generate_image_bytes_are_pinned(size, rng_seed, digests):
 
 
 def _reference_image(class_id: int, p: SynthParams, seed: int) -> np.ndarray:
-    """generate_image with every blob's ellipse tested over the whole canvas."""
+    """generate_image rendered in float64, truncated to uint8 at the end,
+    with every blob's ellipse tested over the whole canvas."""
     rng = np.random.default_rng(
         np.random.SeedSequence([p.rng_seed & (2**64 - 1), class_id, seed & (2**64 - 1)])
     )
@@ -133,6 +134,24 @@ def test_boxed_blobs_match_the_whole_canvas_renderer(size, class_id, rng_seed, s
     p = SynthParams(image_size=size, rng_seed=rng_seed)
     got = generate_image(class_id, p, seed).to_array()
     np.testing.assert_array_equal(got, _reference_image(class_id, p, seed))
+
+
+@pytest.mark.parametrize("size", [16, 17, 32, 33, 100, 300, 342, 683, 1000, 1024])
+def test_uint8_renderer_matches_the_float_renderer(size):
+    for rng_seed in (0, 5, 2**63 + 1):
+        p = SynthParams(image_size=size, rng_seed=rng_seed)
+        for cid in range(NUM_CLASSES):
+            got = generate_image(cid, p, seed=cid + 11).to_array()
+            np.testing.assert_array_equal(got, _reference_image(cid, p, cid + 11))
+
+
+def test_floored_background_row_plus_jitter_is_the_float_sum_floored():
+    jitter = np.arange(-synth._BG_JITTER, synth._BG_JITTER + 1, dtype=np.float64)
+    for s in range(16, 2049):
+        rows = np.arange(s, dtype=np.float64)
+        base = synth._BG_TOP + (synth._BG_BOTTOM - synth._BG_TOP) * rows / (s - 1)
+        floored = np.floor(base)[:, None] + jitter
+        np.testing.assert_array_equal(floored, np.floor(base[:, None] + jitter))
 
 
 def test_generate_image_rejects_bad_class():

@@ -19,7 +19,9 @@ trains the region classifier with a weighting report and the pose model,
 corrects the pose of one small image of each class, predicts and evaluates
 on the validation split, evaluates the predictions CSV too, and merges the
 two eval reports into a comparison table, so every CSV and JSON writer
-and every text reader runs. It prints one
+and every text reader runs. It predicts and evaluates on all 252 small
+images too: eval passes of 128 and 124 rows, whose conv stages run in
+chunks of 32 samples and a last one of 28. It prints one
 `sha256  relpath` line per file written, in path order, and last the SHA-256
 of those lines. Run it on two trees (each with its own `src/`) into two
 directories: the same last line means every artefact has the same bytes.
@@ -39,7 +41,8 @@ from dxpipe.cli import run  # noqa: E402
 
 def _script(out: Path) -> list[list[str]]:
     small, large, mid, train = out / "small", out / "large", out / "mid", out / "train"
-    fit = ["--manifest", str(small / "manifest.csv"), "--epochs"]
+    every = ["--manifest", str(small / "manifest.csv")]
+    fit = [*every, "--epochs"]
     val = ["--manifest", str(train / "val_manifest.csv")]
     ckpt = ["--checkpoint", str(train / "checkpoint.bin")]
     posed = [str(small / f"class{c}_0000.pgm") for c in range(6)]
@@ -67,6 +70,8 @@ def _script(out: Path) -> list[list[str]]:
          str(out / "orient" / "orient_checkpoint.bin"), *posed],
         ["--out-dir", str(out / "predict"), "predict", *ckpt, *val],
         ["--out-dir", str(out / "eval"), "eval", *ckpt, *val],
+        ["--out-dir", str(out / "predict_all"), "predict", *ckpt, *every],
+        ["--out-dir", str(out / "eval_all"), "eval", *ckpt, *every],
         ["--out-dir", str(out / "eval_predictions"), "eval", "--predictions",
          str(out / "predict" / "predictions.csv"), *val],
         ["--out-dir", str(out / "report"), "report", "--model", str(out / "eval" / "eval_report.json"),
