@@ -1,16 +1,13 @@
 """Grayscale radiograph pipeline: enhancement, orientation correction,
 six-region classification, and imbalance-aware evaluation."""
 
-from dxpipe.image import Image, Rotation, read_pgm, write_pgm, rotate, flip_horizontal
+from dxpipe.image import read_pgm, write_pgm, rotate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Image",
-    "Rotation",
     "read_pgm",
     "write_pgm",
     "rotate",
-    "flip_horizontal",
     "__version__",
 ]

@@ -15,6 +15,10 @@ Byte layout (all integers little-endian):
                  back to back from offset 0 to the end of the file (the
                  loader accepts no other layout)
 
+Every number in the metadata is spelled as str() writes it, and the loader
+takes no other spelling: no sign, underscore, space or non-ASCII digit that
+str() would not write.
+
 Loading a checkpoint reproduces bit-identical eval-mode forward outputs.
 """
 
@@ -76,8 +80,16 @@ def _config_lines(config: ModelConfig) -> list[str]:
     lines = []
     for f in fields(ModelConfig):
         v = getattr(config, f.name)
-        lines.append(f"{f.name}={v}")
+        lines.append(f"{f.name}={float(v) if f.name == 'dropout_rate' else v}")
     return lines
+
+
+def _canonical(raw: str, parse: type):
+    """parse(raw) (int or float), if raw is the text str() writes for it."""
+    value = parse(raw)
+    if str(value) != raw:
+        raise ValueError(f"{raw!r} is not canonical")
+    return value
 
 
 def _parse_config(lines: list[str]) -> ModelConfig:
@@ -94,7 +106,7 @@ def _parse_config(lines: list[str]) -> ModelConfig:
         if key in kwargs:
             raise CheckpointError(f"corrupt checkpoint: config key {key!r} given twice")
         try:
-            kwargs[key] = float(raw) if key == "dropout_rate" else int(raw)
+            kwargs[key] = _canonical(raw, float if key == "dropout_rate" else int)
         except ValueError:
             raise CheckpointError(f"corrupt checkpoint: bad config value {line!r}") from None
     missing = names - kwargs.keys()
@@ -163,8 +175,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         name, _, rest = line.partition("=")
         shape_str, _, offset_str = rest.partition("@")
         try:
-            shape = tuple(int(d) for d in shape_str.split(","))
-            offset = int(offset_str)
+            shape = tuple(_canonical(d, int) for d in shape_str.split(","))
+            offset = _canonical(offset_str, int)
         except ValueError:
             raise CheckpointError(f"corrupt checkpoint: bad tensor line {line!r}") from None
         if min(shape) < 0 or name in layout:

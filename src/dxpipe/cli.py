@@ -25,7 +25,7 @@ from dxpipe import metrics as metrics_mod
 from dxpipe import orient as orient_mod
 from dxpipe import synth as synth_mod
 from dxpipe import trainer as trainer_mod
-from dxpipe.image import Image, load_pgm, load_pgms, save_pgm
+from dxpipe.image import load_pgm, load_pgms, save_pgm
 from dxpipe.nnet import ModelConfig, to_input
 
 
@@ -172,11 +172,11 @@ def _cmd_enhance(args) -> int:
 
     def write(paths, stack) -> None:
         for path, out in zip(paths, fn(stack)):
-            save_pgm(Image.from_array(out), args.out_dir / path.name)
+            save_pgm(out, args.out_dir / path.name)
             if args.verbose:
                 print(f"  {path.name}")
 
-    enhance_mod.for_each_stack(((p, load_pgm(p).to_array()) for p in inputs), write)
+    enhance_mod.for_each_stack(((p, load_pgm(p)) for p in inputs), write)
     print(f"enhanced {len(inputs)} image(s) -> {args.out_dir}")
     return 0
 
@@ -287,12 +287,12 @@ def _cmd_orient(args) -> int:
         raise ValueError("an input is named orientation.csv, the name of orient's results file")
     model = ckpt_io.load_model(args.checkpoint)
     images = load_pgms(args.inputs)
-    _check_input_size(args, model, args.inputs[0], (images[0].height, images[0].width))
+    _check_input_size(args, model, args.inputs[0], images.shape[1:])
     results = orient_mod.correct_orientation(model, images)
     rows = []
     for name, (corrected, detected, confidence) in zip(names, results):
         save_pgm(corrected, args.out_dir / name)
-        rows.append([name, int(detected), f"{confidence:.6f}"])
+        rows.append([name, detected, f"{confidence:.6f}"])
     text = fileio.csv_text(["path", "detected_turns", "confidence"], rows)
     _write_text(args.out_dir / "orientation.csv", text)
     print(f"corrected {len(args.inputs)} image(s) -> {args.out_dir}")
@@ -325,7 +325,7 @@ def _cmd_predict(args) -> int:
     model = ckpt_io.load_model(args.checkpoint)
     paths = _predict_paths(args)
     names = _basenames(paths)
-    images = np.stack([img.to_array() for img in load_pgms(paths)])
+    images = load_pgms(paths)
     _check_input_size(args, model, paths[0], images.shape[1:])
     scores = model.predict(to_input(images))
     _write_text(args.out_dir / "predictions.csv", _predictions_to_csv(names, scores))

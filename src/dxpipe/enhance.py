@@ -37,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dxpipe.image import Image
-
 # pixels per block: the kernels' block temporaries then fit in L2
 STRIP_PIXELS = 1 << 16
 # CLAHE tiles of at least this many pixels (16 a bin) get one bincount each
@@ -75,9 +73,9 @@ def _as_stack(stack: np.ndarray) -> np.ndarray:
     return a
 
 
-def _on_image(kernel, img: Image, *args) -> Image:
-    """A stack kernel applied to one image."""
-    return Image.from_array(kernel(img.to_array()[None], *args)[0])
+def _on_image(kernel, img: np.ndarray, *args) -> np.ndarray:
+    """A stack kernel applied to one (H, W) image."""
+    return kernel(img[None], *args)[0]
 
 
 def for_each_stack(pairs, process) -> None:
@@ -132,19 +130,19 @@ class ClaheParams:
             raise ValueError(f"clip_factor must be >= 1.0, got {self.clip_factor}")
 
 
-def laplacian(img: Image) -> np.ndarray:
+def laplacian(img: np.ndarray) -> np.ndarray:
     """Discrete 4-neighbor Laplacian, edge-replicated, as signed int32.
 
     Kernel [[0,1,0],[1,-4,1],[0,1,0]]; output is not clamped.
     """
-    a = img.to_array().astype(np.int32)
+    a = img.astype(np.int32)
     p = np.pad(a, 1, mode="edge")
     return (
         p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4 * p[1:-1, 1:-1]
     )
 
 
-def sharpen(img: Image) -> Image:
+def sharpen(img: np.ndarray) -> np.ndarray:
     """Laplacian sharpening: out = clamp(s - lap(s), 0, 255)."""
     return _on_image(sharpen_stack, img)
 
@@ -166,7 +164,7 @@ def sharpen_stack(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def median_filter(img: Image, radius: int) -> Image:
+def median_filter(img: np.ndarray, radius: int) -> np.ndarray:
     """Exact median over the (2*radius+1)^2 window, edge-replicated."""
     return _on_image(median_stack, img, radius)
 
@@ -291,7 +289,7 @@ def equalize_lut(hist: np.ndarray, total) -> np.ndarray:
     return np.where(degenerate, np.arange(256, dtype=np.uint8), lut)
 
 
-def hist_equalize(img: Image) -> Image:
+def hist_equalize(img: np.ndarray) -> np.ndarray:
     """Global histogram equalization; a constant image is returned unchanged."""
     return _on_image(equalize_stack, img)
 
@@ -339,7 +337,7 @@ def clip_histogram(hist: np.ndarray, clip) -> np.ndarray:
     return clipped
 
 
-def clahe(img: Image, p: ClaheParams) -> Image:
+def clahe(img: np.ndarray, p: ClaheParams) -> np.ndarray:
     """Contrast-limited adaptive histogram equalization.
 
     Per tile: 256-bin histogram, clip at max(1, floor(clip_factor *
@@ -544,7 +542,7 @@ def _interp_axis(bounds):
     return i0, i1, k, np.where(d > 0, d, max(d.max(), 1))
 
 
-def enhance_chain(img: Image, p: ClaheParams, median_radius: int = 1) -> Image:
+def enhance_chain(img: np.ndarray, p: ClaheParams, median_radius: int = 1) -> np.ndarray:
     """Full chain: sharpen, then median filter, then CLAHE."""
     return _on_image(chain_stack, img, p, median_radius)
 

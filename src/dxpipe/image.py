@@ -1,13 +1,12 @@
-"""8-bit grayscale images, PGM file I/O, and lossless right-angle transforms.
+"""8-bit grayscale images as (H, W) uint8 arrays: PGM file I/O and lossless
+quarter-turn rotation.
 
-Everything here is pure: images are immutable values, transforms return new
-images, and the binary PGM writer is the canonical on-disk form (round-trips
-byte-for-byte).
+The reader returns read-only arrays over the file's pixel bytes, a set of
+same-size images is one (N, H, W) stack, and the binary PGM writer is the
+canonical on-disk form (round-trips byte-for-byte).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,54 +15,6 @@ from dxpipe.fileio import write_atomic
 
 class PgmError(ValueError):
     """Raised for malformed, oversized, or truncated PGM data."""
-
-
-@dataclass(frozen=True)
-class Image:
-    """Immutable 8-bit grayscale raster, pixels row-major."""
-
-    width: int
-    height: int
-    pixels: bytes
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image dimensions must be >= 1, got {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"pixel buffer length {len(self.pixels)} does not match "
-                f"{self.width}x{self.height}"
-            )
-
-    def to_array(self) -> np.ndarray:
-        """Read-only uint8 view shaped (height, width)."""
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Image":
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        if arr.dtype != np.uint8:
-            raise ValueError(f"expected uint8 pixels, got {arr.dtype}")
-        h, w = arr.shape
-        return cls(width=w, height=h, pixels=np.ascontiguousarray(arr).tobytes())
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Clockwise rotation by a whole number of quarter turns (canonical mod 4)."""
-
-    quarter_turns: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "quarter_turns", self.quarter_turns % 4)
-
-    def inverse(self) -> "Rotation":
-        return Rotation((4 - self.quarter_turns) % 4)
-
-    def __int__(self) -> int:
-        return self.quarter_turns
 
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -104,10 +55,10 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return _number(tok, f"header: bad {what}"), pos
 
 
-def read_pgm(data: bytes) -> Image:
-    """Decode a binary (P5) or ASCII (P2) PGM byte string with maxval <= 255.
-    Header numbers and P2 pixels must be ASCII decimal digits, and no pixel
-    may exceed maxval."""
+def read_pgm(data: bytes) -> np.ndarray:
+    """Decode a binary (P5) or ASCII (P2) PGM byte string with maxval <= 255
+    into a read-only (H, W) uint8 array.  Header numbers and P2 pixels must
+    be ASCII decimal digits, and no pixel may exceed maxval."""
     data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P2"):
@@ -133,11 +84,12 @@ def read_pgm(data: bytes) -> Image:
             raise PgmError(
                 f"truncated PGM payload: expected {count} bytes, got {len(payload)}"
             )
+        pixels = np.frombuffer(payload, dtype=np.uint8)
         if maxval < 255:  # a byte cannot exceed 255
-            above = np.flatnonzero(np.frombuffer(payload, dtype=np.uint8) > maxval)
+            above = np.flatnonzero(pixels > maxval)
             if above.size:
-                raise PgmError(f"malformed PGM pixel value {payload[above[0]]} (maxval {maxval})")
-        return Image(width=width, height=height, pixels=payload)
+                raise PgmError(f"malformed PGM pixel value {pixels[above[0]]} (maxval {maxval})")
+        return pixels.reshape(height, width)
 
     # each pixel takes a separator and a digit: refuse a header whose count
     # the data cannot hold before allocating for it
@@ -157,16 +109,20 @@ def read_pgm(data: bytes) -> Image:
         if v > maxval:
             raise PgmError(f"malformed PGM pixel value {v} (maxval {maxval})")
         values[i] = v
-    return Image(width=width, height=height, pixels=bytes(values))
+    return np.frombuffer(bytes(values), dtype=np.uint8).reshape(height, width)
 
 
-def write_pgm(img: Image) -> bytes:
-    """Encode as canonical binary PGM (P5, maxval 255)."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels
+def write_pgm(img: np.ndarray) -> bytes:
+    """Encode a non-empty (H, W) uint8 array as canonical binary PGM (P5,
+    maxval 255)."""
+    if not (isinstance(img, np.ndarray) and img.ndim == 2 and img.dtype == np.uint8 and img.size):
+        what = f"{img.dtype} {img.shape}" if isinstance(img, np.ndarray) else type(img).__name__
+        raise ValueError(f"expected a non-empty (H, W) uint8 array, got {what}")
+    h, w = img.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes()
 
 
-def load_pgm(path) -> Image:
+def load_pgm(path) -> np.ndarray:
     """The PGM file at path; a malformed one raises PgmError naming it."""
     with open(path, "rb") as fh:
         try:
@@ -175,46 +131,40 @@ def load_pgm(path) -> Image:
             raise PgmError(f"{path}: {exc}") from None
 
 
-def load_pgms(paths) -> list[Image]:
-    """The PGM files at paths, which must all be of the first one's size;
-    the first file of another size is refused by name."""
+def load_pgms(paths) -> np.ndarray:
+    """The (N, H, W) stack of the PGM files at paths (at least one), which
+    must all be of the first one's size; the first file of another size is
+    refused by name."""
     images = []
     for path in paths:
         img = load_pgm(path)
-        if images and (img.width, img.height) != (images[0].width, images[0].height):
+        if images and img.shape != images[0].shape:
+            (h, w), (h0, w0) = img.shape, images[0].shape
             raise ValueError(
-                f"{path}: image is {img.width}x{img.height}, "
-                f"expected {images[0].width}x{images[0].height} like the images before it"
+                f"{path}: image is {w}x{h}, expected {w0}x{h0} like the images before it"
             )
         images.append(img)
-    return images
+    return np.stack(images)
 
 
-def save_pgm(img: Image, path) -> None:
+def save_pgm(img: np.ndarray, path) -> None:
     write_atomic(path, write_pgm(img))
 
 
-def rotate(img: Image, r: Rotation) -> Image:
-    """Rotate clockwise by r quarter turns.
+def rotate(img: np.ndarray, quarter_turns: int) -> np.ndarray:
+    """Rotate clockwise by quarter_turns (any int, taken mod 4); no turn
+    returns img itself.
 
     One turn maps input pixel (row, col) of an HxW image to
     (col, H-1-row) of the WxH output; further turns compose this map.
     """
-    k = int(r) % 4
-    if k == 0:
-        return img
-    arr = np.rot90(img.to_array(), k=-k)
-    return Image.from_array(np.ascontiguousarray(arr))
-
-
-def rotate_array(arr: np.ndarray, quarter_turns: int) -> np.ndarray:
-    """Array-level clockwise quarter-turn rotation (same mapping as rotate)."""
     k = quarter_turns % 4
     if k == 0:
-        return arr
-    return np.ascontiguousarray(np.rot90(arr, k=-k))
+        return img
+    return np.ascontiguousarray(np.rot90(img, k=-k))
 
 
-def flip_horizontal(img: Image) -> Image:
-    """Mirror left-right: column c maps to column width-1-c."""
-    return Image.from_array(np.ascontiguousarray(np.fliplr(img.to_array())))
+# The per-layer list in BENCHMARK.json names image.rotate_array as well as
+# image.rotate: without either name, `perfbench/run.py --trace 1` raises
+# KeyError. The alias goes when that list drops the name (ROADMAP item 2).
+rotate_array = rotate

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from dxpipe.checkpoint import Checkpoint
-from dxpipe.image import Image, Rotation, rotate, rotate_array
+from dxpipe.image import rotate
 from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation, to_input
 from dxpipe.synth import DatasetManifest
 from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit, training_set
@@ -28,7 +28,7 @@ def orientation_stream(n_images: int, seed) -> list[tuple[int, int, int]]:
 
 def _all_turns(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every image under every quarter-turn, with turn labels."""
-    posed = np.stack([rotate_array(img, t) for img in images for t in range(4)])
+    posed = np.stack([rotate(img, t) for img in images for t in range(4)])
     return posed, np.tile(np.arange(4, dtype=np.int64), len(images))
 
 
@@ -49,18 +49,18 @@ def train_orient(
 
 
 def correct_orientation(
-    model: FusionNet, images: list[Image]
-) -> list[tuple[Image, Rotation, float]]:
-    """Detect each image's quarter-turn pose and rotate it back to canonical.
+    model: FusionNet, images: np.ndarray
+) -> list[tuple[np.ndarray, int, float]]:
+    """Detect the quarter-turn pose of each image of an (N, H, W) stack and
+    rotate it back to canonical.
 
     All images are scored together by the batched eval loop.  Returns one
-    (corrected image, detected rotation, confidence) per image, where the
-    confidence is the max softmax score.  Ties resolve to the lowest index.
+    (corrected image, detected clockwise turns 0..3, confidence) per image,
+    where the confidence is the max softmax score.  Ties resolve to the
+    lowest index.
     """
     if model.config.num_classes != 4:
         raise ValueError("pose model must have 4 output classes")
-    scores = model.predict(to_input(np.stack([img.to_array() for img in images])))
-    turns = [Rotation(int(t)) for t in scores.argmax(axis=1)]
-    return [
-        (rotate(img, r.inverse()), r, float(row.max())) for img, r, row in zip(images, turns, scores)
-    ]
+    scores = model.predict(to_input(images))
+    turns = [int(t) for t in scores.argmax(axis=1)]
+    return [(rotate(img, -t), t, float(row.max())) for img, t, row in zip(images, turns, scores)]

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dxpipe.image import Image
-
 _RESIZE = 32
 _BLOCK = 8
 
@@ -75,8 +73,9 @@ _DCT32 = _dct_matrix(_RESIZE)
 _NOISE_FLOOR = 1e-8  # well below any real coefficient, above float64 residue
 
 
-def phash(img: Image) -> PHash:
-    small = _area_resize(img.to_array(), _RESIZE)
+def phash(img: np.ndarray) -> PHash:
+    """The hash of an (H, W) image."""
+    small = _area_resize(img, _RESIZE)
     small -= small.mean()  # brightness never influences the hash
     coeffs = _DCT32 @ small @ _DCT32.T
     block = coeffs[:_BLOCK, :_BLOCK].copy()

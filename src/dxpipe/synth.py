@@ -30,7 +30,7 @@ import numpy as np
 
 from dxpipe.enhance import equalize_stack, for_each_stack
 from dxpipe.fileio import csv_records, csv_text, read_ascii, write_atomic
-from dxpipe.image import Image, Rotation, load_pgm, save_pgm
+from dxpipe.image import load_pgm, save_pgm
 
 NUM_CLASSES = 6
 
@@ -81,7 +81,7 @@ class SynthParams:
 class ManifestEntry:
     path: str
     class_id: int
-    rotation: Rotation = Rotation(0)
+    rotation: int = 0  # clockwise quarter turns, 0..3
 
 
 @dataclass
@@ -138,8 +138,9 @@ _BLOB_MIN_VAL = 150
 _BLOB_MAX_VAL = 230
 
 
-def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
-    """Render one deterministic synthetic radiograph for the given class."""
+def generate_image(class_id: int, p: SynthParams, seed: int) -> np.ndarray:
+    """Render one deterministic synthetic radiograph for the given class,
+    as an (S, S) uint8 array."""
     if not 0 <= class_id < NUM_CLASSES:
         raise ValueError(f"class_id must be 0..{NUM_CLASSES - 1}, got {class_id}")
     rng = np.random.default_rng(
@@ -185,7 +186,7 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> Image:
         impulses = rng.random((s, s)) < p.noise_impulse_prob
         salt = rng.integers(0, 2, size=(s, s), dtype=np.int32)
         canvas[impulses] = salt[impulses] * 255
-    return Image.from_array(canvas)
+    return canvas
 
 
 def generate_dataset(
@@ -227,12 +228,12 @@ def amplify_minority(
                 src = manifest.resolve(e)
                 if not src.exists():
                     raise FileNotFoundError(f"missing source image {src}")
-                yield e, load_pgm(src).to_array()
+                yield e, load_pgm(src)
 
     def equalize(entries, stack) -> None:
         for e, equalized in zip(entries, equalize_stack(stack)):
             name = f"{Path(e.path).stem}_he.pgm"
-            save_pgm(Image.from_array(equalized), manifest.root / name)
+            save_pgm(equalized, manifest.root / name)
             out.entries.append(ManifestEntry(name, e.class_id, e.rotation))
 
     for_each_stack(loaded(), equalize)
@@ -249,7 +250,7 @@ def manifest_to_csv(manifest: DatasetManifest, relative_to: Path | None = None) 
         rel = e.path
         if relative_to is not None:
             rel = os.path.relpath(manifest.root / e.path, relative_to)
-        rows.append([rel, e.class_id, int(e.rotation)])
+        rows.append([rel, e.class_id, e.rotation])
     return f"# seed={manifest.seed}\n" + csv_text(_MANIFEST_HEADER.split(","), rows)
 
 
@@ -265,7 +266,7 @@ class ManifestError(ValueError):
 
 # the class_id and rotation fields save_manifest writes, and their values
 _CLASS_FIELDS = {str(c): c for c in range(NUM_CLASSES)}
-_ROTATION_FIELDS = {str(r): Rotation(r) for r in range(4)}
+_ROTATION_FIELDS = {str(r): r for r in range(4)}
 # a "#" line before the header, and its row end
 _COMMENT_LINE = re.compile(r"#([^\r\n]*)(?:\r\n?|\n)?")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from dxpipe.checkpoint import Checkpoint, checkpoint_from_model
 from dxpipe.fileio import csv_text
-from dxpipe.image import Rotation, load_pgms, rotate_array
+from dxpipe.image import load_pgms, rotate
 from dxpipe.metrics import confusion, per_class_metrics
 from dxpipe.nnet import FusionNet, ModelConfig, sgd_step, softmax, to_input, weighted_ce
 from dxpipe.synth import DatasetManifest, ManifestError
@@ -87,7 +87,7 @@ def compute_class_weights(manifest: DatasetManifest, num_classes: int = 6) -> np
 
 def augment_epoch(
     manifest: DatasetManifest, seed, rotations: bool = True
-) -> list[tuple[int, Rotation]]:
+) -> list[tuple[int, int]]:
     """Shuffled (entry index, quarter-turn) stream for one epoch.
 
     One emission per manifest entry (augmentation happens on the fly, the
@@ -100,7 +100,7 @@ def augment_epoch(
         turns = rng.integers(0, 4, size=len(order))
     else:
         turns = np.zeros(len(order), dtype=np.int64)
-    return [(int(i), Rotation(int(t))) for i, t in zip(order, turns)]
+    return [(int(i), int(t)) for i, t in zip(order, turns)]
 
 
 def stratified_split(
@@ -129,7 +129,7 @@ def stratified_split(
 
 def load_image_array(manifest: DatasetManifest) -> np.ndarray:
     """All manifest images as a uint8 array (N, S, S)."""
-    return np.stack([img.to_array() for img in load_pgms(map(manifest.resolve, manifest.entries))])
+    return load_pgms(map(manifest.resolve, manifest.entries))
 
 
 class TrainingSet(NamedTuple):
@@ -191,7 +191,7 @@ def _fit(
         loss_sum = 0.0
         for batch, start in enumerate(range(0, len(stream), t.batch_size)):
             chunk = stream[start : start + t.batch_size]
-            xb = to_input(np.stack([rotate_array(images[i], turn) for i, turn, _ in chunk]))
+            xb = to_input(np.stack([rotate(images[i], turn) for i, turn, _ in chunk]))
             yb = np.array([label for _, _, label in chunk], dtype=np.int64)
             try:
                 logits, cache = model.forward(xb, train_mode=True, rng=dropout_rng)
@@ -239,7 +239,7 @@ def train(
             np.random.SeedSequence([t.seed & (2**64 - 1), 0xA0, epoch]),
             rotations=t.augment_rotations,
         )
-        return [(i, int(r), int(labels[i])) for i, r in picks]
+        return [(i, turns, int(labels[i])) for i, turns in picks]
 
     return _fit(model_cfg, data.images, stream_fn, data.val_images, data.val.labels(), weights, t)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dxpipe import synth
-from dxpipe.image import Image
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -25,12 +24,12 @@ def pairwise_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
-def constant_image(w: int, h: int, value: int) -> Image:
-    return Image.from_array(np.full((h, w), value, dtype=np.uint8))
+def constant_image(w: int, h: int, value: int) -> np.ndarray:
+    return np.full((h, w), value, dtype=np.uint8)
 
 
-def random_image(rng: np.random.Generator, w: int, h: int) -> Image:
-    return Image.from_array(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+def random_image(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
+    return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
 
 
 @pytest.fixture(scope="session")

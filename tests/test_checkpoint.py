@@ -154,6 +154,13 @@ def test_legacy_full_scale_line_ignored(model, tmp_path, flag):
         np.testing.assert_array_equal(loaded.tensors[name], arr)
 
 
+def test_an_integer_dropout_rate_is_written_as_the_float_it_loads_as(tmp_path):
+    config = ModelConfig(16, 2, 2, 2, dropout_rate=0)
+    save_model(FusionNet(config, seed=0), tmp_path / "m.bin")
+    assert b"\ndropout_rate=0.0\n" in (tmp_path / "m.bin").read_bytes()
+    assert load_checkpoint(tmp_path / "m.bin").config == config
+
+
 def test_checkpoint_version_field():
     model = FusionNet(ModelConfig(), seed=0)
     ckpt = checkpoint_from_model(model)
@@ -175,6 +182,27 @@ _HOSTILE = {
     ),
     "non-integer-config-value": (
         lambda d: _edit_meta(d, rb"fusion_dim=128", b"fusion_dim=12.8"), "bad config value"
+    ),
+    # numbers that int() and float() take but save_checkpoint never writes
+    "signed-config-int": (
+        lambda d: _edit_meta(d, rb"input_size=32", b"input_size=+32"),
+        r"bad config value 'input_size=\+32'",
+    ),
+    "non-ascii-config-digits": (
+        lambda d: _edit_meta(d, rb"input_size=32", "input_size=\u0663\u0662".encode()),
+        "bad config value 'input_size=\u0663\u0662'",
+    ),
+    "underscored-config-int": (
+        lambda d: _edit_meta(d, rb"input_size=32", b"input_size=3_2"),
+        r"bad config value 'input_size=3_2'",
+    ),
+    "underscored-dropout-rate": (
+        lambda d: _edit_meta(d, rb"dropout_rate=0\.5", b"dropout_rate=0.5_0"),
+        r"bad config value 'dropout_rate=0\.5_0'",
+    ),
+    "spaced-tensor-dim": (
+        lambda d: _edit_meta(d, rb"head\.w=6,128@", b"head.w= 6,128@"),
+        r"bad tensor line 'head\.w= 6,128@\d+'",
     ),
     "unknown-config-key": (
         lambda d: _edit_meta(d, rb"fusion_dim=", b"fusion_dlm="),

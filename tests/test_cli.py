@@ -18,7 +18,7 @@ from conftest import constant_image, random_image
 from dxpipe import enhance, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
-from dxpipe.image import Image, load_pgm, save_pgm
+from dxpipe.image import load_pgm, save_pgm
 from dxpipe.metrics import EvalReport, build_report
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import load_manifest
@@ -702,7 +702,7 @@ def _enhance_inputs(root, shapes, seed=3):
     arrays = {}
     for name, shape in shapes:
         arrays[name] = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        save_pgm(Image.from_array(arrays[name]), root / name)
+        save_pgm(arrays[name], root / name)
     return arrays
 
 
@@ -730,7 +730,7 @@ def test_enhance_directory_of_mixed_shapes_matches_one_image_at_a_time(tmp_path,
     stdout = capsys.readouterr().out
     assert re.findall(r"^  (\S+)$", stdout, re.M) == sorted(arrays)
     for name, arr in arrays.items():
-        expected = _STAGE_FUNCTIONS[stage](Image.from_array(arr)).to_array()
+        expected = _STAGE_FUNCTIONS[stage](arr)
         assert (out / name).read_bytes() == (
             b"P5\n%d %d\n255\n" % arr.shape[::-1] + expected.tobytes()
         ), name
@@ -757,7 +757,7 @@ def test_enhance_stops_at_a_corrupt_pgm_after_writing_the_inputs_before_it(
     assert captured.out.splitlines()[1:] == ["  i0.pgm", "  i1.pgm", "  i2.pgm"]
     assert sorted(p.name for p in out.iterdir()) == ["i0.pgm", "i1.pgm", "i2.pgm"]
     for name in ("i0.pgm", "i1.pgm", "i2.pgm"):
-        expected = fn(Image.from_array(arrays[name])).to_array()
+        expected = fn(arrays[name])
         assert (out / name).read_bytes().endswith(expected.tobytes())
 
 
@@ -781,7 +781,7 @@ def _class_manifest(root, counts, odd=None, side=32):
         for i in range(n):
             name = f"c{c}_{i}.pgm"
             size = (40, 40) if name == odd else (side, side)
-            save_pgm(Image.from_array(rng.integers(0, 256, size, dtype=np.uint8)), root / name)
+            save_pgm(rng.integers(0, 256, size, dtype=np.uint8), root / name)
             rows.append(f"{name},{c},0\n")
     (root / "manifest.csv").write_text("# seed=0\npath,class_id,rotation\n" + "".join(rows))
     return root / "manifest.csv"
@@ -845,7 +845,7 @@ def test_images_not_of_the_input_size_are_refused_naming_file_and_size(
     if split == "validation":  # the validation images alone are 40 px
         _, val = trainer.split_for_config(load_manifest(manifest), trainer.TrainConfig())
         for e in val.entries:
-            save_pgm(Image.from_array(np.zeros((40, 40), dtype=np.uint8)), data / e.path)
+            save_pgm(np.zeros((40, 40), dtype=np.uint8), data / e.path)
     first = data / "c0_0.pgm"
     images = [str(first), str(data / "c1_0.pgm")]
     ckpt = _checkpoint(tmp_path, 4 if command == "orient" else 6)
@@ -959,6 +959,11 @@ def test_enhance_on_mutated_pgms_exits_0_or_with_one_error_line(tmp_path_factory
                                      "--stage", stage, "--tiles", *tiles])
 
 
+# 16 px PGMs: P5 at maxval 255 and P2 at maxval 15
+_MODEL_PGMS = [
+    b"P5\n16 16\n255\n" + bytes(range(0, 256, 1)),
+    b"P2\n16 16\n15\n" + b" ".join(b"%d" % (v % 16) for v in range(256)) + b"\n",
+]
 _READER_MANIFEST = b'# seed=0\npath,class_id,rotation\na.pgm,0,0\n"b,c.pgm",1,3\n'
 _READER_REPORT = build_report([0, 1], [0, 1], 2, score_matrix=np.eye(2)).to_json().encode()
 
@@ -966,12 +971,9 @@ _READER_REPORT = build_report([0, 1], [0, 1], 2, score_matrix=np.eye(2)).to_json
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_text_readers_on_mutated_files_exit_0_or_with_one_error_line(tmp_path_factory, data):
-    # a manifest for cluster, a manifest and predictions for eval --predictions,
-    # or an eval report for report; each file mutated or not
+    # a manifest and its two PGMs for cluster, a manifest and predictions for
+    # eval --predictions, or an eval report for report; each file mutated or not
     work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
-    rng = np.random.default_rng(0)
-    for name in ("a.pgm", "b,c.pgm"):
-        save_pgm(random_image(rng, 32, 32), work / name)
 
     def mutated(name, sample, tokens):
         (work / name).write_bytes(_mutated(data, sample, tokens))
@@ -979,6 +981,8 @@ def test_text_readers_on_mutated_files_exit_0_or_with_one_error_line(tmp_path_fa
 
     command = data.draw(st.sampled_from(["cluster", "eval", "report"]))
     if command == "cluster":
+        for name, pgm in zip(("a.pgm", "b,c.pgm"), _MODEL_PGMS):
+            mutated(name, pgm, _ENHANCE_TOKENS)
         argv = ["cluster", "--k", "2", "--manifest",
                 mutated("m.csv", _READER_MANIFEST, _MANIFEST_TOKENS)]
     elif command == "eval":
@@ -990,10 +994,6 @@ def test_text_readers_on_mutated_files_exit_0_or_with_one_error_line(tmp_path_fa
     _exits_0_or_with_one_error_line(["--out-dir", str(work / "out"), *argv])
 
 
-_MODEL_PGMS = [
-    b"P5\n16 16\n255\n" + bytes(range(0, 256, 1)),
-    b"P2\n16 16\n15\n" + b" ".join(b"%d" % (v % 16) for v in range(256)) + b"\n",
-]
 _CHECKPOINT_TOKENS = [b"", b"\n", b"=", b",", b"@", b"[config]", b"[tensors]", b"input_size",
                       b"num_classes", b"dropout_rate", b".w", b"-", b"0", b"1", b"4", b"16",
                       b"99999999999", b"nan", b"inf", b"\xff", b"\x00"]
@@ -1001,12 +1001,18 @@ _CHECKPOINT_TOKENS = [b"", b"\n", b"=", b",", b"@", b"[config]", b"[tensors]", b
 _WEIGHT_BITS = [struct.pack("<f", v) for v in (np.inf, -np.inf, np.nan, 3.4e38, -1e30, 1e-45)]
 
 
+# classes 0, 0, 1, ..., 5: each class in the training split, class 0 in both
+_MODEL_CLASSES = (0, 0, 1, 2, 3, 4, 5)
+_TINY_TRAINING = ["--epochs", "1", "--batch-size", "4", "--input-size", "16",
+                  "--branch-a-dim", "3", "--branch-b-dim", "3", "--fusion-dim", "4"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_model_readers_on_mutated_inputs_exit_0_or_with_one_error_line(tmp_path_factory, data):
     # a pose checkpoint for predict, eval --checkpoint or orient, mutated in
-    # its header and metadata, or with weights overwritten in place; and
-    # mutated PGM inputs for predict and orient
+    # its header and metadata, or with weights overwritten in place; and two
+    # mutated PGM inputs for those three and for train and orient-train
     work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
     # a small pose model: 16 px input, dense layers of 3, 3 and 4 units
     save_model(FusionNet(ModelConfig(16, 3, 3, 4, num_classes=4), seed=0), work / "model.bin")
@@ -1018,18 +1024,24 @@ def test_model_readers_on_mutated_inputs_exit_0_or_with_one_error_line(tmp_path_
         buf[i : i + 4] = data.draw(st.sampled_from(_WEIGHT_BITS) | st.binary(min_size=4, max_size=4))
     (work / "model.bin").write_bytes(bytes(buf))
     ckpt = ["--checkpoint", str(work / "model.bin")]
-    command = data.draw(st.sampled_from(["predict", "eval", "orient"]))
-    if command == "eval":
-        for name, pgm in zip(("a.pgm", "b,c.pgm"), _MODEL_PGMS):
-            (work / name).write_bytes(pgm)
-        (work / "m.csv").write_bytes(_READER_MANIFEST)
-        argv = ["eval", *ckpt, "--manifest", str(work / "m.csv")]
+    command = data.draw(st.sampled_from(["predict", "eval", "orient", "train", "orient-train"]))
+    images = []
+    for k, pgm in enumerate(_MODEL_PGMS):
+        (work / f"{k}.pgm").write_bytes(_mutated(data, pgm, _ENHANCE_TOKENS))
+        images.append(f"{k}.pgm")
+    if command in ("predict", "orient"):
+        argv = [command, *ckpt, *(str(work / name) for name in images)]
     else:
-        images = []
-        for k, pgm in enumerate(_MODEL_PGMS):
-            (work / f"{k}.pgm").write_bytes(_mutated(data, pgm, _ENHANCE_TOKENS))
-            images.append(str(work / f"{k}.pgm"))
-        argv = [command, *ckpt, *images]
+        # the two mutated images first, of class 0; a training also gets an
+        # intact image of each other class
+        if command != "eval":
+            for k in range(len(images), len(_MODEL_CLASSES)):
+                (work / f"{k}.pgm").write_bytes(_MODEL_PGMS[k % 2])
+                images.append(f"{k}.pgm")
+        rows = "".join(f"{name},{c},0\n" for name, c in zip(images, _MODEL_CLASSES))
+        (work / "m.csv").write_text("# seed=0\npath,class_id,rotation\n" + rows)
+        flags = ckpt if command == "eval" else _TINY_TRAINING
+        argv = [command, "--manifest", str(work / "m.csv"), *flags]
     _exits_0_or_with_one_error_line(["--out-dir", str(work / "out"), *argv])
 
 

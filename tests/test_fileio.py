@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import constant_image
 from dxpipe import cli, fileio
 from dxpipe.checkpoint import checkpoint_from_model, save_checkpoint
-from dxpipe.image import Rotation, save_pgm
+from dxpipe.image import save_pgm
 from dxpipe.metrics import build_report
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.synth import DatasetManifest, ManifestEntry, save_manifest
@@ -45,7 +45,7 @@ def _save_checkpoint(root, seed):
 
 
 def _save_manifest(root, seed):
-    entries = [ManifestEntry("x.pgm", 3, Rotation(2))]
+    entries = [ManifestEntry("x.pgm", 3, 2)]
     save_manifest(DatasetManifest(entries=entries, seed=seed, root=root), root / "m.csv")
     return "m.csv"
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dxpipe.checkpoint import model_from_checkpoint
-from dxpipe.image import Rotation, load_pgm, rotate
+from dxpipe.image import load_pgm, rotate
 from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation
 from dxpipe.orient import correct_orientation, orientation_stream, train_orient
 from dxpipe.trainer import TrainConfig
@@ -32,25 +32,23 @@ def test_correct_orientation_requires_pose_model():
     model = FusionNet(ModelConfig(num_classes=6), seed=0)
     img = load_img_stub()
     with pytest.raises(ValueError, match="4 output"):
-        correct_orientation(model, [img])
+        correct_orientation(model, img[None])
 
 
 def load_img_stub():
-    from dxpipe.image import Image
-
     rng = np.random.default_rng(0)
-    return Image.from_array(rng.integers(0, 255, size=(32, 32), dtype=np.uint8))
+    return rng.integers(0, 255, size=(32, 32), dtype=np.uint8)
 
 
 def test_correct_orientation_confidence_and_inverse():
     # untrained model: prediction is arbitrary but the contract still holds
     model = FusionNet(ModelConfig(num_classes=4), seed=1)
     img = load_img_stub()
-    [(corrected, detected, confidence)] = correct_orientation(model, [img])
+    [(corrected, detected, confidence)] = correct_orientation(model, img[None])
     assert 0.0 <= confidence <= 1.0
-    assert corrected == rotate(img, detected.inverse())
-    if int(detected) == 0:
-        assert corrected == img
+    assert type(detected) is int and 0 <= detected <= 3
+    np.testing.assert_array_equal(corrected, rotate(img, -detected))
+    np.testing.assert_array_equal(rotate(corrected, detected), img)
 
 
 @pytest.fixture(scope="module")
@@ -70,12 +68,12 @@ def test_trained_model_restores_rotated_images(tiny_dataset, pose_model):
     for e in tiny_dataset.entries[::5]:
         img = load_pgm(tiny_dataset.resolve(e))
         for turns in range(4):
-            posed = rotate(img, Rotation(turns))
-            [(fixed, detected, _)] = correct_orientation(model, [posed])
+            posed = rotate(img, turns)
+            [(fixed, detected, _)] = correct_orientation(model, posed[None])
             total += 1
-            if int(detected) == turns:
+            if detected == turns:
                 hits += 1
-                assert fixed == img  # lossless quarter turns: exact restore
+                np.testing.assert_array_equal(fixed, img)  # lossless quarter turns: exact restore
                 exact += 1
     assert hits == exact
     assert hits / total > 0.5  # the tiny run already learns the pose cue
@@ -90,15 +88,15 @@ def test_train_orient_deterministic(tiny_dataset):
 
 
 def test_batched_correction_matches_single_image_calls(tiny_dataset, pose_model):
-    posed = [
-        rotate(load_pgm(tiny_dataset.resolve(e)), Rotation(i % 4))
+    posed = np.stack([
+        rotate(load_pgm(tiny_dataset.resolve(e)), i % 4)
         for i, e in enumerate(tiny_dataset.entries[::3])
-    ]
+    ])
     batched = correct_orientation(pose_model, posed)
     assert len(batched) == len(posed)
     for img, (fixed, detected, confidence) in zip(posed, batched):
-        [(fixed1, detected1, confidence1)] = correct_orientation(pose_model, [img])
+        [(fixed1, detected1, confidence1)] = correct_orientation(pose_model, img[None])
         assert detected == detected1
-        assert fixed == fixed1
+        np.testing.assert_array_equal(fixed, fixed1)
         # one-row and many-row BLAS kernels round differently
         assert abs(confidence - confidence1) < 1e-5

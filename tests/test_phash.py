@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_image, random_image
-from dxpipe.image import Image, read_pgm, write_pgm
+from dxpipe.image import read_pgm, write_pgm
 from dxpipe.phash import PHash, _area_resize, hamming, phash
 from dxpipe.synth import SynthParams, generate_image
 
@@ -24,9 +24,8 @@ def test_brightness_shift_small_hamming():
     for cid in range(6):
         for seed in range(5):
             img = generate_image(cid, p, seed)
-            arr = img.to_array()
-            assert arr.max() <= 245
-            shifted = Image.from_array((arr.astype(np.int16) + 10).clip(0, 255).astype(np.uint8))
+            assert img.max() <= 245
+            shifted = (img.astype(np.int16) + 10).clip(0, 255).astype(np.uint8)
             assert hamming(phash(img), phash(shifted)) <= 8
 
 
