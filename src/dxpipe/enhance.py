@@ -12,7 +12,9 @@ blocks of about STRIP_PIXELS pixels, so that its temporaries stay in cache: a
 block is a row strip of one image larger than that, or as many whole smaller
 images as fit.  Each output pixel goes through the same integer or
 floating-point operations whatever the blocks are, so the output depends
-neither on the block size nor on which images share a stack.
+neither on the block size nor on which images share a stack.  Global
+equalization counts and maps a larger image in strips of STRIP_PIXELS byte
+pairs instead (see _equalize_pairs).
 
 The 3x3 median shares work between neighbouring columns: each block sorts
 every padded column's three rows once, and each pixel combines the sorts of
@@ -295,19 +297,54 @@ def hist_equalize(img: np.ndarray) -> np.ndarray:
 
 
 def equalize_stack(stack: np.ndarray) -> np.ndarray:
-    """hist_equalize over an (N, H, W) uint8 stack: each image's histogram,
-    from one bincount per block over image * 256 + pixel, maps its own pixels."""
+    """hist_equalize over an (N, H, W) uint8 stack: each image's histogram
+    maps its own pixels.
+
+    An image of more than STRIP_PIXELS pixels is counted and mapped a byte
+    pair at a time (_equalize_pairs).  Smaller images share one bincount per
+    block over image * 256 + pixel and one gather from their stacked tables."""
     a = _as_stack(stack)
     n, h, w = a.shape
+    out = np.empty_like(a)
+    if h * w > STRIP_PIXELS:
+        for i in range(n):
+            _equalize_pairs(np.ascontiguousarray(a[i]).reshape(-1), out[i].reshape(-1))
+        return out
     hist = np.zeros((n, 256), dtype=np.int64)
     for i0, i1, r0, r1 in _blocks(n, h, w):
         idx = a[i0:i1, r0:r1] + (np.arange(i1 - i0) * 256)[:, None, None]
         hist[i0:i1] += np.bincount(idx.ravel(), minlength=(i1 - i0) * 256).reshape(-1, 256)
     flat = equalize_lut(hist, h * w).reshape(-1)
-    out = np.empty_like(a)
     for i0, i1, r0, r1 in _blocks(n, h, w):
         out[i0:i1, r0:r1] = flat[a[i0:i1, r0:r1] + (np.arange(i0, i1) * 256)[:, None, None]]
     return out
+
+
+def _equalize_pairs(pixels: np.ndarray, out: np.ndarray) -> None:
+    """One image's hist_equalize from its contiguous pixels into out, a
+    byte pair at a time, so no pass widens a pixel to an 8-byte index.
+
+    The pixels, viewed as uint16, take one 65,536-bin bincount per strip of
+    STRIP_PIXELS pairs; folded to 256 bins, a pair counts once for each of
+    its bytes, whatever the byte order.  Each pair then maps through one
+    65,536-entry table of lut[hi] << 8 | lut[lo], which puts each byte's
+    entry back in that byte's place.  An odd last pixel is counted and
+    mapped alone.  Strips keep the intp copies that bincount and take make
+    of their indices as small as the blocks of the other kernels."""
+    even = pixels.size & ~1
+    pairs, out_pairs = pixels[:even].view(np.uint16), out[:even].view(np.uint16)
+    strips = [slice(p0, p0 + STRIP_PIXELS) for p0 in range(0, pairs.size, STRIP_PIXELS)]
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    for s in strips:
+        counts += np.bincount(pairs[s], minlength=1 << 16)
+    counts = counts.reshape(256, 256)
+    hist = counts.sum(axis=0) + counts.sum(axis=1)
+    hist[pixels[even:]] += 1
+    lut = equalize_lut(hist, pixels.size)
+    table = ((lut[:, None].astype(np.uint16) << 8) | lut).reshape(-1)
+    for s in strips:
+        np.take(table, pairs[s], out=out_pairs[s])
+    out[even:] = lut[pixels[even:]]
 
 
 def tile_bounds(extent: int, tiles: int) -> list[tuple[int, int]]:

@@ -1,6 +1,6 @@
 """64-bit perceptual hashes from low-frequency DCT structure.
 
-Pipeline: exact area-average resize to 32x32, orthonormal 2-D DCT-II,
+Pipeline: area-average resize to 32x32, orthonormal 2-D DCT-II,
 keep the top-left 8x8 coefficient block.  The DC coefficient is zeroed
 (overall brightness must not influence the hash), then bit i is set iff
 coefficient i exceeds the mean of the 63 non-DC coefficients.  Bits are
@@ -32,8 +32,24 @@ class PHash:
 
 
 def _area_resize(arr: np.ndarray, size: int) -> np.ndarray:
-    """Exact area-weighted downscale/upscale to size x size (float64)."""
+    """Area-weighted downscale/upscale of a uint8 image to size x size
+    (float64): the GEMM _axis_weights(size, h) @ arr @ _axis_weights(size, w).T,
+    each output pixel the overlap-weighted mean of the source under it.
+
+    When both sides are power-of-two multiples of size, every weight is 0 or
+    1 / 2^k and every partial sum of the GEMM is a dyadic rational of at most
+    53 bits, so the GEMM is exact and equals the block sums divided by the
+    block size.  Those are taken in integers instead: the row blocks first,
+    along the whole width in uint32, then the column blocks; a block of one
+    pixel is the image itself.  Other sizes keep the GEMM, whose weights and
+    sums round."""
     h, w = arr.shape
+    sy, sx = h // size, w // size
+    if h == sy * size and w == sx * size and not (sy & (sy - 1) or sx & (sx - 1)):
+        if sy == sx == 1:
+            return arr.astype(np.float64)
+        rows = np.add.reduce(arr.reshape(size, sy, w), axis=1, dtype=np.uint32)
+        return rows.reshape(size, size, sx).sum(axis=2, dtype=np.uint64) / (sy * sx)
     return _axis_weights(size, h) @ arr.astype(np.float64) @ _axis_weights(size, w).T
 
 

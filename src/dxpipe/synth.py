@@ -111,11 +111,15 @@ class DatasetManifest:
 
 def default_class_specs(scale: float = 0.2) -> list[ClassSpec]:
     """Scale the full-size class counts, rounding to the nearest integer.
-    A scale that is not finite and positive, or that rounds every count to
-    0, gives no dataset and raises ValueError."""
+    A scale that is not finite and positive, that makes a count overflow to
+    infinity, or that rounds every count to 0 gives no dataset and raises
+    ValueError."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
-    counts = [round(FULL_CLASS_COUNTS[cid] * scale) for cid in range(NUM_CLASSES)]
+    scaled = [FULL_CLASS_COUNTS[cid] * scale for cid in range(NUM_CLASSES)]
+    if not all(map(math.isfinite, scaled)):
+        raise ValueError(f"scale {scale} gives class counts that are not finite")
+    counts = [round(c) for c in scaled]
     if not any(counts):
         raise ValueError(f"scale {scale} gives no images: every class count rounds to 0")
     return [ClassSpec(cid, CLASS_DESCRIPTIONS[cid], counts[cid]) for cid in range(NUM_CLASSES)]

@@ -1011,8 +1011,10 @@ _TINY_TRAINING = ["--epochs", "1", "--batch-size", "4", "--input-size", "16",
 @given(data=st.data())
 def test_model_readers_on_mutated_inputs_exit_0_or_with_one_error_line(tmp_path_factory, data):
     # a pose checkpoint for predict, eval --checkpoint or orient, mutated in
-    # its header and metadata, or with weights overwritten in place; and two
-    # mutated PGM inputs for those three and for train and orient-train
+    # its header and metadata, or with weights overwritten in place; two
+    # mutated PGM inputs for those three and for train and orient-train; and
+    # a mutated manifest of them for predict --manifest, eval --checkpoint,
+    # train and orient-train
     work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
     # a small pose model: 16 px input, dense layers of 3, 3 and 4 units
     save_model(FusionNet(ModelConfig(16, 3, 3, 4, num_classes=4), seed=0), work / "model.bin")
@@ -1024,7 +1026,10 @@ def test_model_readers_on_mutated_inputs_exit_0_or_with_one_error_line(tmp_path_
         buf[i : i + 4] = data.draw(st.sampled_from(_WEIGHT_BITS) | st.binary(min_size=4, max_size=4))
     (work / "model.bin").write_bytes(bytes(buf))
     ckpt = ["--checkpoint", str(work / "model.bin")]
-    command = data.draw(st.sampled_from(["predict", "eval", "orient", "train", "orient-train"]))
+    command = data.draw(st.sampled_from(
+        ["predict", "predict --manifest", "eval", "orient", "train", "orient-train"]
+    ))
+    training = command in ("train", "orient-train")
     images = []
     for k, pgm in enumerate(_MODEL_PGMS):
         (work / f"{k}.pgm").write_bytes(_mutated(data, pgm, _ENHANCE_TOKENS))
@@ -1034,14 +1039,15 @@ def test_model_readers_on_mutated_inputs_exit_0_or_with_one_error_line(tmp_path_
     else:
         # the two mutated images first, of class 0; a training also gets an
         # intact image of each other class
-        if command != "eval":
+        if training:
             for k in range(len(images), len(_MODEL_CLASSES)):
                 (work / f"{k}.pgm").write_bytes(_MODEL_PGMS[k % 2])
                 images.append(f"{k}.pgm")
         rows = "".join(f"{name},{c},0\n" for name, c in zip(images, _MODEL_CLASSES))
-        (work / "m.csv").write_text("# seed=0\npath,class_id,rotation\n" + rows)
-        flags = ckpt if command == "eval" else _TINY_TRAINING
-        argv = [command, "--manifest", str(work / "m.csv"), *flags]
+        manifest = ("# seed=0\npath,class_id,rotation\n" + rows).encode()
+        (work / "m.csv").write_bytes(_mutated(data, manifest, _MANIFEST_TOKENS))
+        flags = _TINY_TRAINING if training else ckpt
+        argv = [command.split()[0], "--manifest", str(work / "m.csv"), *flags]
     _exits_0_or_with_one_error_line(["--out-dir", str(work / "out"), *argv])
 
 
@@ -1070,7 +1076,7 @@ def test_a_non_finite_weight_is_one_error_line_naming_its_layer(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "1e-6"])
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "1e-6", "1e308"])
 def test_synth_refuses_a_scale_that_gives_no_dataset_by_name(tmp_path, capsys, scale):
     capsys.readouterr()
     assert run(["--out-dir", str(tmp_path / "data"), "synth", "--scale", scale]) == 1

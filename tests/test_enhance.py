@@ -620,6 +620,31 @@ def test_stack_kernels_match_whole_image_oracles(monkeypatch, n):
             assert got[name] == expected[name], (name, pixels)
 
 
+def _equalize_input(shape, fill):
+    rng = np.random.default_rng(shape[1] + shape[2])
+    if fill == "constant":
+        return np.full(shape, 93, dtype=np.uint8)
+    if fill == "two-level":
+        return np.where(rng.random(shape) < 0.3, 7, 230).astype(np.uint8)
+    if fill == "view":  # every other column of a wider stack: not contiguous
+        wide = rng.integers(0, 256, size=(*shape[:2], 2 * shape[2]), dtype=np.uint8)
+        return wide[:, :, ::2]
+    return rng.integers(0, 256, size=shape, dtype=np.uint8)
+
+
+# odd pixel counts: a last pixel outside every pair; the second 1001 x 999
+# image starts at an odd byte, so its pairs are unaligned uint16
+@pytest.mark.parametrize("fill", ["random", "constant", "two-level", "view"])
+@pytest.mark.parametrize("shape", [(1, 257, 255), (2, 1001, 999), (3, 300, 500)])
+@pytest.mark.parametrize("pixels", [1000, STRIP_PIXELS])
+def test_equalize_pairs_match_whole_image_oracle(monkeypatch, shape, fill, pixels):
+    # with 1000 every image is counted and mapped in pairs, 1000 pairs a
+    # strip and a short last strip; with STRIP_PIXELS only the larger ones
+    monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
+    stack = _equalize_input(shape, fill)
+    assert enhance.equalize_stack(stack).tobytes() == _per_image(_hist_equalize_oracle, stack)
+
+
 # (64, 64): three images in one block, whose bands interpolate from two
 # gathers a band and from a table of the band's pairs; the 3x5 grid divides
 # each column by its own tile spacing

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import constant_image, random_image
 from dxpipe.image import read_pgm, write_pgm
-from dxpipe.phash import PHash, _area_resize, hamming, phash
+from dxpipe.phash import PHash, _area_resize, _axis_weights, hamming, phash
 from dxpipe.synth import SynthParams, generate_image
 
 
@@ -71,10 +71,24 @@ def test_area_resize_preserves_mean():
     assert abs(out.mean() - arr.mean()) < 1e-6
 
 
+# sides of 32 * 2^k take block sums; the others, an upscale from 16 px among
+# them, the GEMM itself
+@pytest.mark.parametrize("shape", [
+    *((32 << k, 32 << k) for k in range(7)),
+    (1024, 512), (32, 2048), (2048, 64), (64, 32),
+    (16, 16), (96, 96), (1000, 1000), (50, 70), (1024, 1000), (96, 64),
+])
+def test_area_resize_has_the_bytes_of_the_weight_gemm(shape):
+    a = np.random.default_rng(shape[0] * 3 + shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
+    for img in (a, np.full(shape, 255, dtype=np.uint8)):  # the largest sums too
+        gemm = _axis_weights(32, shape[0]) @ img.astype(np.float64) @ _axis_weights(32, shape[1]).T
+        out = _area_resize(img, 32)
+        assert out.dtype == np.float64 and out.shape == (32, 32)
+        assert out.tobytes() == gemm.tobytes()
+
+
 @pytest.mark.parametrize("source", [32, 1024, 1, 7, 33, 500, 1000])
 def test_axis_weights_cache_matches_uncached_and_is_read_only(source):
-    from dxpipe.phash import _axis_weights
-
     cached = _axis_weights(32, source)
     assert _axis_weights(32, source) is cached  # built once per size pair
     fresh = _axis_weights.__wrapped__(32, source)

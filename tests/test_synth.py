@@ -190,6 +190,13 @@ def test_default_specs_scale_one_fifth():
     assert abs(frac - 75 / 2526) < 0.005
 
 
+def test_default_specs_refuse_a_scale_whose_counts_overflow():
+    # 1e308 is finite, but 541 * 1e308 is not, and round() of it would
+    # raise OverflowError
+    with pytest.raises(ValueError, match=r"^scale 1e\+308 gives class counts that are not finite$"):
+        default_class_specs(1e308)
+
+
 def test_generate_dataset_counts_and_files(tmp_path):
     specs = [ClassSpec(0, "ul", 4), ClassSpec(5, "lc", 2), ClassSpec(3, "lr", 0)]
     manifest = generate_dataset(specs, SynthParams(rng_seed=9), tmp_path)

@@ -9,22 +9,25 @@ enhances the 1024 px images (row strips, large-tile histograms, CLAHE in
 alone (the comparator network) and their CLAHE alone with 4x4 tiles
 (centres 256 px apart: 32-bit lanes, on row strips), runs CLAHE alone
 with 8x8 tiles on the 1000 px images (centres 125 px apart: 16-bit lanes
-and a divisor that is no power of two, at radiograph scale), enhances the small
-images with 8x8 tiles (stacks of whole images: small-tile histograms, the
-3x3 median and tile tables of several images in one block) and with 2x2
-tiles (the configuration the inference benchmark uses), runs CLAHE alone
-with a 3x5 tile grid on the small ones (tile-band edges inside each stack,
-tiles of unequal sizes: a divisor per column), clusters the small images,
-trains the region classifier with a weighting report and the pose model,
-corrects the pose of one small image of each class, predicts and evaluates
-on the validation split, evaluates the predictions CSV too, and merges the
-two eval reports into a comparison table, so every CSV and JSON writer
-and every text reader runs. It predicts and evaluates on all 252 small
-images too: eval passes of 128 and 124 rows, whose conv stages run in
-chunks of 32 samples and a last one of 28. It prints one
-`sha256  relpath` line per file written, in path order, and last the SHA-256
-of those lines. Run it on two trees (each with its own `src/`) into two
-directories: the same last line means every artefact has the same bytes.
+and a divisor that is no power of two, at radiograph scale), equalizes and
+clusters the 1024 px and the 1000 px images (histogram equalization over
+byte pairs; the pHash resize by block sums at 1024 px and by the weight
+GEMM at 1000 px), enhances the small images with 8x8 tiles (stacks of whole
+images: small-tile histograms, the 3x3 median and tile tables of several
+images in one block) and with 2x2 tiles (the configuration the inference
+benchmark uses), runs CLAHE alone with a 3x5 tile grid on the small ones
+(tile-band edges inside each stack, tiles of unequal sizes: a divisor per
+column), clusters the small images, trains the region classifier with a
+weighting report and the pose model, corrects the pose of one small image
+of each class, predicts and evaluates on the validation split, evaluates
+the predictions CSV too, and merges the two eval reports into a comparison
+table, so every CSV and JSON writer and every text reader runs. It
+predicts and evaluates on all 252 small images too: eval passes of 128 and
+124 rows, whose conv stages run in chunks of 32 samples and a last one of
+28. It prints one `sha256  relpath` line per file written, in path order,
+and last the SHA-256 of those lines. Run it on two trees (each with its
+own `src/`) into two directories: the same last line means every artefact
+has the same bytes.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ def _script(out: Path) -> list[list[str]]:
         ["--out-dir", str(mid), "synth", "--scale", "0.005", "--image-size", "1000"],
         ["--out-dir", str(out / "clahe_mid"), "enhance", str(mid), "--stage", "clahe",
          "--tiles", "8", "8"],
+        ["--out-dir", str(out / "equalized_large"), "enhance", str(large), "--stage", "equalize"],
+        ["--out-dir", str(out / "equalized_mid"), "enhance", str(mid), "--stage", "equalize"],
+        ["--out-dir", str(out / "cluster_large"), "cluster", "--manifest",
+         str(large / "manifest.csv"), "--k", "6"],
+        ["--out-dir", str(out / "cluster_mid"), "cluster", "--manifest",
+         str(mid / "manifest.csv"), "--k", "6"],
         ["--out-dir", str(out / "enhanced_small"), "enhance", str(small)],
         ["--out-dir", str(out / "enhanced_small_2x2"), "enhance", str(small),
          "--tiles", "2", "2", "--clip", "1.5"],
