@@ -305,7 +305,7 @@ def equalize_stack(stack: np.ndarray) -> np.ndarray:
     block over image * 256 + pixel and one gather from their stacked tables."""
     a = _as_stack(stack)
     n, h, w = a.shape
-    out = np.empty_like(a)
+    out = np.empty(a.shape, np.uint8)  # C order, so out[i].reshape(-1) is a view
     if h * w > STRIP_PIXELS:
         for i in range(n):
             _equalize_pairs(np.ascontiguousarray(a[i]).reshape(-1), out[i].reshape(-1))
@@ -334,8 +334,10 @@ def _equalize_pairs(pixels: np.ndarray, out: np.ndarray) -> None:
     even = pixels.size & ~1
     pairs, out_pairs = pixels[:even].view(np.uint16), out[:even].view(np.uint16)
     strips = [slice(p0, p0 + STRIP_PIXELS) for p0 in range(0, pairs.size, STRIP_PIXELS)]
-    counts = np.zeros(1 << 16, dtype=np.int64)
-    for s in strips:
+    # no zeroed count array: its 512 KB would be freed, and at glibc's
+    # default trim threshold faulted in again, on every call
+    counts = np.bincount(pairs[strips[0]], minlength=1 << 16)
+    for s in strips[1:]:
         counts += np.bincount(pairs[s], minlength=1 << 16)
     counts = counts.reshape(256, 256)
     hist = counts.sum(axis=0) + counts.sum(axis=1)

@@ -32,20 +32,22 @@ class PHash:
 
 
 def _area_resize(arr: np.ndarray, size: int) -> np.ndarray:
-    """Area-weighted downscale/upscale of a uint8 image to size x size
+    """Area-weighted downscale/upscale of an (H, W) image to size x size
     (float64): the GEMM _axis_weights(size, h) @ arr @ _axis_weights(size, w).T,
     each output pixel the overlap-weighted mean of the source under it.
 
-    When both sides are power-of-two multiples of size, every weight is 0 or
-    1 / 2^k and every partial sum of the GEMM is a dyadic rational of at most
-    53 bits, so the GEMM is exact and equals the block sums divided by the
-    block size.  Those are taken in integers instead: the row blocks first,
-    along the whole width in uint32, then the column blocks; a block of one
-    pixel is the image itself.  Other sizes keep the GEMM, whose weights and
-    sums round."""
+    When arr is uint8 and both sides are power-of-two multiples of size,
+    every weight is 0 or 1 / 2^k and every partial sum of the GEMM is a
+    dyadic rational of at most 53 bits, so the GEMM is exact and equals the
+    block sums divided by the block size.  Those are taken in integers
+    instead: the row blocks first, along the whole width in uint32, then the
+    column blocks; a block of one pixel is the image itself.  Other sizes
+    keep the GEMM, whose weights and sums round, and so do other dtypes,
+    whose sums a uint32 would not hold exactly."""
     h, w = arr.shape
     sy, sx = h // size, w // size
-    if h == sy * size and w == sx * size and not (sy & (sy - 1) or sx & (sx - 1)):
+    exact = h == sy * size and w == sx * size and not (sy & (sy - 1) or sx & (sx - 1))
+    if arr.dtype == np.uint8 and exact:
         if sy == sx == 1:
             return arr.astype(np.float64)
         rows = np.add.reduce(arr.reshape(size, sy, w), axis=1, dtype=np.uint32)

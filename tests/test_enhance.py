@@ -629,12 +629,16 @@ def _equalize_input(shape, fill):
     if fill == "view":  # every other column of a wider stack: not contiguous
         wide = rng.integers(0, 256, size=(*shape[:2], 2 * shape[2]), dtype=np.uint8)
         return wide[:, :, ::2]
+    if fill == "fortran":  # column-major: no image's rows are contiguous
+        return np.asfortranarray(rng.integers(0, 256, size=shape, dtype=np.uint8))
+    if fill == "transposed":  # each image the transpose of a C-ordered one
+        return rng.integers(0, 256, size=(shape[0], shape[2], shape[1]), dtype=np.uint8).transpose(0, 2, 1)
     return rng.integers(0, 256, size=shape, dtype=np.uint8)
 
 
 # odd pixel counts: a last pixel outside every pair; the second 1001 x 999
 # image starts at an odd byte, so its pairs are unaligned uint16
-@pytest.mark.parametrize("fill", ["random", "constant", "two-level", "view"])
+@pytest.mark.parametrize("fill", ["random", "constant", "two-level", "view", "fortran", "transposed"])
 @pytest.mark.parametrize("shape", [(1, 257, 255), (2, 1001, 999), (3, 300, 500)])
 @pytest.mark.parametrize("pixels", [1000, STRIP_PIXELS])
 def test_equalize_pairs_match_whole_image_oracle(monkeypatch, shape, fill, pixels):
@@ -643,6 +647,8 @@ def test_equalize_pairs_match_whole_image_oracle(monkeypatch, shape, fill, pixel
     monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
     stack = _equalize_input(shape, fill)
     assert enhance.equalize_stack(stack).tobytes() == _per_image(_hist_equalize_oracle, stack)
+    img = stack[-1]
+    assert enhance.hist_equalize(img.T).tobytes() == _hist_equalize_oracle(img.T).tobytes()
 
 
 # (64, 64): three images in one block, whose bands interpolate from two

@@ -87,6 +87,17 @@ def test_area_resize_has_the_bytes_of_the_weight_gemm(shape):
         assert out.tobytes() == gemm.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16, np.int64])
+def test_area_resize_of_other_dtypes_keeps_the_gemm(dtype):
+    # block sums are taken only in uint32 from uint8; a float would not
+    # cast and a negative value would wrap
+    a = np.random.default_rng(5).integers(-300, 300, size=(64, 128)).astype(dtype)
+    gemm = _axis_weights(32, 64) @ a.astype(np.float64) @ _axis_weights(32, 128).T
+    assert _area_resize(a, 32).tobytes() == gemm.tobytes()
+    u8 = np.abs(a).clip(0, 255).astype(np.uint8)
+    assert phash(u8.astype(dtype)) == phash(u8)
+
+
 @pytest.mark.parametrize("source", [32, 1024, 1, 7, 33, 500, 1000])
 def test_axis_weights_cache_matches_uncached_and_is_read_only(source):
     cached = _axis_weights(32, source)
