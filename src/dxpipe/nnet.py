@@ -41,11 +41,8 @@ class ModelConfig:
             raise ValueError(f"input_size must be >= 16, got {self.input_size}")
 
 
-# An eval pass runs EVAL_BATCH rows through the dense layers at once: their
-# GEMMs' last bits depend on the row count, so it is part of the logits'
-# bytes.  Its conv stages run EVAL_CHUNK samples at a time, which bounds the
-# columns and maps alive at once and changes no byte (see _forward_branch).
-EVAL_BATCH = 128
+# Eval passes run EVAL_CHUNK rows at a time, which bounds the columns and
+# maps alive at once; each row's logits are its own (see eval_logits).
 EVAL_CHUNK = 32
 
 
@@ -188,9 +185,13 @@ def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
     return dx
 
 
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, per_row: bool = False) -> np.ndarray:
+    """x @ w.T + b.  per_row runs one GEMM per row: a GEMM's last bits depend
+    on its row count, so then each row's output is that of the row alone."""
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"dense shape mismatch: input {x.shape[1]}, weight {w.shape[1]}")
+    if per_row:
+        return np.matmul(x[:, None], w.T)[:, 0] + b
     return x @ w.T + b
 
 
@@ -354,44 +355,27 @@ class FusionNet:
         """Copy with parameters cast to dtype (float64 for gradient checks)."""
         return FusionNet(self.config, params={k: v.astype(dtype) for k, v in self.params.items()})
 
-    def _conv_stages(self, name: str, x: np.ndarray, c: dict) -> np.ndarray:
-        """A branch's conv1 relu pool conv2 relu pool flatten: its flat
+    def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
+        """A branch's conv1 relu pool conv2 relu pool flatten fc: its
         features.  Each layer's output replaces its input in x, and what
         backward needs goes only to c, so a _NoCache frees every column
         matrix and activation once the next layer has used it."""
         p = self.params
-        index = not isinstance(c, _NoCache)  # the pool indices only backward reads
+        name = f"branch_{branch}"
+        c = cache[name] = type(cache)()
+        eval_pass = isinstance(c, _NoCache)  # no backward reads its pool indices
         x, c["cols1"] = conv2d_forward(x, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
         _require_finite(f"{name}.conv1", x)
         c["c1"] = np.maximum(x, 0, out=x)
-        x, c["pool1"] = maxpool2_forward(x, index)
+        x, c["pool1"] = maxpool2_forward(x, not eval_pass)
         c["p1"] = x
         x, c["cols2"] = conv2d_forward(x, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
         _require_finite(f"{name}.conv2", x)
         c["c2"] = np.maximum(x, 0, out=x)
-        x, c["pool2"] = maxpool2_forward(x, index)
+        x, c["pool2"] = maxpool2_forward(x, not eval_pass)
         c["p2"] = x
-        return x.reshape(len(x), -1)
-
-    def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
-        """Branch features.  A training pass runs the conv stages once over
-        its batch.  An eval pass (a _NoCache) runs them per EVAL_CHUNK
-        samples, so only one chunk's columns and maps are alive at a time;
-        its fc layer still runs once over all the pass's rows.  Each conv
-        GEMM is one GEMM per sample, and ReLU, pooling and the finiteness
-        check work element by element, so the chunks give the features'
-        bytes of one call over the whole pass."""
-        name = f"branch_{branch}"
-        c = cache[name] = type(cache)()
-        if isinstance(c, _NoCache):
-            flat = np.concatenate(
-                [self._conv_stages(name, x[i : i + EVAL_CHUNK], c)
-                 for i in range(0, len(x), EVAL_CHUNK)]
-            )
-        else:
-            flat = self._conv_stages(name, x, c)
-        c["flat"] = flat
-        feat = dense_forward(flat, self.params[f"{name}.fc.w"], self.params[f"{name}.fc.b"])
+        c["flat"] = flat = x.reshape(len(x), -1)
+        feat = dense_forward(flat, p[f"{name}.fc.w"], p[f"{name}.fc.b"], eval_pass)
         _require_finite(f"{name}.fc", feat)
         return feat
 
@@ -413,10 +397,11 @@ class FusionNet:
         s = self.config.input_size
         if x.shape[2] != s or x.shape[3] != s:
             raise ValueError(f"expected {s}x{s} input, got {x.shape[2]}x{x.shape[3]}")
+        eval_pass = isinstance(cache, _NoCache)
         feat_a = self._forward_branch("a", x, cache)
         feat_b = self._forward_branch("b", x, cache)
         cache["fused_in"] = fused_in = np.concatenate([feat_a, feat_b], axis=1)
-        fused = dense_forward(fused_in, self.params["fusion.w"], self.params["fusion.b"])
+        fused = dense_forward(fused_in, self.params["fusion.w"], self.params["fusion.b"], eval_pass)
         cache["fused"] = fused
         _require_finite("fusion", fused)
         hidden = relu_forward(fused)
@@ -427,7 +412,7 @@ class FusionNet:
         else:
             dropped, mask = hidden, None
         cache["mask"], cache["dropped"] = mask, dropped
-        logits = dense_forward(dropped, self.params["head.w"], self.params["head.b"])
+        logits = dense_forward(dropped, self.params["head.w"], self.params["head.b"], eval_pass)
         _require_finite("logits", logits)
         return logits
 
@@ -475,13 +460,13 @@ class FusionNet:
     # invalid-value warnings would only precede it on stderr.
     @np.errstate(over="ignore", invalid="ignore")
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode logits for (N, 1, S, S) inputs: passes of EVAL_BATCH
-        rows, each running its conv stages per EVAL_CHUNK samples."""
+        """Eval-mode logits for (N, 1, S, S) inputs, in passes of EVAL_CHUNK
+        rows.  Each conv GEMM is one GEMM per sample, each dense layer one
+        per row, and ReLU, pooling and the finiteness checks work element by
+        element, so each row's logits have the bytes of forward() on that
+        row alone, whatever shares its pass."""
         return np.concatenate(
-            [
-                self._forward(x[i : i + EVAL_BATCH], _NoCache())
-                for i in range(0, len(x), EVAL_BATCH)
-            ]
+            [self._forward(x[i : i + EVAL_CHUNK], _NoCache()) for i in range(0, len(x), EVAL_CHUNK)]
         )
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -36,6 +36,8 @@ NUM_CLASSES = 6
 
 # full-size class counts, heavily imbalanced on purpose
 FULL_CLASS_COUNTS = (541, 632, 513, 523, 242, 75)
+# the most images one dataset may ask for: about 40 times the full counts
+MAX_IMAGES = 100_000
 
 CLASS_DESCRIPTIONS = (
     "upper-left region",
@@ -112,8 +114,8 @@ class DatasetManifest:
 def default_class_specs(scale: float = 0.2) -> list[ClassSpec]:
     """Scale the full-size class counts, rounding to the nearest integer.
     A scale that is not finite and positive, that makes a count overflow to
-    infinity, or that rounds every count to 0 gives no dataset and raises
-    ValueError."""
+    infinity, that rounds every count to 0 or that gives more than
+    MAX_IMAGES images in all gives no dataset and raises ValueError."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
     scaled = [FULL_CLASS_COUNTS[cid] * scale for cid in range(NUM_CLASSES)]
@@ -122,6 +124,8 @@ def default_class_specs(scale: float = 0.2) -> list[ClassSpec]:
     counts = [round(c) for c in scaled]
     if not any(counts):
         raise ValueError(f"scale {scale} gives no images: every class count rounds to 0")
+    if sum(counts) > MAX_IMAGES:
+        raise ValueError(f"scale {scale} gives more than {MAX_IMAGES} images")
     return [ClassSpec(cid, CLASS_DESCRIPTIONS[cid], counts[cid]) for cid in range(NUM_CLASSES)]
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_image, random_image
-from dxpipe import enhance, trainer
+from dxpipe import enhance, nnet, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
 from dxpipe.image import load_pgm, save_pgm
@@ -793,6 +793,27 @@ def _checkpoint(tmp_path, num_classes=6):
     return path
 
 
+@pytest.mark.parametrize("command", ["predict", "orient"])
+def test_a_files_row_does_not_depend_on_what_else_is_on_the_command_line(
+    trained, tmp_path, command
+):
+    data, out = trained
+    images = sorted(data.glob("*.pgm"))
+    if command == "predict":
+        ckpt, results = out / "checkpoint.bin", "predictions.csv"
+    else:
+        ckpt, results = _checkpoint(tmp_path, num_classes=4), "orientation.csv"
+
+    def rows(inputs, out_dir):
+        argv = ["--out-dir", str(out_dir), command, "--checkpoint", str(ckpt)]
+        assert run([*argv, *map(str, inputs)]) == 0
+        return (out_dir / results).read_text().splitlines()[1:]
+
+    together = rows(images, tmp_path / "all")
+    assert len(together) == len(images) > 2 * nnet.EVAL_CHUNK
+    assert [rows([image], tmp_path / f"one{i}")[0] for i, image in enumerate(images)] == together
+
+
 @pytest.mark.parametrize("command", ["train", "orient-train", "predict", "cluster", "enhance"])
 def test_a_malformed_image_is_one_error_line_naming_its_file(tmp_path, capsys, command):
     manifest = _class_manifest(tmp_path / "data", [2] * 6)
@@ -1076,8 +1097,9 @@ def test_a_non_finite_weight_is_one_error_line_naming_its_layer(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "1e-6", "1e308"])
-def test_synth_refuses_a_scale_that_gives_no_dataset_by_name(tmp_path, capsys, scale):
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "1e-6", "1e308", "40", "1e300"])
+def test_synth_refuses_a_scale_that_gives_no_dataset_by_name(tmp_path, capsys, monkeypatch, scale):
+    monkeypatch.setattr("dxpipe.synth.generate_dataset", None)  # any image work would fail
     capsys.readouterr()
     assert run(["--out-dir", str(tmp_path / "data"), "synth", "--scale", scale]) == 1
     assert "--scale" in _one_error_line(capsys)

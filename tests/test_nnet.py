@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxpipe import nnet
 from dxpipe.nnet import (
@@ -430,48 +432,62 @@ def test_to_input_normalizes_uint8():
     np.testing.assert_array_equal(x[:, 0] * np.float32(255.0), images.astype(np.float32))
 
 
+def _alone(model: FusionNet, x: np.ndarray) -> np.ndarray:
+    """Each row's logits from a training-path forward() of that row alone."""
+    return np.concatenate([model.forward(x[i : i + 1])[0] for i in range(len(x))])
+
+
 def test_eval_logits_chunks_match_forward(monkeypatch):
-    monkeypatch.setattr(nnet, "EVAL_BATCH", 2)
+    monkeypatch.setattr(nnet, "EVAL_CHUNK", 2)
     model = FusionNet(ModelConfig(), seed=6)
     x = np.random.default_rng(6).random((5, 1, 32, 32)).astype(np.float32)
     chunked = model.eval_logits(x)
     assert chunked.shape == (5, 6)
-    for start in range(0, 5, 2):
-        logits, _ = model.forward(x[start : start + 2])
-        np.testing.assert_array_equal(chunked[start : start + 2], logits)
+    assert chunked.tobytes() == _alone(model, x).tobytes()
     np.testing.assert_array_equal(model.predict(x), softmax(model.eval_logits(x)))
 
 
-def test_eval_pass_frees_each_layer_once_the_next_has_used_it():
+def test_eval_pass_frees_each_layer_once_the_next_has_used_it(monkeypatch):
     import tracemalloc
 
     model = FusionNet(ModelConfig(), seed=7)
-    x = np.random.default_rng(7).random((nnet.EVAL_BATCH, 1, 32, 32)).astype(np.float32)
+    x = np.random.default_rng(7).random((128, 1, 32, 32)).astype(np.float32)
+    monkeypatch.setattr(nnet, "EVAL_CHUNK", len(x))  # one pass over every row
     peaks = {}
     for name, fn in (("forward", lambda: model.forward(x)[0]),
                      ("eval", lambda: model.eval_logits(x))):
         tracemalloc.start()
         try:
-            logits = fn()
+            fn()
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert logits.tobytes() == model.forward(x)[0].tobytes()
+    assert model.eval_logits(x).tobytes() == _alone(model, x).tobytes()
     # the largest layer: branch b's conv1 columns (25 taps) and its output (8 maps)
     largest = len(x) * (25 + 8) * 28 * 28 * 4
     assert peaks["eval"] < 1.25 * largest < peaks["forward"] / 2
 
 
 @pytest.mark.parametrize("n", [1, 31, 33, 129, 300])
-def test_eval_logits_bytes_do_not_depend_on_the_conv_chunk(monkeypatch, n):
+def test_eval_logits_bytes_do_not_depend_on_the_chunk(monkeypatch, n):
     model = FusionNet(ModelConfig(), seed=n)
     x = np.random.default_rng(n).random((n, 1, 32, 32)).astype(np.float32)
-    # the training path runs the conv stages once over each whole pass
-    passes = [model.forward(x[i : i + nnet.EVAL_BATCH])[0] for i in range(0, n, nnet.EVAL_BATCH)]
-    expected = np.concatenate(passes).tobytes()
-    for chunk in (1, 7, 32, nnet.EVAL_BATCH):
+    expected = _alone(model, x).tobytes()
+    for chunk in (1, 7, 32, 128):
         monkeypatch.setattr(nnet, "EVAL_CHUNK", chunk)
         assert model.eval_logits(x).tobytes() == expected, chunk
+
+
+_POOL = np.random.default_rng(21).random((80, 1, 32, 32)).astype(np.float32)
+_POOL_MODEL = FusionNet(ModelConfig(), seed=21)
+_POOL_ALONE = _alone(_POOL_MODEL, _POOL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=70, unique=True))
+def test_eval_logits_rows_do_not_depend_on_what_shares_their_pass(rows):
+    # up to 70 rows: three passes of EVAL_CHUNK, in any subset and order
+    assert _POOL_MODEL.eval_logits(_POOL[rows]).tobytes() == _POOL_ALONE[rows].tobytes()
 
 
 def test_eval_pass_keeps_one_chunk_of_conv_layers_alive():
@@ -486,9 +502,9 @@ def test_eval_pass_keeps_one_chunk_of_conv_layers_alive():
     finally:
         tracemalloc.stop()
     # one chunk's largest layer: branch b's conv1 columns (25 taps) and its
-    # output (8 maps); and a pass's flat features, 16 + 24 maps of 6x6
+    # output (8 maps); and that chunk's flat features, 16 + 24 maps of 6x6
     largest = nnet.EVAL_CHUNK * (25 + 8) * 28 * 28 * 4
-    flat = nnet.EVAL_BATCH * (16 + 24) * 6 * 6 * 4
+    flat = nnet.EVAL_CHUNK * (16 + 24) * 6 * 6 * 4
     assert peak < 1.25 * (largest + flat)
 
 
@@ -715,7 +731,7 @@ def _always_indexed(monkeypatch):
 
 
 def test_eval_pass_skips_the_pool_index_and_keeps_its_logits(monkeypatch):
-    monkeypatch.setattr(nnet, "EVAL_BATCH", 4)
+    monkeypatch.setattr(nnet, "EVAL_CHUNK", 4)
     model = FusionNet(ModelConfig(), seed=11)
     x = np.random.default_rng(11).random((9, 1, 32, 32)).astype(np.float32)
     logits = model.eval_logits(x)

@@ -10,6 +10,7 @@ from dxpipe import synth
 from dxpipe.enhance import hist_equalize, images_per_block
 from dxpipe.image import load_pgm, save_pgm, write_pgm
 from dxpipe.synth import (
+    MAX_IMAGES,
     NUM_CLASSES,
     ClassSpec,
     DatasetManifest,
@@ -195,6 +196,14 @@ def test_default_specs_refuse_a_scale_whose_counts_overflow():
     # raise OverflowError
     with pytest.raises(ValueError, match=r"^scale 1e\+308 gives class counts that are not finite$"):
         default_class_specs(1e308)
+
+
+def test_default_specs_refuse_a_scale_above_the_image_bound():
+    assert sum(s.target_count for s in default_class_specs(39)) == 98_514 <= MAX_IMAGES
+    for scale in (40, 1e300):
+        message = f"scale {scale} gives more than 100000 images"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_class_specs(scale)
 
 
 def test_generate_dataset_counts_and_files(tmp_path):

@@ -22,12 +22,11 @@ weighting report and the pose model, corrects the pose of one small image
 of each class, predicts and evaluates on the validation split, evaluates
 the predictions CSV too, and merges the two eval reports into a comparison
 table, so every CSV and JSON writer and every text reader runs. It
-predicts and evaluates on all 252 small images too: eval passes of 128 and
-124 rows, whose conv stages run in chunks of 32 samples and a last one of
-28. It prints one `sha256  relpath` line per file written, in path order,
-and last the SHA-256 of those lines. Run it on two trees (each with its
-own `src/`) into two directories: the same last line means every artefact
-has the same bytes.
+predicts and evaluates on all 252 small images too: eval passes of 32 rows
+and a last one of 28. It prints one `sha256  relpath` line per file
+written, in path order, and last the SHA-256 of those lines. Run it on two
+trees (each with its own `src/`) into two directories: the same last line
+means every artefact has the same bytes.
 """
 
 from __future__ import annotations
