@@ -141,13 +141,12 @@ def _cmd_synth(args) -> int:
         image_size=args.image_size, noise_impulse_prob=args.noise, rng_seed=args.seed
     )
     try:
-        specs = synth_mod.default_class_specs(args.scale)
+        counts = synth_mod.default_class_counts(args.scale)
     except ValueError as exc:
         raise ValueError(f"--{exc}") from None  # the message starts with "scale"
-    manifest = synth_mod.generate_dataset(specs, params, args.out_dir)
+    manifest = synth_mod.generate_dataset(counts, params, args.out_dir)
     if args.amplify:
-        counts = manifest.class_counts()
-        present = [c for c in range(synth_mod.NUM_CLASSES) if counts[c] > 0]
+        present = [c for c, n in enumerate(counts) if n > 0]
         smallest = sorted(present, key=lambda c: (counts[c], c))[:2]
         manifest = synth_mod.amplify_minority(manifest, smallest)
     synth_mod.save_manifest(manifest, args.out_dir / "manifest.csv")
@@ -158,6 +157,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_enhance(args) -> int:
     params = enhance_mod.ClaheParams(args.tiles[0], args.tiles[1], args.clip)
+    enhance_mod.check_median_radius(args.median_radius, "--median-radius")
     stages = {
         "chain": lambda a: enhance_mod.chain_stack(a, params, args.median_radius),
         "sharpen": enhance_mod.sharpen_stack,

@@ -20,6 +20,10 @@ from dxpipe.phash import PHash, phash
 from dxpipe.synth import NUM_CLASSES, DatasetManifest
 
 
+# Lloyd iterations before k-means stops unconverged
+MAX_ITER = 100
+
+
 class KMeansError(ValueError):
     """Raised when a Lloyd iteration breaks its own invariant (inertia rose)."""
 
@@ -59,9 +63,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def kmeans(
-    vectors: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
-) -> ClusterResult:
+def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
     points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("vectors must be a nonempty 2-D array")
@@ -69,12 +71,12 @@ def kmeans(
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & (2**64 - 1))
     centroids = _plus_plus_init(points, k, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         d2 = _squared_distances(points, centroids)
         new_assignments = np.argmin(d2, axis=1)  # ties -> lowest index
         inertia = float(d2[np.arange(n), new_assignments].sum())

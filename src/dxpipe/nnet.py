@@ -336,10 +336,11 @@ class FusionNet:
         params: dict[str, np.ndarray] | None = None,
     ):
         """Given params are used as they are; otherwise every weight is drawn
-        (He-normal, in param_shapes order) from seed and every bias is zero."""
+        (He-normal, in param_shapes order) from seed mod 2**64 and every bias
+        is zero."""
         self.config = config
         if params is None:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed & (2**64 - 1))
             params = {}
             for name, shape in param_shapes(config).items():
                 if name.endswith(".w"):
@@ -387,7 +388,7 @@ class FusionNet:
     ):
         """Run the model; returns (logits, cache).  In train mode an rng is
         required whenever dropout_rate > 0."""
-        cache: dict = {"train_mode": train_mode}
+        cache: dict = {}
         return self._forward(x, cache, train_mode, rng), cache
 
     def _forward(self, x: np.ndarray, cache: dict, train_mode: bool = False, rng=None):

@@ -39,34 +39,11 @@ FULL_CLASS_COUNTS = (541, 632, 513, 523, 242, 75)
 # the most images one dataset may ask for: about 40 times the full counts
 MAX_IMAGES = 100_000
 
-CLASS_DESCRIPTIONS = (
-    "upper-left region",
-    "upper-right region",
-    "lower-left region",
-    "lower-right region",
-    "upper region crossing the midline",
-    "lower region crossing the midline",
-)
-
-
-@dataclass(frozen=True)
-class ClassSpec:
-    class_id: int
-    description: str
-    target_count: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.class_id < NUM_CLASSES:
-            raise ValueError(f"class_id must be 0..{NUM_CLASSES - 1}, got {self.class_id}")
-        if self.target_count < 0:
-            raise ValueError(f"target_count must be >= 0, got {self.target_count}")
-
 
 @dataclass(frozen=True)
 class SynthParams:
     image_size: int = 32
     noise_impulse_prob: float = 0.02
-    blob_count_range: tuple[int, int] = (3, 6)
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -74,9 +51,6 @@ class SynthParams:
             raise ValueError(f"image_size must be >= 16, got {self.image_size}")
         if not 0.0 <= self.noise_impulse_prob <= 1.0:
             raise ValueError(f"noise_impulse_prob must be in [0,1], got {self.noise_impulse_prob}")
-        lo, hi = self.blob_count_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad blob_count_range {self.blob_count_range}")
 
 
 @dataclass(frozen=True)
@@ -111,14 +85,14 @@ class DatasetManifest:
         )
 
 
-def default_class_specs(scale: float = 0.2) -> list[ClassSpec]:
+def default_class_counts(scale: float = 0.2) -> list[int]:
     """Scale the full-size class counts, rounding to the nearest integer.
     A scale that is not finite and positive, that makes a count overflow to
     infinity, that rounds every count to 0 or that gives more than
     MAX_IMAGES images in all gives no dataset and raises ValueError."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
-    scaled = [FULL_CLASS_COUNTS[cid] * scale for cid in range(NUM_CLASSES)]
+    scaled = [n * scale for n in FULL_CLASS_COUNTS]
     if not all(map(math.isfinite, scaled)):
         raise ValueError(f"scale {scale} gives class counts that are not finite")
     counts = [round(c) for c in scaled]
@@ -126,7 +100,7 @@ def default_class_specs(scale: float = 0.2) -> list[ClassSpec]:
         raise ValueError(f"scale {scale} gives no images: every class count rounds to 0")
     if sum(counts) > MAX_IMAGES:
         raise ValueError(f"scale {scale} gives more than {MAX_IMAGES} images")
-    return [ClassSpec(cid, CLASS_DESCRIPTIONS[cid], counts[cid]) for cid in range(NUM_CLASSES)]
+    return counts
 
 
 # bounding boxes (x0, x1, y0, y1) as fractions of the image side
@@ -142,6 +116,7 @@ _CLASS_BOXES = (
 _BG_TOP = 55.0
 _BG_BOTTOM = 10.0
 _BG_JITTER = 4
+_BLOB_COUNT_RANGE = (3, 6)
 _BLOB_MIN_VAL = 150
 _BLOB_MAX_VAL = 230
 
@@ -168,7 +143,7 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> np.ndarray:
     x0f, x1f, y0f, y1f = _CLASS_BOXES[class_id]
     x0, x1 = x0f * s, x1f * s
     y0, y1 = y0f * s, y1f * s
-    lo, hi = p.blob_count_range
+    lo, hi = _BLOB_COUNT_RANGE
     n_blobs = int(rng.integers(lo, hi + 1))
     for i in range(n_blobs):
         # blobs fan out left-to-right across the class box so bands for
@@ -197,21 +172,23 @@ def generate_image(class_id: int, p: SynthParams, seed: int) -> np.ndarray:
     return canvas
 
 
-def generate_dataset(
-    specs: list[ClassSpec], p: SynthParams, out_dir: Path | str
-) -> DatasetManifest:
-    """Write the per-class images to out_dir and return the manifest
-    describing them (the caller saves it)."""
-    if not specs:
-        raise ValueError("specs must be nonempty")
+def generate_dataset(counts: list[int], p: SynthParams, out_dir: Path | str) -> DatasetManifest:
+    """Write counts[c] images of class c to out_dir, for each of the
+    NUM_CLASSES classes, and return the manifest describing them (the caller
+    saves it)."""
+    if len(counts) != NUM_CLASSES:
+        raise ValueError(f"counts must hold {NUM_CLASSES} class counts, got {len(counts)}")
+    for class_id, count in enumerate(counts):
+        if count < 0:
+            raise ValueError(f"class {class_id} count must be >= 0, got {count}")
     out_dir = Path(out_dir)
     manifest = DatasetManifest(seed=p.rng_seed, root=out_dir)
-    for spec in sorted(specs, key=lambda sp: sp.class_id):
-        for i in range(spec.target_count):
-            img = generate_image(spec.class_id, p, seed=(spec.class_id << 32) | i)
-            name = f"class{spec.class_id}_{i:04d}.pgm"
+    for class_id, count in enumerate(counts):
+        for i in range(count):
+            img = generate_image(class_id, p, seed=(class_id << 32) | i)
+            name = f"class{class_id}_{i:04d}.pgm"
             save_pgm(img, out_dir / name)
-            manifest.entries.append(ManifestEntry(name, spec.class_id))
+            manifest.entries.append(ManifestEntry(name, class_id))
     return manifest
 
 

@@ -36,9 +36,8 @@ def random_image(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
 def tiny_dataset(tmp_path_factory):
     """Six classes x 10 images; used by trainer/orient/cluster tests."""
     out = tmp_path_factory.mktemp("tiny_data")
-    specs = [synth.ClassSpec(c, synth.CLASS_DESCRIPTIONS[c], 10) for c in range(6)]
     params = synth.SynthParams(rng_seed=5)
-    return synth.generate_dataset(specs, params, out)
+    return synth.generate_dataset([10] * synth.NUM_CLASSES, params, out)
 
 
 @pytest.fixture(scope="session")
@@ -46,4 +45,4 @@ def default_dataset(tmp_path_factory):
     """The full default synthetic dataset (505 images, seed 42)."""
     out = tmp_path_factory.mktemp("default_data")
     params = synth.SynthParams(rng_seed=42)
-    return synth.generate_dataset(synth.default_class_specs(), params, out)
+    return synth.generate_dataset(synth.default_class_counts(), params, out)

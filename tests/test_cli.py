@@ -18,6 +18,7 @@ from conftest import constant_image, random_image
 from dxpipe import enhance, nnet, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
+from dxpipe.enhance import MAX_MEDIAN_RADIUS
 from dxpipe.image import load_pgm, save_pgm
 from dxpipe.metrics import EvalReport, build_report
 from dxpipe.nnet import FusionNet, ModelConfig
@@ -1095,6 +1096,36 @@ def test_a_non_finite_weight_is_one_error_line_naming_its_layer(
     # of stderr, are not raised
     assert [str(w.message) for w in recwarn] == []
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("radius", ["0", str(MAX_MEDIAN_RADIUS + 1), "1000000"])
+def test_enhance_refuses_a_median_radius_outside_its_bound_by_name(
+    tmp_path, capsys, monkeypatch, radius
+):
+    _enhance_inputs(tmp_path / "in", [("a.pgm", (32, 32))])
+    monkeypatch.setattr("dxpipe.cli.load_pgm", None)  # any image work would fail
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["--out-dir", str(out), "enhance", str(tmp_path / "in"),
+                "--median-radius", radius]) == 1
+    message = f"error: --median-radius must be 1..{MAX_MEDIAN_RADIUS}, got {radius}\n"
+    assert _one_error_line(capsys) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--epochs", "1"], ["orient-train", "--epochs", "1"], ["cluster", "--k", "3"],
+])
+def test_a_negative_seed_runs_as_that_seed_mod_2_64(tmp_path, command):
+    data = tmp_path / "data"
+    assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
+    trees = []
+    for seed in ("-1", str(2**64 - 1)):
+        out = tmp_path / f"seed{seed}"
+        assert run(["--seed", seed, "--out-dir", str(out), *command,
+                    "--manifest", str(data / "manifest.csv")]) == 0
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
 
 
 @pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "1e-6", "1e308", "40", "1e300"])

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import constant_image, random_image
 from dxpipe import enhance
 from dxpipe.enhance import (
+    MAX_MEDIAN_RADIUS,
     STRIP_PIXELS,
     ClaheParams,
     _median_network,
@@ -103,9 +105,18 @@ def test_median_clears_sparse_random_impulses():
         assert (out == 70).all()
 
 
-def test_median_rejects_zero_radius():
-    with pytest.raises(ValueError, match="radius"):
-        median_filter(constant_image(4, 4, 0), 0)
+@pytest.mark.parametrize("radius", [0, -1, MAX_MEDIAN_RADIUS + 1, 10**9])
+def test_median_rejects_a_radius_outside_its_bound(radius):
+    # refused before any pixel work: no network is built for such a radius
+    message = f"radius must be 1..{MAX_MEDIAN_RADIUS}, got {radius}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        median_filter(constant_image(4, 4, 0), radius)
+
+
+def test_median_at_the_radius_bound_matches_the_oracle():
+    arr = random_image(np.random.default_rng(77), 5, 6)
+    out = median_filter(arr, MAX_MEDIAN_RADIUS)
+    np.testing.assert_array_equal(out, _median_oracle(arr, MAX_MEDIAN_RADIUS))
 
 
 def _median_oracle(arr, radius):

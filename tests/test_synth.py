@@ -12,13 +12,12 @@ from dxpipe.image import load_pgm, save_pgm, write_pgm
 from dxpipe.synth import (
     MAX_IMAGES,
     NUM_CLASSES,
-    ClassSpec,
     DatasetManifest,
     ManifestEntry,
     ManifestError,
     SynthParams,
     amplify_minority,
-    default_class_specs,
+    default_class_counts,
     generate_dataset,
     generate_image,
     load_manifest,
@@ -109,7 +108,7 @@ def _reference_image(class_id: int, p: SynthParams, seed: int) -> np.ndarray:
     x0f, x1f, y0f, y1f = synth._CLASS_BOXES[class_id]
     x0, x1 = x0f * s, x1f * s
     y0, y1 = y0f * s, y1f * s
-    lo, hi = p.blob_count_range
+    lo, hi = synth._BLOB_COUNT_RANGE
     n_blobs = int(rng.integers(lo, hi + 1))
     yy, xx = np.mgrid[0:s, 0:s]
     for i in range(n_blobs):
@@ -183,32 +182,31 @@ def test_impulse_noise_present_when_enabled():
     assert (arr == 255).any() or (arr == 0).any()
 
 
-def test_default_specs_scale_one_fifth():
-    counts = [s.target_count for s in default_class_specs()]
+def test_default_counts_scale_one_fifth():
+    counts = default_class_counts()
     assert counts == [108, 126, 103, 105, 48, 15]
     assert sum(counts) == 505
     frac = counts[5] / sum(counts)
     assert abs(frac - 75 / 2526) < 0.005
 
 
-def test_default_specs_refuse_a_scale_whose_counts_overflow():
+def test_default_counts_refuse_a_scale_whose_counts_overflow():
     # 1e308 is finite, but 541 * 1e308 is not, and round() of it would
     # raise OverflowError
     with pytest.raises(ValueError, match=r"^scale 1e\+308 gives class counts that are not finite$"):
-        default_class_specs(1e308)
+        default_class_counts(1e308)
 
 
-def test_default_specs_refuse_a_scale_above_the_image_bound():
-    assert sum(s.target_count for s in default_class_specs(39)) == 98_514 <= MAX_IMAGES
+def test_default_counts_refuse_a_scale_above_the_image_bound():
+    assert sum(default_class_counts(39)) == 98_514 <= MAX_IMAGES
     for scale in (40, 1e300):
         message = f"scale {scale} gives more than 100000 images"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            default_class_specs(scale)
+            default_class_counts(scale)
 
 
 def test_generate_dataset_counts_and_files(tmp_path):
-    specs = [ClassSpec(0, "ul", 4), ClassSpec(5, "lc", 2), ClassSpec(3, "lr", 0)]
-    manifest = generate_dataset(specs, SynthParams(rng_seed=9), tmp_path)
+    manifest = generate_dataset([4, 0, 0, 0, 0, 2], SynthParams(rng_seed=9), tmp_path)
     counts = manifest.class_counts()
     assert counts[0] == 4 and counts[5] == 2 and counts[3] == 0
     assert len(list(tmp_path.glob("*.pgm"))) == len(manifest.entries) == 6
@@ -219,22 +217,41 @@ def test_generate_dataset_counts_and_files(tmp_path):
 
 def test_generate_dataset_deterministic(tmp_path):
     p = SynthParams(rng_seed=11)
-    specs = [ClassSpec(1, "ur", 3), ClassSpec(4, "uc", 2)]
-    m1 = generate_dataset(specs, p, tmp_path / "a")
-    m2 = generate_dataset(specs, p, tmp_path / "b")
+    counts = [0, 3, 0, 0, 2, 0]
+    m1 = generate_dataset(counts, p, tmp_path / "a")
+    m2 = generate_dataset(counts, p, tmp_path / "b")
     assert manifest_to_csv(m1) == manifest_to_csv(m2)
     for e1, e2 in zip(m1.entries, m2.entries):
         assert m1.resolve(e1).read_bytes() == m2.resolve(e2).read_bytes()
 
 
-def test_generate_dataset_rejects_empty_specs(tmp_path):
-    with pytest.raises(ValueError, match="nonempty"):
-        generate_dataset([], SynthParams(), tmp_path)
+@pytest.mark.parametrize("counts, message", [
+    ([], "counts must hold 6 class counts, got 0"),
+    ([1, 1, 1, 1, 1], "counts must hold 6 class counts, got 5"),
+    ([1] * 7, "counts must hold 6 class counts, got 7"),
+    ([2, 0, 0, -1, 0, 0], "class 3 count must be >= 0, got -1"),
+])
+def test_generate_dataset_refuses_counts_that_are_not_six_non_negative_ints(
+    tmp_path, counts, message
+):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_dataset(counts, SynthParams(), tmp_path)
+    assert list(tmp_path.iterdir()) == []  # refused before any image is written
+
+
+def test_a_dataset_holds_one_run_per_class_that_load_manifest_reads_back(tmp_path):
+    counts = [3, 0, 2, 1, 0, 2]
+    manifest = generate_dataset(counts, SynthParams(rng_seed=6), tmp_path)
+    names = [e.path for e in manifest.entries]
+    assert names == [f"class{c}_{i:04d}.pgm" for c, n in enumerate(counts) for i in range(n)]
+    assert sorted(p.name for p in tmp_path.glob("*.pgm")) == sorted(names)
+    assert manifest.class_counts().tolist() == counts
+    save_manifest(manifest, tmp_path / "manifest.csv")
+    assert load_manifest(tmp_path / "manifest.csv").entries == manifest.entries
 
 
 def test_amplify_doubles_listed_class(tmp_path):
-    specs = [ClassSpec(0, "ul", 3), ClassSpec(5, "lc", 4)]
-    manifest = generate_dataset(specs, SynthParams(rng_seed=1), tmp_path)
+    manifest = generate_dataset([3, 0, 0, 0, 0, 4], SynthParams(rng_seed=1), tmp_path)
     out = amplify_minority(manifest, [5])
     counts = out.class_counts()
     assert counts[5] == 8 and counts[0] == 3
@@ -242,15 +259,13 @@ def test_amplify_doubles_listed_class(tmp_path):
 
 
 def test_amplify_empty_class_is_noop(tmp_path):
-    specs = [ClassSpec(0, "ul", 2)]
-    manifest = generate_dataset(specs, SynthParams(rng_seed=1), tmp_path)
+    manifest = generate_dataset([2, 0, 0, 0, 0, 0], SynthParams(rng_seed=1), tmp_path)
     out = amplify_minority(manifest, [4])
     assert [e.path for e in out.entries] == [e.path for e in manifest.entries]
 
 
 def test_amplified_images_are_equalized_copies(tmp_path):
-    specs = [ClassSpec(2, "ll", 2)]
-    manifest = generate_dataset(specs, SynthParams(rng_seed=8), tmp_path)
+    manifest = generate_dataset([0, 0, 2, 0, 0, 0], SynthParams(rng_seed=8), tmp_path)
     out = amplify_minority(manifest, [2])
     originals = out.entries[:2]
     copies = out.entries[2:]
@@ -283,8 +298,7 @@ def test_amplify_writes_the_bytes_of_equalizing_one_image_at_a_time(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    specs = [ClassSpec(0, "ul", 2), ClassSpec(1, "ur", 1)]
-    manifest = generate_dataset(specs, SynthParams(rng_seed=4), tmp_path)
+    manifest = generate_dataset([2, 1, 0, 0, 0, 0], SynthParams(rng_seed=4), tmp_path)
     save_manifest(manifest, tmp_path / "manifest.csv")
     loaded = load_manifest(tmp_path / "manifest.csv")
     assert loaded.seed == manifest.seed

@@ -13,7 +13,6 @@ from dxpipe.checkpoint import model_from_checkpoint, save_checkpoint
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.orient import train_orient
 from dxpipe.synth import (
-    ClassSpec,
     DatasetManifest,
     ManifestEntry,
     SynthParams,
@@ -155,9 +154,7 @@ def test_train_log_shape(tiny_dataset):
 
 def test_overfits_small_subset(tmp_path):
     """Trainability check: loss collapses on a 10-image manifest."""
-    counts = [2, 2, 2, 2, 1, 1]
-    specs = [ClassSpec(c, f"c{c}", n) for c, n in enumerate(counts)]
-    manifest = generate_dataset(specs, SynthParams(rng_seed=21), tmp_path)
+    manifest = generate_dataset([2, 2, 2, 2, 1, 1], SynthParams(rng_seed=21), tmp_path)
     t = TrainConfig(
         epochs=200, batch_size=8, lr=0.01, seed=2,
         augment_rotations=False, validation_fraction=0.2,

@@ -3,7 +3,9 @@
     python tools/golden_run.py OUT_DIR
 
 OUT_DIR must be missing or empty. The script synthesizes a 32 px dataset
-(scale 0.1), a 1024 px one and a 1000 px one (scale 0.005 each). It
+(scale 0.1), a 1024 px one and a 1000 px one (scale 0.005 each), and a
+32 px one (scale 0.02) with --amplify (equalized copies of its two
+smallest classes). It
 enhances the 1024 px images (row strips, large-tile histograms, CLAHE in
 16-bit lanes with tile centres 128 px apart), runs their radius-2 median
 alone (the comparator network) and their CLAHE alone with 4x4 tiles
@@ -51,6 +53,7 @@ def _script(out: Path) -> list[list[str]]:
     return [
         ["--out-dir", str(small), "synth", "--scale", "0.1", "--image-size", "32"],
         ["--out-dir", str(large), "synth", "--scale", "0.005", "--image-size", "1024"],
+        ["--out-dir", str(out / "amplified"), "synth", "--scale", "0.02", "--amplify"],
         ["--out-dir", str(out / "enhanced"), "enhance", str(large)],
         ["--out-dir", str(out / "median2"), "enhance", str(large), "--stage", "median",
          "--median-radius", "2"],
