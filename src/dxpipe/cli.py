@@ -240,8 +240,8 @@ def _cmd_train(args) -> int:
         fileio.refuse_same_file(args.weighting_report, outputs)
     train_path, val_path = outputs[2:]
     t = _train_config(args)
-    data = _training_set(args, t)
     model_cfg = _model_config(args)
+    data = _training_set(args, t)
     weights = np.ones(model_cfg.num_classes) if args.uniform_loss else None
     ckpt, log = trainer_mod.train(data, model_cfg, t, class_weights=weights)
     _save_training(args, f"{t.epochs} epochs", ckpt, log, *_TRAIN_OUTPUTS[:2])
@@ -255,8 +255,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_orient_train(args) -> int:
-    t = _train_config(args)
-    ckpt, log = orient_mod.train_orient(_training_set(args, t), _model_config(args), t)
+    t, model_cfg = _train_config(args), _model_config(args)
+    ckpt, log = orient_mod.train_orient(_training_set(args, t), model_cfg, t)
     _save_training(args, "pose model", ckpt, log, "orient_checkpoint.bin", "orient_trainlog.csv")
     return 0
 

@@ -22,6 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+# the most parameters a model may have: about 9x the --full-scale preset's
+# 7,263,918 at 32 px, which it admits up to 128 px input (53,712,558).  A
+# training holds at least four float32 copies (weights, gradients, momentum
+# and the best epoch's weights), 1 GB at the bound, so ModelConfig refuses a
+# larger model before any of them is allocated.
+MAX_PARAMS = 2**26
+
+
 @dataclass
 class ModelConfig:
     input_size: int = 32
@@ -39,6 +47,9 @@ class ModelConfig:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         if self.input_size < 16:
             raise ValueError(f"input_size must be >= 16, got {self.input_size}")
+        n = sum(math.prod(shape) for shape in param_shapes(self).values())
+        if n > MAX_PARAMS:
+            raise ValueError(f"the model has {n} parameters, more than {MAX_PARAMS}")
 
 
 # Eval passes run EVAL_CHUNK rows at a time, which bounds the columns and

@@ -12,6 +12,7 @@ and log bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,8 +41,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.lr_decay_every < 1:
             raise ValueError("epochs, batch_size and lr_decay_every must be >= 1")
-        if self.lr < 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
@@ -177,7 +178,13 @@ def _fit(
     weights: np.ndarray,
     t: TrainConfig,
 ) -> tuple[Checkpoint, TrainLog]:
-    """Shared SGD loop on uint8 images; stream_fn(epoch) yields (index, turns, label)."""
+    """Shared SGD loop on uint8 images; stream_fn(epoch) yields (index, turns, label).
+
+    A training holds one forward cache at a time: each batch's input, cache,
+    logits and gradients are released as soon as sgd_step has used them, so
+    no forward pass and no validation pass runs beside an earlier step's
+    cache.
+    """
     model = FusionNet(model_cfg, seed=t.seed)
     val_inputs = to_input(val_images)
     velocity: dict[str, np.ndarray] = {}
@@ -198,8 +205,8 @@ def _fit(
             except FloatingPointError as exc:
                 raise FloatingPointError(f"epoch {epoch} batch {batch}: {exc}") from None
             loss, dlogits = weighted_ce(logits, yb, weights)
-            grads = model.backward(cache, dlogits)
-            sgd_step(model.params, grads, velocity, lr, t.momentum)
+            sgd_step(model.params, model.backward(cache, dlogits), velocity, lr, t.momentum)
+            del xb, logits, cache, dlogits
             loss_sum += loss * len(chunk)
         train_loss = loss_sum / len(stream)
         try:

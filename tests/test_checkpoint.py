@@ -22,7 +22,7 @@ from dxpipe.checkpoint import (
 )
 from dxpipe.cli import run
 from dxpipe.image import save_pgm
-from dxpipe.nnet import FusionNet, ModelConfig, param_shapes
+from dxpipe.nnet import MAX_PARAMS, FusionNet, ModelConfig, param_shapes
 
 
 @pytest.fixture
@@ -207,6 +207,11 @@ _HOSTILE = {
     "unknown-config-key": (
         lambda d: _edit_meta(d, rb"fusion_dim=", b"fusion_dlm="),
         r"corrupt checkpoint: unknown config key 'fusion_dlm'",
+    ),
+    # refused from the config alone, before any tensor is read or allocated
+    "config-above-the-parameter-bound": (
+        lambda d: _edit_meta(d, rb"fusion_dim=128", b"fusion_dim=10000000000000"),
+        rf"corrupt checkpoint: the model has \d+ parameters, more than {MAX_PARAMS}$",
     ),
     "config-disagrees-with-tensor-shapes": (
         lambda d: _edit_meta(d, rb"num_classes=6", b"num_classes=7"),

@@ -1113,6 +1113,43 @@ def test_enhance_refuses_a_median_radius_outside_its_bound_by_name(
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def unread_manifest(tmp_path_factory):
+    """A manifest whose images a test makes unreadable."""
+    data = tmp_path_factory.mktemp("unread")
+    assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
+    return data / "manifest.csv"
+
+
+@pytest.mark.parametrize("command", ["train", "orient-train"])
+@pytest.mark.parametrize("flag", ["--input-size", "--branch-a-dim", "--branch-b-dim", "--fusion-dim"])
+def test_training_refuses_a_model_above_the_parameter_bound_by_name(
+    tmp_path, capsys, monkeypatch, unread_manifest, command, flag
+):
+    monkeypatch.setattr("dxpipe.trainer.load_pgms", None)  # any image read would fail
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["--out-dir", str(out), command, "--manifest", str(unread_manifest),
+                flag, "10000000000000"]) == 1
+    message = rf"error: the model has \d+ parameters, more than {nnet.MAX_PARAMS}\n"
+    assert re.fullmatch(message, _one_error_line(capsys))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "orient-train"])
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_training_refuses_a_non_finite_lr_by_name(
+    tmp_path, capsys, monkeypatch, unread_manifest, command, lr
+):
+    monkeypatch.setattr("dxpipe.trainer.load_pgms", None)  # any image read would fail
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["--out-dir", str(out), command, "--manifest", str(unread_manifest),
+                "--lr", lr]) == 1
+    assert _one_error_line(capsys) == f"error: lr must be finite and >= 0, got {lr}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["train", "--epochs", "1"], ["orient-train", "--epochs", "1"], ["cluster", "--k", "3"],
 ])

@@ -420,6 +420,23 @@ def test_full_scale_dims():
     assert model.params["head.w"].shape == (6, 2048)
 
 
+def test_the_parameter_bound_admits_the_full_scale_preset_up_to_128_px():
+    for size, n in ((32, 7_263_918), (128, 53_712_558)):
+        cfg = ModelConfig(size, 1056, 1536, 2048)
+        assert sum(math.prod(s) for s in param_shapes(cfg).values()) == n < nnet.MAX_PARAMS
+    with pytest.raises(ValueError, match=rf"parameters, more than {nnet.MAX_PARAMS}$"):
+        ModelConfig(256, 1056, 1536, 2048)
+
+
+def test_a_model_at_the_parameter_bound_is_built_and_one_above_it_refused(monkeypatch):
+    n = sum(math.prod(s) for s in param_shapes(ModelConfig()).values())
+    monkeypatch.setattr(nnet, "MAX_PARAMS", n)
+    assert ModelConfig() == ModelConfig(32, 66, 96, 128)
+    monkeypatch.setattr(nnet, "MAX_PARAMS", n - 1)
+    with pytest.raises(ValueError, match=f"^the model has {n} parameters, more than {n - 1}$"):
+        ModelConfig()
+
+
 def test_default_dims_keep_branch_ratio():
     cfg = ModelConfig()
     assert cfg.branch_a_dim * 16 == cfg.branch_b_dim * 11

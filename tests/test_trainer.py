@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"lr must be finite and >= 0, got {lr}"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(lr_decay_factor=0.0)
     with pytest.raises(ValueError):
@@ -241,6 +245,36 @@ def test_a_training_set_gives_the_results_of_its_manifest(tiny_dataset):
         compare_weighting(tiny_dataset, ModelConfig(), t).to_dict()
         == compare_weighting(data, ModelConfig(), t).to_dict()
     )
+
+
+@pytest.mark.parametrize("fit", [train, train_orient])
+def test_a_training_holds_one_forward_cache_at_a_time(tiny_dataset, monkeypatch, fit):
+    """No training forward and no validation pass runs beside an earlier
+    step's forward cache: a weak reference to each cache's branch B conv1
+    columns is dead by then."""
+    forward, eval_logits = FusionNet.forward, FusionNet.eval_logits
+    columns = []
+    alive = []  # (pass, earlier caches still alive) at the start of each pass
+
+    def count(what):
+        alive.append((what, sum(ref() is not None for ref in columns)))
+
+    def traced_forward(self, x, train_mode=False, rng=None):
+        count("forward")
+        logits, cache = forward(self, x, train_mode, rng)
+        columns.append(weakref.ref(cache["branch_b"]["cols1"]))
+        return logits, cache
+
+    def traced_eval_logits(self, x):
+        count("validation")
+        return eval_logits(self, x)
+
+    monkeypatch.setattr(FusionNet, "forward", traced_forward)
+    monkeypatch.setattr(FusionNet, "eval_logits", traced_eval_logits)
+    fit(tiny_dataset, ModelConfig(), TrainConfig(**FAST))
+    assert [what for what, _ in alive].count("validation") == FAST["epochs"]
+    assert len(columns) > FAST["epochs"]
+    assert alive == [(what, 0) for what, _ in alive]
 
 
 def test_checkpoint_bytes_do_not_depend_on_skipping_the_eval_pool_index(

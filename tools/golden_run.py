@@ -20,10 +20,12 @@ images in one block) and with 2x2 tiles (the configuration the inference
 benchmark uses), runs CLAHE alone with a 3x5 tile grid on the small ones
 (tile-band edges inside each stack, tiles of unequal sizes: a divisor per
 column), clusters the small images, trains the region classifier with a
-weighting report and the pose model, corrects the pose of one small image
-of each class, predicts and evaluates on the validation split, evaluates
-the predictions CSV too, and merges the two eval reports into a comparison
-table, so every CSV and JSON writer and every text reader runs. It
+weighting report (a uniform-loss twin) and again under --uniform-loss with
+one (a class-weighted twin), trains the pose model, corrects the pose of
+one small image of each class, predicts and evaluates on the validation
+split, evaluates the predictions CSV too, and merges the two eval reports
+into a comparison table, so every CSV and JSON writer and every text
+reader runs. It
 predicts and evaluates on all 252 small images too: eval passes of 32 rows
 and a last one of 28. It prints one `sha256  relpath` line per file
 written, in path order, and last the SHA-256 of those lines. Run it on two
@@ -75,6 +77,8 @@ def _script(out: Path) -> list[list[str]]:
          "--tiles", "3", "5", "--clip", "1.5"],
         ["--out-dir", str(train), "train", *fit, "2",
          "--weighting-report", str(train / "weighting.json")],
+        ["--out-dir", str(out / "train_uniform"), "train", *fit, "2", "--uniform-loss",
+         "--weighting-report", str(out / "train_uniform" / "weighting.json")],
         ["--out-dir", str(out / "cluster"), "cluster", "--manifest", str(small / "manifest.csv")],
         ["--out-dir", str(out / "orient"), "orient-train", *fit, "1"],
         ["--out-dir", str(out / "posed"), "orient", "--checkpoint",
