@@ -159,7 +159,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         meta = data[pos : pos + meta_len].decode("utf-8")
     except UnicodeDecodeError:
         raise CheckpointError("corrupt checkpoint: metadata is not UTF-8") from None
-    payload = data[pos + meta_len :]
+    start = pos + meta_len
+    payload_len = len(data) - start
 
     lines = [ln for ln in meta.splitlines() if ln]
     if lines[:1] != ["[config]"] or "[tensors]" not in lines:
@@ -187,15 +188,16 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             )
         layout[name] = (shape, offset)
         end += 4 * math.prod(shape)
-    if end != len(payload):
-        what = "truncated payload" if end > len(payload) else "bytes past the last tensor"
+    if end != payload_len:
+        what = "truncated payload" if end > payload_len else "bytes past the last tensor"
         raise CheckpointError(
-            f"corrupt checkpoint: {what}: tensors take {end} bytes, payload has {len(payload)}"
+            f"corrupt checkpoint: {what}: tensors take {end} bytes, payload has {payload_len}"
         )
+    # read-only views into the file's bytes; model_from_checkpoint makes the
+    # one float32 copy a model holds
     tensors = {
-        name: np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=offset)
+        name: np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=start + offset)
         .reshape(shape)
-        .astype(np.float32)
         for name, (shape, offset) in layout.items()
     }
     return Checkpoint(version=version, config=config, tensors=tensors)

@@ -26,7 +26,7 @@ from dxpipe import orient as orient_mod
 from dxpipe import synth as synth_mod
 from dxpipe import trainer as trainer_mod
 from dxpipe.image import load_pgm, load_pgms, save_pgm
-from dxpipe.nnet import ModelConfig, to_input
+from dxpipe.nnet import ModelConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -327,7 +327,7 @@ def _cmd_predict(args) -> int:
     names = _basenames(paths)
     images = load_pgms(paths)
     _check_input_size(args, model, paths[0], images.shape[1:])
-    scores = model.predict(to_input(images))
+    scores = model.predict(images)
     _write_text(args.out_dir / "predictions.csv", _predictions_to_csv(names, scores))
     print(f"predicted {len(paths)} image(s) -> {args.out_dir / 'predictions.csv'}")
     return 0
@@ -400,7 +400,7 @@ def _cmd_eval(args) -> int:
     if args.checkpoint is not None:
         images = trainer_mod.load_image_array(manifest)
         _check_input_size(args, model, manifest.resolve(manifest.entries[0]), images.shape[1:])
-        scores = model.predict(to_input(images))
+        scores = model.predict(images)
     report = metrics_mod.build_report(
         labels, scores.argmax(axis=1), num_classes, score_matrix=scores
     )

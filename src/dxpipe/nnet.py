@@ -53,8 +53,9 @@ class ModelConfig:
 
 
 # Eval passes run EVAL_CHUNK rows at a time, which bounds the columns and
-# maps alive at once; each row's logits are its own (see eval_logits).
-EVAL_CHUNK = 32
+# maps alive at once (branch b's conv1 columns, about 1.3 MB at 16 rows of
+# 32 px); each row's logits are its own (see eval_logits).
+EVAL_CHUNK = 16
 
 
 def to_input(images: np.ndarray) -> np.ndarray:
@@ -471,19 +472,22 @@ class FusionNet:
     # _require_finite, naming the layer, as one error; numpy's overflow and
     # invalid-value warnings would only precede it on stderr.
     @np.errstate(over="ignore", invalid="ignore")
-    def eval_logits(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode logits for (N, 1, S, S) inputs, in passes of EVAL_CHUNK
-        rows.  Each conv GEMM is one GEMM per sample, each dense layer one
+    def eval_logits(self, images: np.ndarray) -> np.ndarray:
+        """Eval-mode logits for uint8 images (N, S, S), in passes of
+        EVAL_CHUNK rows; each pass normalises its own rows with to_input, so
+        no float copy of the whole stack is made.  to_input works element by
+        element, each conv GEMM is one GEMM per sample, each dense layer one
         per row, and ReLU, pooling and the finiteness checks work element by
         element, so each row's logits have the bytes of forward() on that
         row alone, whatever shares its pass."""
-        return np.concatenate(
-            [self._forward(x[i : i + EVAL_CHUNK], _NoCache()) for i in range(0, len(x), EVAL_CHUNK)]
-        )
+        return np.concatenate([
+            self._forward(to_input(images[i : i + EVAL_CHUNK]), _NoCache())
+            for i in range(0, len(images), EVAL_CHUNK)
+        ])
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode softmax scores (N, C) for (N, 1, S, S) inputs."""
-        return softmax(self.eval_logits(x))
+    def predict(self, images: np.ndarray) -> np.ndarray:
+        """Eval-mode softmax scores (N, C) for uint8 images (N, S, S)."""
+        return softmax(self.eval_logits(images))
 
 
 def config_for_orientation(cfg: ModelConfig) -> ModelConfig:

@@ -13,7 +13,7 @@ import numpy as np
 
 from dxpipe.checkpoint import Checkpoint
 from dxpipe.image import rotate
-from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation, to_input
+from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation
 from dxpipe.synth import DatasetManifest
 from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit, training_set
 
@@ -51,8 +51,8 @@ def train_orient(
 def correct_orientation(
     model: FusionNet, images: np.ndarray
 ) -> list[tuple[np.ndarray, int, float]]:
-    """Detect the quarter-turn pose of each image of an (N, H, W) stack and
-    rotate it back to canonical.
+    """Detect the quarter-turn pose of each image of an (N, H, W) uint8 stack
+    and rotate it back to canonical.
 
     All images are scored together by the batched eval loop.  Returns one
     (corrected image, detected clockwise turns 0..3, confidence) per image,
@@ -61,6 +61,6 @@ def correct_orientation(
     """
     if model.config.num_classes != 4:
         raise ValueError("pose model must have 4 output classes")
-    scores = model.predict(to_input(images))
+    scores = model.predict(images)
     turns = [int(t) for t in scores.argmax(axis=1)]
     return [(rotate(img, -t), t, float(row.max())) for img, t, row in zip(images, turns, scores)]

@@ -38,6 +38,10 @@ NUM_CLASSES = 6
 FULL_CLASS_COUNTS = (541, 632, 513, 523, 242, 75)
 # the most images one dataset may ask for: about 40 times the full counts
 MAX_IMAGES = 100_000
+# the largest image side: generate_image holds about 14 traced bytes a
+# pixel at its peak (at 1024 and at 2048 px), about 235 MB at 4096 px, and
+# each doubling beyond takes four times that
+MAX_IMAGE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ class SynthParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.image_size < 16:
-            raise ValueError(f"image_size must be >= 16, got {self.image_size}")
+        if not 16 <= self.image_size <= MAX_IMAGE_SIZE:
+            raise ValueError(f"image_size must be 16..{MAX_IMAGE_SIZE}, got {self.image_size}")
         if not 0.0 <= self.noise_impulse_prob <= 1.0:
             raise ValueError(f"noise_impulse_prob must be in [0,1], got {self.noise_impulse_prob}")
 

@@ -157,7 +157,7 @@ def evaluate_arrays(
     labels: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[float, float, np.ndarray]:
-    """Eval-mode (loss, accuracy, softmax scores) over normalized images;
+    """Eval-mode (loss, accuracy, softmax scores) over uint8 images (N, S, S);
     the loss is the weighted cross-entropy of the whole set."""
     logits = model.eval_logits(images)
     loss, _ = weighted_ce(logits, labels, weights)
@@ -186,7 +186,6 @@ def _fit(
     cache.
     """
     model = FusionNet(model_cfg, seed=t.seed)
-    val_inputs = to_input(val_images)
     velocity: dict[str, np.ndarray] = {}
     dropout_rng = np.random.default_rng(np.random.SeedSequence([t.seed & (2**64 - 1), 0xD0]))
     log = TrainLog()
@@ -210,7 +209,7 @@ def _fit(
             loss_sum += loss * len(chunk)
         train_loss = loss_sum / len(stream)
         try:
-            val_loss, val_acc, scores = evaluate_arrays(model, val_inputs, val_labels, weights)
+            val_loss, val_acc, scores = evaluate_arrays(model, val_images, val_labels, weights)
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch} validation: {exc}") from None
         log.epochs.append(EpochStats(epoch, train_loss, val_loss, val_acc, lr))

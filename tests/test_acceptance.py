@@ -325,7 +325,7 @@ def test_criterion_5_end_to_end(default_dataset):
     model = model_from_checkpoint(ckpt)
 
     _, val_m = split_for_config(default_dataset, t)
-    vx = load_image_array(val_m).astype(np.float32)[:, None] / 255.0
+    vx = load_image_array(val_m)
     vy = np.array([e.class_id for e in val_m.entries], dtype=np.int64)
     _, acc, scores = evaluate_arrays(model, vx, vy, np.ones(6))
     _, macro = multiclass_auc(scores, vy)

@@ -40,6 +40,22 @@ def test_round_trip_bit_identical_forward(model, tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+def test_loading_a_model_holds_the_file_and_one_copy_of_its_tensors(model, tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bytes read and the model's float32 parameters; one more copy of
+    # the tensors would reach 3x
+    assert peak < 2.5 * path.stat().st_size
+
+
 def test_round_trip_preserves_config(model, tmp_path):
     path = tmp_path / "m.bin"
     save_model(model, path)

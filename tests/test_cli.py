@@ -22,7 +22,7 @@ from dxpipe.enhance import MAX_MEDIAN_RADIUS
 from dxpipe.image import load_pgm, save_pgm
 from dxpipe.metrics import EvalReport, build_report
 from dxpipe.nnet import FusionNet, ModelConfig
-from dxpipe.synth import load_manifest
+from dxpipe.synth import MAX_IMAGE_SIZE, load_manifest
 from test_metrics import _REPORT_TOKENS
 from test_synth import _MANIFEST_TOKENS
 
@@ -815,6 +815,30 @@ def test_a_files_row_does_not_depend_on_what_else_is_on_the_command_line(
     assert [rows([image], tmp_path / f"one{i}")[0] for i, image in enumerate(images)] == together
 
 
+def test_predict_memory_grows_by_less_than_3_bytes_per_input_pixel(tmp_path):
+    import tracemalloc
+
+    ckpt = _checkpoint(tmp_path)
+    rng = np.random.default_rng(25)
+    (tmp_path / "in").mkdir()
+    paths = [tmp_path / "in" / f"i{i:03d}.pgm" for i in range(505)]
+    for path in paths:
+        save_pgm(random_image(rng, 32, 32), path)
+
+    def peak(n):
+        argv = ["--out-dir", str(tmp_path / f"out{n}"), "predict", "--checkpoint", str(ckpt)]
+        tracemalloc.start()
+        try:
+            assert run([*argv, *map(str, paths[:n])]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the uint8 stack and the file reads it is built from take under 2 bytes
+    # a pixel; a float32 copy of the whole stack would add 4 or more
+    assert peak(505) - peak(64) < 3 * (505 - 64) * 32 * 32
+
+
 @pytest.mark.parametrize("command", ["train", "orient-train", "predict", "cluster", "enhance"])
 def test_a_malformed_image_is_one_error_line_naming_its_file(tmp_path, capsys, command):
     manifest = _class_manifest(tmp_path / "data", [2] * 6)
@@ -1171,6 +1195,16 @@ def test_synth_refuses_a_scale_that_gives_no_dataset_by_name(tmp_path, capsys, m
     capsys.readouterr()
     assert run(["--out-dir", str(tmp_path / "data"), "synth", "--scale", scale]) == 1
     assert "--scale" in _one_error_line(capsys)
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("size", [str(MAX_IMAGE_SIZE + 1), "100000"])
+def test_synth_refuses_an_image_size_above_its_bound_by_name(tmp_path, capsys, monkeypatch, size):
+    monkeypatch.setattr("dxpipe.synth.generate_dataset", None)  # any image work would fail
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "data"), "synth", "--image-size", size,
+                "--scale", "0.001"]) == 1
+    assert _one_error_line(capsys) == f"error: image_size must be 16..{MAX_IMAGE_SIZE}, got {size}\n"
     assert not (tmp_path / "data").exists()
 
 

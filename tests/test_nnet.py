@@ -449,15 +449,20 @@ def test_to_input_normalizes_uint8():
     np.testing.assert_array_equal(x[:, 0] * np.float32(255.0), images.astype(np.float32))
 
 
+def _images(seed: int, n: int) -> np.ndarray:
+    """n random uint8 images of 32 px."""
+    return np.random.default_rng(seed).integers(0, 256, (n, 32, 32), dtype=np.uint8)
+
+
 def _alone(model: FusionNet, x: np.ndarray) -> np.ndarray:
-    """Each row's logits from a training-path forward() of that row alone."""
-    return np.concatenate([model.forward(x[i : i + 1])[0] for i in range(len(x))])
+    """Each image's logits from a training-path forward() of that image alone."""
+    return np.concatenate([model.forward(to_input(x[i : i + 1]))[0] for i in range(len(x))])
 
 
 def test_eval_logits_chunks_match_forward(monkeypatch):
     monkeypatch.setattr(nnet, "EVAL_CHUNK", 2)
     model = FusionNet(ModelConfig(), seed=6)
-    x = np.random.default_rng(6).random((5, 1, 32, 32)).astype(np.float32)
+    x = _images(6, 5)
     chunked = model.eval_logits(x)
     assert chunked.shape == (5, 6)
     assert chunked.tobytes() == _alone(model, x).tobytes()
@@ -468,10 +473,10 @@ def test_eval_pass_frees_each_layer_once_the_next_has_used_it(monkeypatch):
     import tracemalloc
 
     model = FusionNet(ModelConfig(), seed=7)
-    x = np.random.default_rng(7).random((128, 1, 32, 32)).astype(np.float32)
+    x = _images(7, 128)
     monkeypatch.setattr(nnet, "EVAL_CHUNK", len(x))  # one pass over every row
     peaks = {}
-    for name, fn in (("forward", lambda: model.forward(x)[0]),
+    for name, fn in (("forward", lambda: model.forward(to_input(x))[0]),
                      ("eval", lambda: model.eval_logits(x))):
         tracemalloc.start()
         try:
@@ -488,14 +493,14 @@ def test_eval_pass_frees_each_layer_once_the_next_has_used_it(monkeypatch):
 @pytest.mark.parametrize("n", [1, 31, 33, 129, 300])
 def test_eval_logits_bytes_do_not_depend_on_the_chunk(monkeypatch, n):
     model = FusionNet(ModelConfig(), seed=n)
-    x = np.random.default_rng(n).random((n, 1, 32, 32)).astype(np.float32)
+    x = _images(n, n)
     expected = _alone(model, x).tobytes()
     for chunk in (1, 7, 32, 128):
         monkeypatch.setattr(nnet, "EVAL_CHUNK", chunk)
         assert model.eval_logits(x).tobytes() == expected, chunk
 
 
-_POOL = np.random.default_rng(21).random((80, 1, 32, 32)).astype(np.float32)
+_POOL = _images(21, 80)
 _POOL_MODEL = FusionNet(ModelConfig(), seed=21)
 _POOL_ALONE = _alone(_POOL_MODEL, _POOL)
 
@@ -503,7 +508,7 @@ _POOL_ALONE = _alone(_POOL_MODEL, _POOL)
 @settings(max_examples=15, deadline=None)
 @given(rows=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=70, unique=True))
 def test_eval_logits_rows_do_not_depend_on_what_shares_their_pass(rows):
-    # up to 70 rows: three passes of EVAL_CHUNK, in any subset and order
+    # up to 70 rows: five passes of EVAL_CHUNK, in any subset and order
     assert _POOL_MODEL.eval_logits(_POOL[rows]).tobytes() == _POOL_ALONE[rows].tobytes()
 
 
@@ -511,7 +516,7 @@ def test_eval_pass_keeps_one_chunk_of_conv_layers_alive():
     import tracemalloc
 
     model = FusionNet(ModelConfig(), seed=8)
-    x = np.random.default_rng(8).random((505, 1, 32, 32)).astype(np.float32)
+    x = _images(8, 505)
     tracemalloc.start()
     try:
         model.eval_logits(x)
@@ -519,7 +524,8 @@ def test_eval_pass_keeps_one_chunk_of_conv_layers_alive():
     finally:
         tracemalloc.stop()
     # one chunk's largest layer: branch b's conv1 columns (25 taps) and its
-    # output (8 maps); and that chunk's flat features, 16 + 24 maps of 6x6
+    # output (8 maps); and that chunk's flat features, 16 + 24 maps of 6x6.
+    # The peak also covers each chunk's normalised input.
     largest = nnet.EVAL_CHUNK * (25 + 8) * 28 * 28 * 4
     flat = nnet.EVAL_CHUNK * (16 + 24) * 6 * 6 * 4
     assert peak < 1.25 * (largest + flat)
@@ -750,14 +756,14 @@ def _always_indexed(monkeypatch):
 def test_eval_pass_skips_the_pool_index_and_keeps_its_logits(monkeypatch):
     monkeypatch.setattr(nnet, "EVAL_CHUNK", 4)
     model = FusionNet(ModelConfig(), seed=11)
-    x = np.random.default_rng(11).random((9, 1, 32, 32)).astype(np.float32)
+    x = _images(11, 9)
     logits = model.eval_logits(x)
     flags = _always_indexed(monkeypatch)
     assert model.eval_logits(x).tobytes() == logits.tobytes()
     assert flags == [False] * 12  # 3 chunks x 2 branches x 2 pools
     flags.clear()
-    model.forward(x[:2], train_mode=True, rng=np.random.default_rng(0))
-    model.forward(x[:2])
+    model.forward(to_input(x[:2]), train_mode=True, rng=np.random.default_rng(0))
+    model.forward(to_input(x[:2]))
     assert flags == [True] * 8
 
 

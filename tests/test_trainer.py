@@ -175,7 +175,7 @@ def test_best_checkpoint_is_best_val_epoch(tiny_dataset):
     from dxpipe.trainer import evaluate_arrays, load_image_array
 
     _, val_m = split_for_config(tiny_dataset, t)
-    vx = load_image_array(val_m).astype(np.float32)[:, None] / 255.0
+    vx = load_image_array(val_m)
     vy = np.array([e.class_id for e in val_m.entries])
     model = model_from_checkpoint(ckpt)
     _, acc, scores = evaluate_arrays(model, vx, vy, np.ones(6))

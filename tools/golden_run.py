@@ -22,12 +22,13 @@ benchmark uses), runs CLAHE alone with a 3x5 tile grid on the small ones
 column), clusters the small images, trains the region classifier with a
 weighting report (a uniform-loss twin) and again under --uniform-loss with
 one (a class-weighted twin), trains the pose model, corrects the pose of
-one small image of each class, predicts and evaluates on the validation
+one small image of each class and of 40 small images (eval passes of 16
+rows and a last one of 8), predicts and evaluates on the validation
 split, evaluates the predictions CSV too, and merges the two eval reports
 into a comparison table, so every CSV and JSON writer and every text
 reader runs. It
-predicts and evaluates on all 252 small images too: eval passes of 32 rows
-and a last one of 28. It prints one `sha256  relpath` line per file
+predicts and evaluates on all 252 small images too: eval passes of 16 rows
+and a last one of 12. It prints one `sha256  relpath` line per file
 written, in path order, and last the SHA-256 of those lines. Run it on two
 trees (each with its own `src/`) into two directories: the same last line
 means every artefact has the same bytes.
@@ -52,6 +53,7 @@ def _script(out: Path) -> list[list[str]]:
     val = ["--manifest", str(train / "val_manifest.csv")]
     ckpt = ["--checkpoint", str(train / "checkpoint.bin")]
     posed = [str(small / f"class{c}_0000.pgm") for c in range(6)]
+    posed_40 = [str(small / f"class{c}_{i:04d}.pgm") for c in range(4) for i in range(10)]
     return [
         ["--out-dir", str(small), "synth", "--scale", "0.1", "--image-size", "32"],
         ["--out-dir", str(large), "synth", "--scale", "0.005", "--image-size", "1024"],
@@ -83,6 +85,8 @@ def _script(out: Path) -> list[list[str]]:
         ["--out-dir", str(out / "orient"), "orient-train", *fit, "1"],
         ["--out-dir", str(out / "posed"), "orient", "--checkpoint",
          str(out / "orient" / "orient_checkpoint.bin"), *posed],
+        ["--out-dir", str(out / "posed_40"), "orient", "--checkpoint",
+         str(out / "orient" / "orient_checkpoint.bin"), *posed_40],
         ["--out-dir", str(out / "predict"), "predict", *ckpt, *val],
         ["--out-dir", str(out / "eval"), "eval", *ckpt, *val],
         ["--out-dir", str(out / "predict_all"), "predict", *ckpt, *every],
