@@ -124,12 +124,12 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
     meta_lines += _config_lines(ckpt.config)
     meta_lines.append("[tensors]")
     offset = 0
-    payloads = []
+    payloads = []  # the arrays themselves: join copies each buffer once, into the file's bytes
     for name in sorted(ckpt.tensors):
         arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f4")
         shape = ",".join(str(d) for d in arr.shape)
         meta_lines.append(f"{name}={shape}@{offset}")
-        payloads.append(arr.tobytes())
+        payloads.append(arr)
         offset += arr.nbytes
     meta = ("\n".join(meta_lines) + "\n").encode("utf-8")
     header = MAGIC + struct.pack("<I", ckpt.version) + struct.pack("<Q", len(meta))

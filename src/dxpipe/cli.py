@@ -144,6 +144,7 @@ def _cmd_synth(args) -> int:
         counts = synth_mod.default_class_counts(args.scale)
     except ValueError as exc:
         raise ValueError(f"--{exc}") from None  # the message starts with "scale"
+    (args.out_dir / "manifest.csv").unlink(missing_ok=True)  # an index goes first, comes back last
     manifest = synth_mod.generate_dataset(counts, params, args.out_dir)
     if args.amplify:
         present = [c for c, n in enumerate(counts) if n > 0]
@@ -242,15 +243,18 @@ def _cmd_train(args) -> int:
     t = _train_config(args)
     model_cfg = _model_config(args)
     data = _training_set(args, t)
-    weights = np.ones(model_cfg.num_classes) if args.uniform_loss else None
-    ckpt, log = trainer_mod.train(data, model_cfg, t, class_weights=weights)
+    ones = np.ones(model_cfg.num_classes)
+    requested, twin = (ones, None) if args.uniform_loss else (None, ones)
+    ckpt, log = trainer_mod.train(data, model_cfg, t, class_weights=requested)
+    if args.weighting_report is not None:  # a failing twin must find --out-dir untouched
+        _, twin_log = trainer_mod.train(data, model_cfg, t, class_weights=twin)
+        logs = (twin_log, log) if args.uniform_loss else (log, twin_log)
+        report = trainer_mod.compare_weighting(data, *logs)
     _save_training(args, f"{t.epochs} epochs", ckpt, log, *_TRAIN_OUTPUTS[:2])
     synth_mod.save_manifest(data.train, train_path)
     synth_mod.save_manifest(data.val, val_path)
     if args.weighting_report is not None:
-        trained = {"uniform" if args.uniform_loss else "weighted": log}
-        comparison = trainer_mod.compare_weighting(data, model_cfg, t, **trained)
-        _write_text(args.weighting_report, json.dumps(comparison.to_dict(), indent=2) + "\n")
+        _write_text(args.weighting_report, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -289,6 +293,7 @@ def _cmd_orient(args) -> int:
     images = load_pgms(args.inputs)
     _check_input_size(args, model, args.inputs[0], images.shape[1:])
     results = orient_mod.correct_orientation(model, images)
+    (args.out_dir / "orientation.csv").unlink(missing_ok=True)  # as in _cmd_synth
     rows = []
     for name, (corrected, detected, confidence) in zip(names, results):
         save_pgm(corrected, args.out_dir / name)

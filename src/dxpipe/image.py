@@ -166,5 +166,5 @@ def rotate(img: np.ndarray, quarter_turns: int) -> np.ndarray:
 
 # The per-layer list in BENCHMARK.json names image.rotate_array as well as
 # image.rotate: without either name, `perfbench/run.py --trace 1` raises
-# KeyError. The alias goes when that list drops the name (ROADMAP item 2).
+# KeyError. The alias goes when that list drops the name (ROADMAP item 1).
 rotate_array = rotate

@@ -262,64 +262,25 @@ def split_for_config(manifest: DatasetManifest, t: TrainConfig):
     return train_m, val_m
 
 
-@dataclass
-class WeightingComparison:
-    """Same-seed weighted-loss vs uniform-loss outcomes on one validation split."""
-
-    weighted_recall: list[float]
-    uniform_recall: list[float]
-    weighted_accuracy: float
-    uniform_accuracy: float
-    minority_class: int
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class": [
-                {"class_id": c, "weighted_recall": wr, "uniform_recall": ur}
-                for c, (wr, ur) in enumerate(zip(self.weighted_recall, self.uniform_recall))
-            ],
-            "weighted_accuracy": self.weighted_accuracy,
-            "uniform_accuracy": self.uniform_accuracy,
-            "minority_class": self.minority_class,
-            "minority_recall": {
-                "weighted": self.weighted_recall[self.minority_class],
-                "uniform": self.uniform_recall[self.minority_class],
-            },
-        }
-
-
-def compare_weighting(
-    data: DatasetManifest | TrainingSet,
-    model_cfg: ModelConfig,
-    t: TrainConfig,
-    weighted: TrainLog | None = None,
-    uniform: TrainLog | None = None,
-) -> WeightingComparison:
-    """Train twice with the same seed (inverse-frequency vs uniform weights)
-    and report per-class validation recall side by side.  A mode whose
-    train() log for these arguments is passed in is not retrained.
-
-    Both recall columns come from the same confusion-matrix pipeline on the
-    same validation partition: the best epoch's scores of each training.
-    """
-    data = training_set(data, t)
-    n = model_cfg.num_classes
+def compare_weighting(data: TrainingSet, weighted: TrainLog, uniform: TrainLog) -> dict:
+    """The weighting.json report of two same-seed trainings of data, with
+    inverse-frequency and with uniform weights: the per-class validation
+    recall of each one's best-epoch scores, side by side, and the minority class."""
+    n = weighted.best_scores.shape[1]
     val_labels = data.val.labels()
-    recalls = {}
-    accs = {}
-    for mode, log, weights in (("weighted", weighted, None), ("uniform", uniform, np.ones(n))):
-        if log is None:
-            _, log = train(data, model_cfg, t, class_weights=weights)
+    recall = {}
+    for mode, log in (("weighted", weighted), ("uniform", uniform)):
         cm = confusion(val_labels, log.best_scores.argmax(axis=1), n)
-        recalls[mode] = [float(r) for r in per_class_metrics(cm).sensitivity]
-        accs[mode] = log.epochs[log.best_epoch].val_acc
-
+        recall[mode] = [float(r) for r in per_class_metrics(cm).sensitivity]
     counts = data.train.class_counts(n) + data.val.class_counts(n)
     minority = int(np.argmin(np.where(counts > 0, counts, np.iinfo(np.int64).max)))
-    return WeightingComparison(
-        weighted_recall=recalls["weighted"],
-        uniform_recall=recalls["uniform"],
-        weighted_accuracy=accs["weighted"],
-        uniform_accuracy=accs["uniform"],
-        minority_class=minority,
-    )
+    return {
+        "per_class": [
+            {"class_id": c, "weighted_recall": wr, "uniform_recall": ur}
+            for c, (wr, ur) in enumerate(zip(recall["weighted"], recall["uniform"]))
+        ],
+        "weighted_accuracy": weighted.epochs[weighted.best_epoch].val_acc,
+        "uniform_accuracy": uniform.epochs[uniform.best_epoch].val_acc,
+        "minority_class": minority,
+        "minority_recall": {mode: recall[mode][minority] for mode in ("weighted", "uniform")},
+    }

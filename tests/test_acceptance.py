@@ -42,6 +42,7 @@ from dxpipe.trainer import (
     load_image_array,
     split_for_config,
     train,
+    training_set,
 )
 
 
@@ -339,8 +340,10 @@ def test_criterion_5_end_to_end(default_dataset):
 
 def test_criterion_6_weighting_report(default_dataset):
     t = TrainConfig(seed=42, epochs=6)
-    comparison = compare_weighting(default_dataset, ModelConfig(), t)
-    d = comparison.to_dict()
+    data = training_set(default_dataset, t)
+    _, weighted = train(data, ModelConfig(), t)
+    _, uniform = train(data, ModelConfig(), t, class_weights=np.ones(6))
+    d = compare_weighting(data, weighted, uniform)
     minority = d["minority_class"]
     both_present = (
         minority == 5

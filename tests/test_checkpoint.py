@@ -56,6 +56,22 @@ def test_loading_a_model_holds_the_file_and_one_copy_of_its_tensors(model, tmp_p
     assert peak < 2.5 * path.stat().st_size
 
 
+def test_saving_a_checkpoint_holds_one_copy_of_its_tensors(model, tmp_path):
+    import tracemalloc
+
+    ckpt = checkpoint_from_model(model)
+    path = tmp_path / "m.bin"
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, joined straight from the tensors; a bytes copy of each
+    # tensor beside them would reach 2x
+    assert peak < 1.5 * path.stat().st_size
+
+
 def test_round_trip_preserves_config(model, tmp_path):
     path = tmp_path / "m.bin"
     save_model(model, path)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_image, random_image
-from dxpipe import enhance, nnet, trainer
+from dxpipe import cli, enhance, nnet, synth, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
 from dxpipe.enhance import MAX_MEDIAN_RADIUS
@@ -299,8 +299,10 @@ def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
 def standalone_report(trained):
     data, _ = trained
     t = trainer.TrainConfig(epochs=2, seed=5)
-    manifest = load_manifest(data / "manifest.csv")
-    return trainer.compare_weighting(manifest, ModelConfig(), t).to_dict()
+    ts = trainer.training_set(load_manifest(data / "manifest.csv"), t)
+    _, weighted = trainer.train(ts, ModelConfig(), t)
+    _, uniform = trainer.train(ts, ModelConfig(), t, class_weights=np.ones(6))
+    return trainer.compare_weighting(ts, weighted, uniform)
 
 
 @pytest.mark.parametrize("uniform", [False, True])
@@ -490,6 +492,63 @@ def test_weighting_report_onto_any_train_output_is_refused_before_training(
         assert code == 1
         assert capsys.readouterr().err == f"error: {path} is written twice by one command\n"
     assert sorted(p.name for p in out.iterdir()) == ["link"]
+
+
+def _fail_on_call(monkeypatch, module, name, n, exc):
+    """Make module.name raise exc from its n-th call on; earlier calls run it."""
+    real, calls = getattr(module, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= n:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+def test_a_failing_weighting_twin_leaves_the_train_out_dir_as_it_was(
+    trained, tmp_path, capsys, monkeypatch
+):
+    data, _ = trained
+    out = tmp_path / "run"
+
+    def train_seed(seed):
+        return run(["--seed", seed, "--out-dir", str(out), "train", "--manifest",
+                    str(data / "manifest.csv"), "--epochs", "1",
+                    "--weighting-report", str(out / "weighting.json")])
+
+    assert train_seed("1") == 0
+    before = tree_bytes(out)
+    assert sorted(before) == sorted(["weighting.json", *cli._TRAIN_OUTPUTS])
+    _fail_on_call(monkeypatch, trainer, "train", 2, FloatingPointError("epoch 0 batch 0: diverged"))
+    capsys.readouterr()
+    assert train_seed("2") == 1
+    assert _one_error_line(capsys) == "error: epoch 0 batch 0: diverged\n"
+    assert tree_bytes(out) == before
+
+
+def test_a_failing_synth_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    argv = ["--out-dir", str(tmp_path), "synth", "--scale", "0.02"]
+    assert run(["--seed", "1", *argv]) == 0
+    _fail_on_call(monkeypatch, synth, "save_pgm", 3, OSError("disk full"))
+    capsys.readouterr()
+    assert run(["--seed", "2", *argv]) == 1
+    assert _one_error_line(capsys) == "error: disk full\n"
+    assert not (tmp_path / "manifest.csv").exists()
+
+
+def test_a_failing_orient_leaves_no_orientation_csv(trained, tmp_path, capsys, monkeypatch):
+    data, _ = trained
+    argv = ["--out-dir", str(tmp_path / "fixed"), "orient", "--checkpoint",
+            str(_checkpoint(tmp_path, 4)), *map(str, sorted(data.glob("*.pgm"))[:3])]
+    assert run(argv) == 0
+    assert (tmp_path / "fixed" / "orientation.csv").exists()
+    _fail_on_call(monkeypatch, cli, "save_pgm", 2, OSError("disk full"))
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == "error: disk full\n"
+    assert not (tmp_path / "fixed" / "orientation.csv").exists()
 
 
 _PREDICTIONS_SAMPLE = (b"path,predicted,score_0,score_1\n"

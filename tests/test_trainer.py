@@ -23,7 +23,6 @@ from dxpipe.synth import (
 from dxpipe.trainer import (
     TrainConfig,
     augment_epoch,
-    compare_weighting,
     compute_class_weights,
     split_for_config,
     stratified_split,
@@ -241,10 +240,6 @@ def test_a_training_set_gives_the_results_of_its_manifest(tiny_dataset):
         assert ckpt1.tensors.keys() == ckpt2.tensors.keys()
         for name in ckpt1.tensors:
             np.testing.assert_array_equal(ckpt1.tensors[name], ckpt2.tensors[name])
-    assert (
-        compare_weighting(tiny_dataset, ModelConfig(), t).to_dict()
-        == compare_weighting(data, ModelConfig(), t).to_dict()
-    )
 
 
 @pytest.mark.parametrize("fit", [train, train_orient])

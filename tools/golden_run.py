@@ -28,8 +28,10 @@ split, evaluates the predictions CSV too, and merges the two eval reports
 into a comparison table, so every CSV and JSON writer and every text
 reader runs. It
 predicts and evaluates on all 252 small images too: eval passes of 16 rows
-and a last one of 12. It prints one `sha256  relpath` line per file
-written, in path order, and last the SHA-256 of those lines. Run it on two
+and a last one of 12. Last it re-runs both trainings with a weighting
+report into their used directories, which must leave every byte as it was.
+It prints one `sha256  relpath` line per file written, in path order, and
+last the SHA-256 of those lines. Run it on two
 trees (each with its own `src/`) into two directories: the same last line
 means every artefact has the same bytes.
 """
@@ -54,6 +56,10 @@ def _script(out: Path) -> list[list[str]]:
     ckpt = ["--checkpoint", str(train / "checkpoint.bin")]
     posed = [str(small / f"class{c}_0000.pgm") for c in range(6)]
     posed_40 = [str(small / f"class{c}_{i:04d}.pgm") for c in range(4) for i in range(10)]
+    weighted = ["--out-dir", str(train), "train", *fit, "2",
+                "--weighting-report", str(train / "weighting.json")]
+    uniform = ["--out-dir", str(out / "train_uniform"), "train", *fit, "2", "--uniform-loss",
+               "--weighting-report", str(out / "train_uniform" / "weighting.json")]
     return [
         ["--out-dir", str(small), "synth", "--scale", "0.1", "--image-size", "32"],
         ["--out-dir", str(large), "synth", "--scale", "0.005", "--image-size", "1024"],
@@ -77,10 +83,8 @@ def _script(out: Path) -> list[list[str]]:
          "--tiles", "2", "2", "--clip", "1.5"],
         ["--out-dir", str(out / "clahe"), "enhance", str(small), "--stage", "clahe",
          "--tiles", "3", "5", "--clip", "1.5"],
-        ["--out-dir", str(train), "train", *fit, "2",
-         "--weighting-report", str(train / "weighting.json")],
-        ["--out-dir", str(out / "train_uniform"), "train", *fit, "2", "--uniform-loss",
-         "--weighting-report", str(out / "train_uniform" / "weighting.json")],
+        weighted,
+        uniform,
         ["--out-dir", str(out / "cluster"), "cluster", "--manifest", str(small / "manifest.csv")],
         ["--out-dir", str(out / "orient"), "orient-train", *fit, "1"],
         ["--out-dir", str(out / "posed"), "orient", "--checkpoint",
@@ -95,6 +99,8 @@ def _script(out: Path) -> list[list[str]]:
          str(out / "predict" / "predictions.csv"), *val],
         ["--out-dir", str(out / "report"), "report", "--model", str(out / "eval" / "eval_report.json"),
          "--annotators", str(out / "eval_predictions" / "eval_report.json")],
+        weighted,
+        uniform,
     ]
 
 
