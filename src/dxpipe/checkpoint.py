@@ -44,17 +44,14 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
     config: ModelConfig
     tensors: dict[str, np.ndarray]
 
 
 def checkpoint_from_model(model: FusionNet) -> Checkpoint:
-    return Checkpoint(
-        version=VERSION,
-        config=model.config,
-        tensors={k: v.copy() for k, v in model.params.items()},
-    )
+    """The record of model for save_checkpoint: its config and its own
+    parameter arrays, not copies, since saving only reads them."""
+    return Checkpoint(config=model.config, tensors=dict(model.params))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> FusionNet:
@@ -132,7 +129,7 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> None:
         payloads.append(arr)
         offset += arr.nbytes
     meta = ("\n".join(meta_lines) + "\n").encode("utf-8")
-    header = MAGIC + struct.pack("<I", ckpt.version) + struct.pack("<Q", len(meta))
+    header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(meta))
     write_atomic(path, b"".join([header, meta, *payloads]))
 
 
@@ -200,7 +197,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         .reshape(shape)
         for name, (shape, offset) in layout.items()
     }
-    return Checkpoint(version=version, config=config, tensors=tensors)
+    return Checkpoint(config=config, tensors=tensors)
 
 
 def load_model(path: Path | str) -> FusionNet:

@@ -224,10 +224,10 @@ def _training_set(args, t: trainer_mod.TrainConfig) -> trainer_mod.TrainingSet:
 _TRAIN_OUTPUTS = ("checkpoint.bin", "trainlog.csv", "train_manifest.csv", "val_manifest.csv")
 
 
-def _save_training(args, what: str, ckpt, log: trainer_mod.TrainLog, ckpt_name, log_name) -> None:
-    """Write a training's checkpoint and log under --out-dir, and print its summary."""
+def _save_training(args, what: str, model, log: trainer_mod.TrainLog, ckpt_name, log_name) -> None:
+    """Write a trained model's checkpoint and log under --out-dir, and print its summary."""
     ckpt_path = args.out_dir / ckpt_name
-    ckpt_io.save_checkpoint(ckpt, ckpt_path)
+    ckpt_io.save_model(model, ckpt_path)
     _write_text(args.out_dir / log_name, log.to_csv())
     if args.verbose:
         print(log.to_csv(), end="")
@@ -245,12 +245,12 @@ def _cmd_train(args) -> int:
     data = _training_set(args, t)
     ones = np.ones(model_cfg.num_classes)
     requested, twin = (ones, None) if args.uniform_loss else (None, ones)
-    ckpt, log = trainer_mod.train(data, model_cfg, t, class_weights=requested)
+    model, log = trainer_mod.train(data, model_cfg, t, class_weights=requested)
     if args.weighting_report is not None:  # a failing twin must find --out-dir untouched
         _, twin_log = trainer_mod.train(data, model_cfg, t, class_weights=twin)
         logs = (twin_log, log) if args.uniform_loss else (log, twin_log)
         report = trainer_mod.compare_weighting(data, *logs)
-    _save_training(args, f"{t.epochs} epochs", ckpt, log, *_TRAIN_OUTPUTS[:2])
+    _save_training(args, f"{t.epochs} epochs", model, log, *_TRAIN_OUTPUTS[:2])
     synth_mod.save_manifest(data.train, train_path)
     synth_mod.save_manifest(data.val, val_path)
     if args.weighting_report is not None:
@@ -260,8 +260,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_orient_train(args) -> int:
     t, model_cfg = _train_config(args), _model_config(args)
-    ckpt, log = orient_mod.train_orient(_training_set(args, t), model_cfg, t)
-    _save_training(args, "pose model", ckpt, log, "orient_checkpoint.bin", "orient_trainlog.csv")
+    model, log = orient_mod.train_orient(_training_set(args, t), model_cfg, t)
+    _save_training(args, "pose model", model, log, "orient_checkpoint.bin", "orient_trainlog.csv")
     return 0
 
 
@@ -409,10 +409,16 @@ def _cmd_eval(args) -> int:
     report = metrics_mod.build_report(
         labels, scores.argmax(axis=1), num_classes, score_matrix=scores
     )
-    _write_text(args.out_dir / "eval_report.json", report.to_json())
+    index = report.to_json()
+    # the report indexes the curves: it goes first with any old curve, comes back last
+    (args.out_dir / "eval_report.json").unlink(missing_ok=True)
+    for path in args.out_dir.glob("roc_class*.csv"):
+        if re.fullmatch(r"roc_class[0-9]+\.csv", path.name):
+            path.unlink()
     for c, curve in enumerate(report.roc_curves):
         if curve is not None:  # no curve for a class with no positives or no negatives
             _write_text(args.out_dir / f"roc_class{c}.csv", metrics_mod.roc_to_csv(curve))
+    _write_text(args.out_dir / "eval_report.json", index)
     print(metrics_mod.render_per_class_table(report), end="")
     macro = "undefined" if report.macro_auc is None else f"{report.macro_auc:.4f}"
     undefined = [str(c) for c, auc in enumerate(report.per_class_auc) if auc is None]

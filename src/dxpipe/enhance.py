@@ -450,10 +450,7 @@ def clahe_stack(stack: np.ndarray, p: ClaheParams) -> np.ndarray:
     for i0, i1, r0, r1 in _blocks(n, h, w):
         # in a tile row's pair table, (i1 - i0, tiles_x + 1, 256) flat, pixel
         # x of image i0 + j reads entry j * (tiles_x + 1) * 256 + col[x] + value
-        if i1 > i0 + 1:
-            offsets = col + (np.arange(i1 - i0) * ((p.tiles_x + 1) * 256))[:, None, None]
-        else:
-            offsets = col
+        offsets = col + (np.arange(i1 - i0) * ((p.tiles_x + 1) * 256))[:, None, None]
         idx = a[i0:i1, r0:r1] + offsets
         held: dict = {}  # the pair tables of the band's tile rows
         for b0, b1 in bands:

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from dxpipe.checkpoint import Checkpoint
 from dxpipe.image import rotate
 from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation
-from dxpipe.synth import DatasetManifest
-from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit, training_set
+from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit
 
 
 def orientation_stream(n_images: int, seed) -> list[tuple[int, int, int]]:
@@ -33,10 +31,10 @@ def _all_turns(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train_orient(
-    data: DatasetManifest | TrainingSet, model_cfg: ModelConfig, t: TrainConfig
-) -> tuple[Checkpoint, TrainLog]:
-    """Train the pose classifier on canonical-pose images."""
-    data = training_set(data, t)
+    data: TrainingSet, model_cfg: ModelConfig, t: TrainConfig
+) -> tuple[FusionNet, TrainLog]:
+    """Train the pose classifier on data's canonical-pose images; returns
+    the model holding the best-validation epoch's parameters."""
     val_images, val_labels = _all_turns(data.val_images)
 
     def stream_fn(epoch: int):

@@ -1,12 +1,14 @@
 """Training orchestration: class weighting, rotation augmentation,
 stratified splits, the SGD loop with stepped learning-rate decay, and
-best-validation checkpoint selection.
+best-validation model selection.
 
 A command sets its data up once, as a TrainingSet: one split and one read
-of each image, shared by all its trainings and reports.
+of each image, shared by all its trainings and reports. Training takes that
+TrainingSet and returns the model holding the best epoch's parameters, with
+its log; saving it is the caller's step.
 
 Everything is deterministic per seed: the split, the per-epoch shuffles and
-rotation draws, the dropout masks, and therefore the resulting checkpoint
+rotation draws, the dropout masks, and therefore the resulting parameters
 and log bytes.
 """
 
@@ -18,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dxpipe.checkpoint import Checkpoint, checkpoint_from_model
 from dxpipe.fileio import csv_text
 from dxpipe.image import load_pgms, rotate
 from dxpipe.metrics import confusion, per_class_metrics
@@ -142,12 +143,9 @@ class TrainingSet(NamedTuple):
     val_images: np.ndarray
 
 
-def training_set(data: DatasetManifest | TrainingSet, t: TrainConfig) -> TrainingSet:
-    """data split for t, then each of its images read once; a TrainingSet,
-    already built for t, is returned as it is."""
-    if isinstance(data, TrainingSet):
-        return data
-    train_m, val_m = split_for_config(data, t)
+def training_set(manifest: DatasetManifest, t: TrainConfig) -> TrainingSet:
+    """manifest split for t, then each of its images read once."""
+    train_m, val_m = split_for_config(manifest, t)
     return TrainingSet(train_m, val_m, load_image_array(train_m), load_image_array(val_m))
 
 
@@ -177,7 +175,7 @@ def _fit(
     val_labels: np.ndarray,
     weights: np.ndarray,
     t: TrainConfig,
-) -> tuple[Checkpoint, TrainLog]:
+) -> tuple[FusionNet, TrainLog]:
     """Shared SGD loop on uint8 images; stream_fn(epoch) yields (index, turns, label).
 
     A training holds one forward cache at a time: each batch's input, cache,
@@ -219,21 +217,21 @@ def _fit(
             log.best_scores = scores
             best_params = {k: v.copy() for k, v in model.params.items()}
     model.params = best_params
-    return checkpoint_from_model(model), log
+    return model, log
 
 
 def train(
-    data: DatasetManifest | TrainingSet,
+    data: TrainingSet,
     model_cfg: ModelConfig,
     t: TrainConfig,
     class_weights: np.ndarray | None = None,
-) -> tuple[Checkpoint, TrainLog]:
-    """Train the region classifier; returns the best-validation checkpoint.
+) -> tuple[FusionNet, TrainLog]:
+    """Train the region classifier on data, built for t by training_set;
+    returns the model holding the best-validation epoch's parameters.
 
     class_weights defaults to inverse-frequency weights over the training
     partition; pass np.ones(num_classes) for an unweighted baseline.
     """
-    data = training_set(data, t)
     weights = compute_class_weights(data.train, model_cfg.num_classes)  # refuses a missing class
     if class_weights is not None:
         weights = class_weights

@@ -12,7 +12,6 @@ import numpy as np
 
 from conftest import pairwise_auc, psnr
 from dxpipe import synth
-from dxpipe.checkpoint import model_from_checkpoint
 from dxpipe.cli import run as cli_run
 from dxpipe.cluster import kmeans
 from dxpipe.enhance import (
@@ -25,7 +24,7 @@ from dxpipe.enhance import (
     sharpen,
     tile_bounds,
 )
-from dxpipe.image import load_pgm, rotate
+from dxpipe.image import rotate
 from dxpipe.metrics import (
     EvalReport,
     compare_report,
@@ -39,8 +38,6 @@ from dxpipe.trainer import (
     TrainConfig,
     compare_weighting,
     evaluate_arrays,
-    load_image_array,
-    split_for_config,
     train,
     training_set,
 )
@@ -322,13 +319,11 @@ def test_criterion_5_end_to_end(default_dataset):
     t0 = time.time()
     t = TrainConfig(seed=42)
     cfg = ModelConfig()
-    ckpt, log = train(default_dataset, cfg, t)
-    model = model_from_checkpoint(ckpt)
+    data = training_set(default_dataset, t)
+    model, log = train(data, cfg, t)
 
-    _, val_m = split_for_config(default_dataset, t)
-    vx = load_image_array(val_m)
-    vy = np.array([e.class_id for e in val_m.entries], dtype=np.int64)
-    _, acc, scores = evaluate_arrays(model, vx, vy, np.ones(6))
+    vy = np.array([e.class_id for e in data.val.entries], dtype=np.int64)
+    _, acc, scores = evaluate_arrays(model, data.val_images, vy, np.ones(6))
     _, macro = multiclass_auc(scores, vy)
     elapsed = time.time() - t0
     gate(5, "default training reaches macro AUC >= 0.90 and accuracy >= 0.85",
@@ -363,14 +358,12 @@ def test_criterion_6_weighting_report(default_dataset):
 
 def test_criterion_7_orientation(default_dataset):
     t = TrainConfig(seed=42, epochs=8)
-    ckpt, _ = train_orient(default_dataset, ModelConfig(), t)
-    model = model_from_checkpoint(ckpt)
+    data = training_set(default_dataset, t)
+    model, _ = train_orient(data, ModelConfig(), t)
 
-    _, val_m = split_for_config(default_dataset, t)
     hits = 0
     total = 0
-    for e in val_m.entries:
-        img = load_pgm(val_m.resolve(e))
+    for img in data.val_images:
         for turns in range(4):
             posed = rotate(img, turns)
             fixed, detected, confidence = correct_orientation(model, posed[None])[0]

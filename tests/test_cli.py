@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import re
+import signal
 import struct
+import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_image, random_image
+import dxpipe
 from dxpipe import cli, enhance, nnet, synth, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
@@ -549,6 +554,107 @@ def test_a_failing_orient_leaves_no_orientation_csv(trained, tmp_path, capsys, m
     assert run(argv) == 1
     assert _one_error_line(capsys) == "error: disk full\n"
     assert not (tmp_path / "fixed" / "orientation.csv").exists()
+
+
+def _eval_predictions_case(root, out):
+    """argv of eval runs into out of one predictions file against a manifest
+    of classes 0..5 (six ROC curves) and against one of classes 0 and 1
+    only (two); the inputs are written under root."""
+    rows = [(f"i{c}_{k}.pgm", c) for c in range(6) for k in range(2)]
+    scores = np.random.default_rng(0).dirichlet(np.ones(6), size=len(rows))
+    preds = root / "predictions.csv"
+    preds.write_text(_predictions_to_csv([name for name, _ in rows], scores))
+    argvs = []
+    for n_classes in (6, 2):
+        manifest = root / f"m{n_classes}.csv"
+        manifest.write_text("# seed=0\npath,class_id,rotation\n" + "".join(
+            f"{name},{c},0\n" for name, c in rows if c < n_classes))
+        argvs.append(["--out-dir", str(out), "eval", "--predictions", str(preds),
+                      "--manifest", str(manifest)])
+    return argvs
+
+
+def test_eval_into_a_used_out_dir_leaves_no_stale_roc_curve(tmp_path):
+    ev = tmp_path / "ev"
+    every_class, two_classes = _eval_predictions_case(tmp_path, ev)
+    assert run(every_class) == 0
+    assert len(list(ev.glob("roc_class*.csv"))) == 6
+    (ev / "roc_class_notes.csv").write_text("not a curve\n")
+    assert run(two_classes) == 0
+    assert sorted(p.name for p in ev.iterdir()) == [
+        "eval_report.json", "roc_class0.csv", "roc_class1.csv", "roc_class_notes.csv"]
+    assert json.loads((ev / "eval_report.json").read_text())["per_class_auc"][2:] == [None] * 4
+
+
+def _output_set(root) -> dict:
+    """root's files by name; a temporary file a killed write left is no output."""
+    return {p.name: p.read_bytes() for p in root.iterdir()
+            if not (p.name.startswith(".") and p.name.endswith(".tmp"))}
+
+
+def _kill_at(argv, index: Path, delay: float) -> int:
+    """Run the CLI with argv in a subprocess; once its old index is gone,
+    that is once it has begun writing, wait delay seconds and SIGKILL it.
+    Returns its exit status."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(dxpipe.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "dxpipe.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        while proc.poll() is None and index.exists():
+            time.sleep(0.0005)
+        time.sleep(delay)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.wait()
+    return proc.returncode
+
+
+def _two_runs(command, root, out, data):
+    """argv of two runs of command into out that write one set of file
+    names with other bytes; their inputs are made under root."""
+    if command == "synth":
+        return [["--seed", seed, "--out-dir", str(out), "synth", "--scale", "0.02",
+                 "--image-size", "64"] for seed in ("1", "2")]
+    if command == "orient":
+        images = [str(p) for p in sorted(data.glob("*.pgm"))[:40]]
+        argvs = []
+        for seed in (0, 3):
+            path = root / f"pose{seed}.bin"
+            save_model(FusionNet(ModelConfig(num_classes=4), seed=seed), path)
+            argvs.append(["--out-dir", str(out), "orient", "--checkpoint", str(path), *images])
+        return argvs
+    return _eval_predictions_case(root, out)
+
+
+@pytest.mark.parametrize("command, index", [
+    ("synth", "manifest.csv"), ("orient", "orientation.csv"), ("eval", "eval_report.json")])
+def test_a_killed_command_leaves_the_old_set_the_new_set_or_no_index(
+    trained, tmp_path, command, index
+):
+    """SIGKILL at two delays after a command into a used out-dir has begun
+    writing (on a 2-core host, 0 s mostly lands mid-set for each command and
+    0.02 s does for synth; a run that finished first must pass too): the
+    out-dir then holds the old set, the new set, or a set without its index,
+    each of whose files is the old or the new one."""
+    data, _ = trained
+    out = tmp_path / "out"
+    old, new = _two_runs(command, tmp_path, out, data)
+    assert run(_two_runs(command, tmp_path, tmp_path / "fresh", data)[1]) == 0
+    new_set = _output_set(tmp_path / "fresh")
+    for delay in (0.0, 0.02):
+        assert run(old) == 0
+        old_set = _output_set(out)
+        assert old_set[index] != new_set[index]
+        assert _kill_at(new, out / index, delay) in (0, -signal.SIGKILL)
+        left = _output_set(out)
+        if index in left:
+            assert left in (old_set, new_set)
+        else:
+            assert all(left[name] in (old_set.get(name), new_set.get(name)) for name in left)
+        for p in out.iterdir():
+            p.unlink()
 
 
 _PREDICTIONS_SAMPLE = (b"path,predicted,score_0,score_1\n"

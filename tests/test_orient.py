@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from dxpipe.checkpoint import model_from_checkpoint
 from dxpipe.image import load_pgm, rotate
 from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation
 from dxpipe.orient import correct_orientation, orientation_stream, train_orient
-from dxpipe.trainer import TrainConfig
+from dxpipe.trainer import TrainConfig, training_set
 
 
 def test_stream_covers_all_turns():
@@ -54,8 +53,8 @@ def test_correct_orientation_confidence_and_inverse():
 @pytest.fixture(scope="module")
 def pose_model(tiny_dataset):
     t = TrainConfig(epochs=4, batch_size=32, seed=13)
-    ckpt, log = train_orient(tiny_dataset, ModelConfig(), t)
-    return model_from_checkpoint(ckpt)
+    model, _ = train_orient(training_set(tiny_dataset, t), ModelConfig(), t)
+    return model
 
 
 def test_trained_model_restores_rotated_images(tiny_dataset, pose_model):
@@ -81,10 +80,10 @@ def test_trained_model_restores_rotated_images(tiny_dataset, pose_model):
 
 def test_train_orient_deterministic(tiny_dataset):
     t = TrainConfig(epochs=1, batch_size=32, seed=8)
-    ckpt1, _ = train_orient(tiny_dataset, ModelConfig(), t)
-    ckpt2, _ = train_orient(tiny_dataset, ModelConfig(), t)
-    for name in ckpt1.tensors:
-        np.testing.assert_array_equal(ckpt1.tensors[name], ckpt2.tensors[name])
+    model1, _ = train_orient(training_set(tiny_dataset, t), ModelConfig(), t)
+    model2, _ = train_orient(training_set(tiny_dataset, t), ModelConfig(), t)
+    for name in model1.params:
+        np.testing.assert_array_equal(model1.params[name], model2.params[name])
 
 
 def test_batched_correction_matches_single_image_calls(tiny_dataset, pose_model):

@@ -10,7 +10,7 @@ import pytest
 import dxpipe
 from dxpipe import nnet
 from dxpipe import trainer as trainer_mod
-from dxpipe.checkpoint import model_from_checkpoint, save_checkpoint
+from dxpipe.checkpoint import save_model
 from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.orient import train_orient
 from dxpipe.synth import (
@@ -108,7 +108,7 @@ def test_stratified_split_singleton_goes_to_train():
 
 def test_lr_decay_schedule(tiny_dataset):
     t = TrainConfig(epochs=11, batch_size=32, lr=0.01, lr_decay_factor=0.5, lr_decay_every=10, seed=1)
-    _, log = train(tiny_dataset, ModelConfig(), t)
+    _, log = train(training_set(tiny_dataset, t), ModelConfig(), t)
     lrs = [e.lr for e in log.epochs]
     assert lrs[0] == 0.01
     assert lrs[9] == 0.01
@@ -118,9 +118,9 @@ def test_lr_decay_schedule(tiny_dataset):
 
 def test_zero_lr_keeps_initial_weights(tiny_dataset):
     t = TrainConfig(epochs=1, lr=0.0, seed=5)
-    ckpt, _ = train(tiny_dataset, ModelConfig(), t)
+    model, _ = train(training_set(tiny_dataset, t), ModelConfig(), t)
     fresh = FusionNet(ModelConfig(), seed=5)
-    for name, tensor in ckpt.tensors.items():
+    for name, tensor in model.params.items():
         np.testing.assert_array_equal(tensor, fresh.params[name])
 
 
@@ -129,22 +129,23 @@ def test_non_finite_validation_names_the_epoch(tiny_dataset, monkeypatch):
         raise FloatingPointError("non-finite values in logits")
 
     monkeypatch.setattr(trainer_mod, "evaluate_arrays", diverged)
+    t = TrainConfig(epochs=1, seed=3)
     with pytest.raises(FloatingPointError, match="^epoch 0 validation: non-finite values in logits$"):
-        train(tiny_dataset, ModelConfig(), TrainConfig(epochs=1, seed=3))
+        train(training_set(tiny_dataset, t), ModelConfig(), t)
 
 
 def test_train_deterministic_per_seed(tiny_dataset):
     t = TrainConfig(**FAST)
-    ckpt1, log1 = train(tiny_dataset, ModelConfig(), t)
-    ckpt2, log2 = train(tiny_dataset, ModelConfig(), t)
+    model1, log1 = train(training_set(tiny_dataset, t), ModelConfig(), t)
+    model2, log2 = train(training_set(tiny_dataset, t), ModelConfig(), t)
     assert log1.to_csv() == log2.to_csv()
-    for name in ckpt1.tensors:
-        np.testing.assert_array_equal(ckpt1.tensors[name], ckpt2.tensors[name])
+    for name in model1.params:
+        np.testing.assert_array_equal(model1.params[name], model2.params[name])
 
 
 def test_train_log_shape(tiny_dataset):
     t = TrainConfig(**FAST)
-    _, log = train(tiny_dataset, ModelConfig(), t)
+    _, log = train(training_set(tiny_dataset, t), ModelConfig(), t)
     assert len(log.epochs) == t.epochs
     assert [e.epoch for e in log.epochs] == list(range(t.epochs))
     assert 0 <= log.best_epoch < t.epochs
@@ -159,32 +160,32 @@ def test_overfits_small_subset(tmp_path):
         epochs=200, batch_size=8, lr=0.01, seed=2,
         augment_rotations=False, validation_fraction=0.2,
     )
-    ckpt, log = train(manifest, ModelConfig(dropout_rate=0.0), t)
+    _, log = train(training_set(manifest, t), ModelConfig(dropout_rate=0.0), t)
     assert min(e.train_loss for e in log.epochs) < 0.05
 
 
 def test_best_checkpoint_is_best_val_epoch(tiny_dataset):
     t = TrainConfig(epochs=3, batch_size=16, seed=11)
-    ckpt, log = train(tiny_dataset, ModelConfig(), t)
+    model, log = train(training_set(tiny_dataset, t), ModelConfig(), t)
     best = log.epochs[log.best_epoch].val_acc
     assert all(e.val_acc <= best for e in log.epochs)
 
-    # the stored tensors really are the best epoch's weights: re-evaluating
-    # the checkpoint on the validation split reproduces the logged accuracy
+    # the returned parameters really are the best epoch's weights: re-evaluating
+    # the model on the validation split reproduces the logged accuracy
     from dxpipe.trainer import evaluate_arrays, load_image_array
 
     _, val_m = split_for_config(tiny_dataset, t)
     vx = load_image_array(val_m)
     vy = np.array([e.class_id for e in val_m.entries])
-    model = model_from_checkpoint(ckpt)
     _, acc, scores = evaluate_arrays(model, vx, vy, np.ones(6))
     assert abs(acc - best) < 1e-9
     np.testing.assert_array_equal(scores, log.best_scores)
 
 
 def test_train_rejects_empty_manifest():
+    t = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="empty"):
-        train(DatasetManifest(), ModelConfig(), TrainConfig(epochs=1))
+        train(training_set(DatasetManifest(), t), ModelConfig(), t)
 
 
 def test_split_without_validation_images_is_refused_before_any_image_is_read():
@@ -192,8 +193,9 @@ def test_split_without_validation_images_is_refused_before_any_image_is_read():
     m = manifest_with_counts([1, 1, 1, 1, 1, 1])
     with pytest.raises(ValueError, match="validation split is empty"):
         split_for_config(m, TrainConfig(epochs=1))
+    t = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="validation split is empty"):
-        train(m, ModelConfig(), TrainConfig(epochs=1))
+        train(training_set(m, t), ModelConfig(), t)
 
 
 def test_train_config_validation():
@@ -230,18 +232,6 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(tiny_dataset, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_a_training_set_gives_the_results_of_its_manifest(tiny_dataset):
-    t = TrainConfig(**FAST)
-    data = training_set(tiny_dataset, t)
-    assert training_set(data, t) is data
-    for fit in (train, train_orient):
-        (ckpt1, log1), (ckpt2, log2) = fit(tiny_dataset, ModelConfig(), t), fit(data, ModelConfig(), t)
-        assert log1.to_csv() == log2.to_csv()
-        assert ckpt1.tensors.keys() == ckpt2.tensors.keys()
-        for name in ckpt1.tensors:
-            np.testing.assert_array_equal(ckpt1.tensors[name], ckpt2.tensors[name])
-
-
 @pytest.mark.parametrize("fit", [train, train_orient])
 def test_a_training_holds_one_forward_cache_at_a_time(tiny_dataset, monkeypatch, fit):
     """No training forward and no validation pass runs beside an earlier
@@ -266,7 +256,8 @@ def test_a_training_holds_one_forward_cache_at_a_time(tiny_dataset, monkeypatch,
 
     monkeypatch.setattr(FusionNet, "forward", traced_forward)
     monkeypatch.setattr(FusionNet, "eval_logits", traced_eval_logits)
-    fit(tiny_dataset, ModelConfig(), TrainConfig(**FAST))
+    t = TrainConfig(**FAST)
+    fit(training_set(tiny_dataset, t), ModelConfig(), t)
     assert [what for what, _ in alive].count("validation") == FAST["epochs"]
     assert len(columns) > FAST["epochs"]
     assert alive == [(what, 0) for what, _ in alive]
@@ -281,8 +272,8 @@ def test_checkpoint_bytes_do_not_depend_on_skipping_the_eval_pool_index(
     data = training_set(tiny_dataset, t)
 
     def run(name):
-        ckpt, log = train(data, ModelConfig(), t)
-        save_checkpoint(ckpt, tmp_path / name)
+        model, log = train(data, ModelConfig(), t)
+        save_model(model, tmp_path / name)
         return (tmp_path / name).read_bytes(), log.to_csv()
 
     skipped = run("skipped.bin")
