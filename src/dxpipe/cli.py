@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr-decay-factor", type=float, default=0.5)
         p.add_argument("--lr-decay-every", type=int, default=10)
         p.add_argument("--validation-fraction", type=float, default=0.15)
-        p.add_argument("--no-augment", action="store_true", help="disable rotation augmentation")
         p.add_argument("--input-size", type=int, default=32)
         p.add_argument("--branch-a-dim", type=int, default=66)
         p.add_argument("--branch-b-dim", type=int, default=96)
@@ -75,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dropout", type=float, default=0.5)
         p.add_argument("--full-scale", action="store_true", help="preset: 1056/1536/2048 dims")
         if name == "train":
+            p.add_argument("--no-augment", action="store_true", help="disable rotation augmentation")
             p.add_argument("--uniform-loss", action="store_true", help="disable class weighting")
             p.add_argument(
                 "--weighting-report",
@@ -126,7 +127,6 @@ def _train_config(args) -> trainer_mod.TrainConfig:
         momentum=args.momentum,
         lr_decay_factor=args.lr_decay_factor,
         lr_decay_every=args.lr_decay_every,
-        augment_rotations=not args.no_augment,
         seed=args.seed,
         validation_fraction=args.validation_fraction,
     )
@@ -243,11 +243,10 @@ def _cmd_train(args) -> int:
     t = _train_config(args)
     model_cfg = _model_config(args)
     data = _training_set(args, t)
-    ones = np.ones(model_cfg.num_classes)
-    requested, twin = (ones, None) if args.uniform_loss else (None, ones)
-    model, log = trainer_mod.train(data, model_cfg, t, class_weights=requested)
+    fit = partial(trainer_mod.train, data, model_cfg, t, augment=not args.no_augment)
+    model, log = fit(uniform=args.uniform_loss)
     if args.weighting_report is not None:  # a failing twin must find --out-dir untouched
-        _, twin_log = trainer_mod.train(data, model_cfg, t, class_weights=twin)
+        _, twin_log = fit(uniform=not args.uniform_loss)
         logs = (twin_log, log) if args.uniform_loss else (log, twin_log)
         report = trainer_mod.compare_weighting(data, *logs)
     _save_training(args, f"{t.epochs} epochs", model, log, *_TRAIN_OUTPUTS[:2])
@@ -380,9 +379,22 @@ def _read_predictions(path: Path) -> dict[str, np.ndarray]:
     return by_name
 
 
+def _eval_outputs(args) -> list[Path]:
+    """The files eval replaces in --out-dir; an input that is one of them is refused."""
+    outputs = [args.out_dir / "eval_report.json"]
+    outputs += (p for p in args.out_dir.glob("roc_class*.csv")
+                if re.fullmatch(r"roc_class[0-9]+\.csv", p.name))
+    for flag in ("manifest", "predictions", "checkpoint"):
+        path = getattr(args, flag)
+        if path is not None and any(fileio.same_file(path, out) for out in outputs):
+            raise ValueError(f"--{flag} {path} is a file that eval replaces in --out-dir")
+    return outputs
+
+
 def _cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
+    replaced = _eval_outputs(args)
     manifest = _load_manifest(args.manifest)
     labels = manifest.labels()
     if args.checkpoint is not None:
@@ -411,10 +423,8 @@ def _cmd_eval(args) -> int:
     )
     index = report.to_json()
     # the report indexes the curves: it goes first with any old curve, comes back last
-    (args.out_dir / "eval_report.json").unlink(missing_ok=True)
-    for path in args.out_dir.glob("roc_class*.csv"):
-        if re.fullmatch(r"roc_class[0-9]+\.csv", path.name):
-            path.unlink()
+    for path in replaced:
+        path.unlink(missing_ok=True)
     for c, curve in enumerate(report.roc_curves):
         if curve is not None:  # no curve for a class with no positives or no negatives
             _write_text(args.out_dir / f"roc_class{c}.csv", metrics_mod.roc_to_csv(curve))

@@ -29,12 +29,16 @@ def one_write_per_path():
         _written.reset(token)
 
 
+def same_file(a: Path | str, b: Path | str) -> bool:
+    """Whether paths a and b name one file, symlinks and '..' resolved."""
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def refuse_same_file(path: Path | str, outputs) -> None:
     """Raise the rule's FileExistsError at once if path names one of outputs
-    (symlinks and '..' resolved), for a command that would otherwise find
-    out only when it writes, after its long work."""
-    real = os.path.realpath(path)
-    if any(os.path.realpath(out) == real for out in outputs):
+    (same_file), for a command that would otherwise find out only when it
+    writes, after its long work."""
+    if any(same_file(path, out) for out in outputs):
         raise FileExistsError(f"{path} is written twice by one command")
 
 

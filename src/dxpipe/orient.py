@@ -1,10 +1,10 @@
 """Learned 4-way pose detection and automatic rotation correction.
 
 The pose model is the same fusion architecture with four output classes.
-Its training stream emits every image under all four quarter-turns with the
-turn index as the label, so quarter-turn rotations are lossless to undo:
-whenever the predicted turn equals the applied one, correction restores the
-original image exactly.
+Each epoch is a shuffled range(4 * N): pick p is image p // 4 turned p % 4,
+labelled p % 4.  Quarter-turn rotations are lossless to undo: whenever the
+predicted turn equals the applied one, correction restores the original
+image exactly.
 """
 
 from __future__ import annotations
@@ -13,21 +13,14 @@ import numpy as np
 
 from dxpipe.image import rotate
 from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation
-from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit
+from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit, _posed
 
 
-def orientation_stream(n_images: int, seed) -> list[tuple[int, int, int]]:
-    """Shuffled (image index, turns, label=turns) covering all four poses."""
-    pairs = [(i, t, t) for i in range(n_images) for t in range(4)]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pairs))
-    return [pairs[i] for i in order]
-
-
-def _all_turns(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every image under every quarter-turn, with turn labels."""
-    posed = np.stack([rotate(img, t) for img in images for t in range(4)])
-    return posed, np.tile(np.arange(4, dtype=np.int64), len(images))
+def orientation_stream(n_images: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffled (image indices, turns, labels = turns) arrays holding each
+    (image, turn) pair of all four poses once."""
+    picks = np.random.default_rng(seed).permutation(4 * n_images)
+    return picks // 4, picks % 4, picks % 4
 
 
 def train_orient(
@@ -35,15 +28,15 @@ def train_orient(
 ) -> tuple[FusionNet, TrainLog]:
     """Train the pose classifier on data's canonical-pose images; returns
     the model holding the best-validation epoch's parameters."""
-    val_images, val_labels = _all_turns(data.val_images)
 
     def stream_fn(epoch: int):
-        return orientation_stream(
-            len(data.images), np.random.SeedSequence([t.seed & (2**64 - 1), 0xB0, epoch])
-        )
+        seed = np.random.SeedSequence([t.seed & (2**64 - 1), 0xB0, epoch])
+        return orientation_stream(len(data.images), seed)
 
+    picks = np.arange(4 * len(data.val_images))  # validation: every image under every turn
+    val_images = _posed(data.val_images, picks // 4, picks % 4)
     cfg = config_for_orientation(model_cfg)
-    return _fit(cfg, data.images, stream_fn, val_images, val_labels, np.ones(4), t)
+    return _fit(cfg, data.images, stream_fn, val_images, picks % 4, np.ones(4), t)
 
 
 def correct_orientation(

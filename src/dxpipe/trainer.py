@@ -5,7 +5,9 @@ best-validation model selection.
 A command sets its data up once, as a TrainingSet: one split and one read
 of each image, shared by all its trainings and reports. Training takes that
 TrainingSet and returns the model holding the best epoch's parameters, with
-its log; saving it is the caller's step.
+its log; saving it is the caller's step. An epoch is three aligned int64
+arrays in training order (image indices, clockwise quarter-turns, labels),
+and one loop, _fit, trains the region and the pose (orient) classifier on it.
 
 Everything is deterministic per seed: the split, the per-epoch shuffles and
 rotation draws, the dropout masks, and therefore the resulting parameters
@@ -35,7 +37,6 @@ class TrainConfig:
     momentum: float = 0.9
     lr_decay_factor: float = 0.5
     lr_decay_every: int = 10
-    augment_rotations: bool = True
     seed: int = 42
     validation_fraction: float = 0.15
 
@@ -87,22 +88,17 @@ def compute_class_weights(manifest: DatasetManifest, num_classes: int = 6) -> np
     return total / (num_classes * counts.astype(np.float64))
 
 
-def augment_epoch(
-    manifest: DatasetManifest, seed, rotations: bool = True
-) -> list[tuple[int, int]]:
-    """Shuffled (entry index, quarter-turn) stream for one epoch.
+def augment_epoch(n: int, seed, rotations: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffled (entry indices, quarter-turns) arrays for one epoch of n entries.
 
-    One emission per manifest entry (augmentation happens on the fly, the
-    dataset is not inflated); the region label never changes.  Pass a
-    (seed, epoch) tuple for a per-epoch stream.
+    One emission per entry (augmentation happens on the fly, the dataset is
+    not inflated); the region label never changes.  Without rotations every
+    turn is 0.  Pass a (seed, epoch) tuple for a per-epoch stream.
     """
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(manifest.entries))
-    if rotations:
-        turns = rng.integers(0, 4, size=len(order))
-    else:
-        turns = np.zeros(len(order), dtype=np.int64)
-    return [(int(i), int(t)) for i, t in zip(order, turns)]
+    order = rng.permutation(n)
+    turns = rng.integers(0, 4, size=n) if rotations else np.zeros(n, dtype=np.int64)
+    return order, turns
 
 
 def stratified_split(
@@ -135,7 +131,7 @@ def load_image_array(manifest: DatasetManifest) -> np.ndarray:
 
 
 class TrainingSet(NamedTuple):
-    """A manifest's split_for_config partition and its uint8 images."""
+    """A manifest's (train, validation) partition and its uint8 images."""
 
     train: DatasetManifest
     val: DatasetManifest
@@ -144,9 +140,20 @@ class TrainingSet(NamedTuple):
 
 
 def training_set(manifest: DatasetManifest, t: TrainConfig) -> TrainingSet:
-    """manifest split for t, then each of its images read once."""
-    train_m, val_m = split_for_config(manifest, t)
+    """manifest split for t, then each of its images read once.  An empty
+    validation split, where no class has 2 or more images, is a ManifestError
+    raised before any image is read: training selects its model on that split."""
+    train_m, val_m = stratified_split(
+        manifest, t.validation_fraction, np.random.SeedSequence([t.seed & (2**64 - 1), 0x57])
+    )
+    if not val_m.entries:
+        raise ManifestError("the validation split is empty (no class has 2 or more images)")
     return TrainingSet(train_m, val_m, load_image_array(train_m), load_image_array(val_m))
+
+
+def _posed(images: np.ndarray, index: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """images[index[j]] turned turns[j] quarter-turns clockwise, stacked."""
+    return np.stack([rotate(images[i], k) for i, k in zip(index, turns)])
 
 
 def evaluate_arrays(
@@ -176,7 +183,8 @@ def _fit(
     weights: np.ndarray,
     t: TrainConfig,
 ) -> tuple[FusionNet, TrainLog]:
-    """Shared SGD loop on uint8 images; stream_fn(epoch) yields (index, turns, label).
+    """Shared SGD loop on uint8 images; stream_fn(epoch) returns the epoch's
+    (index, turns, labels) arrays, batched batch_size rows at a time.
 
     A training holds one forward cache at a time: each batch's input, cache,
     logits and gradients are released as soon as sgd_step has used them, so
@@ -191,12 +199,12 @@ def _fit(
     best_params: dict[str, np.ndarray] = {}
     for epoch in range(t.epochs):
         lr = t.lr * t.lr_decay_factor ** (epoch // t.lr_decay_every)
-        stream = stream_fn(epoch)
+        index, turns, labels = stream_fn(epoch)
         loss_sum = 0.0
-        for batch, start in enumerate(range(0, len(stream), t.batch_size)):
-            chunk = stream[start : start + t.batch_size]
-            xb = to_input(np.stack([rotate(images[i], turn) for i, turn, _ in chunk]))
-            yb = np.array([label for _, _, label in chunk], dtype=np.int64)
+        for batch, start in enumerate(range(0, len(index), t.batch_size)):
+            rows = slice(start, start + t.batch_size)
+            xb = to_input(_posed(images, index[rows], turns[rows]))
+            yb = labels[rows]
             try:
                 logits, cache = model.forward(xb, train_mode=True, rng=dropout_rng)
             except FloatingPointError as exc:
@@ -204,8 +212,8 @@ def _fit(
             loss, dlogits = weighted_ce(logits, yb, weights)
             sgd_step(model.params, model.backward(cache, dlogits), velocity, lr, t.momentum)
             del xb, logits, cache, dlogits
-            loss_sum += loss * len(chunk)
-        train_loss = loss_sum / len(stream)
+            loss_sum += loss * len(yb)
+        train_loss = loss_sum / len(index)
         try:
             val_loss, val_acc, scores = evaluate_arrays(model, val_images, val_labels, weights)
         except FloatingPointError as exc:
@@ -221,43 +229,27 @@ def _fit(
 
 
 def train(
-    data: TrainingSet,
-    model_cfg: ModelConfig,
-    t: TrainConfig,
-    class_weights: np.ndarray | None = None,
+    data: TrainingSet, model_cfg: ModelConfig, t: TrainConfig,
+    *, uniform: bool = False, augment: bool = True,
 ) -> tuple[FusionNet, TrainLog]:
     """Train the region classifier on data, built for t by training_set;
     returns the model holding the best-validation epoch's parameters.
 
-    class_weights defaults to inverse-frequency weights over the training
-    partition; pass np.ones(num_classes) for an unweighted baseline.
+    The loss weights classes by inverse frequency over the training partition,
+    or alike with uniform (a missing class is refused either way); augment
+    turns each image a random number of quarter-turns in each epoch.
     """
     weights = compute_class_weights(data.train, model_cfg.num_classes)  # refuses a missing class
-    if class_weights is not None:
-        weights = class_weights
+    if uniform:
+        weights = np.ones(model_cfg.num_classes)
     labels = data.train.labels()
 
     def stream_fn(epoch: int):
-        picks = augment_epoch(
-            data.train,
-            np.random.SeedSequence([t.seed & (2**64 - 1), 0xA0, epoch]),
-            rotations=t.augment_rotations,
-        )
-        return [(i, turns, int(labels[i])) for i, turns in picks]
+        seed = np.random.SeedSequence([t.seed & (2**64 - 1), 0xA0, epoch])
+        order, turns = augment_epoch(len(labels), seed, rotations=augment)
+        return order, turns, labels[order]
 
     return _fit(model_cfg, data.images, stream_fn, data.val_images, data.val.labels(), weights, t)
-
-
-def split_for_config(manifest: DatasetManifest, t: TrainConfig):
-    """The exact (train, validation) partition train() uses for this config.
-    An empty validation split, where no class has 2 or more images, is a
-    ManifestError: training selects its checkpoint on that split."""
-    train_m, val_m = stratified_split(
-        manifest, t.validation_fraction, np.random.SeedSequence([t.seed & (2**64 - 1), 0x57])
-    )
-    if not val_m.entries:
-        raise ManifestError("the validation split is empty (no class has 2 or more images)")
-    return train_m, val_m
 
 
 def compare_weighting(data: TrainingSet, weighted: TrainLog, uniform: TrainLog) -> dict:

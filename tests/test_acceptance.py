@@ -337,7 +337,7 @@ def test_criterion_6_weighting_report(default_dataset):
     t = TrainConfig(seed=42, epochs=6)
     data = training_set(default_dataset, t)
     _, weighted = train(data, ModelConfig(), t)
-    _, uniform = train(data, ModelConfig(), t, class_weights=np.ones(6))
+    _, uniform = train(data, ModelConfig(), t, uniform=True)
     d = compare_weighting(data, weighted, uniform)
     minority = d["minority_class"]
     both_present = (

@@ -89,9 +89,16 @@ def test_cluster_outputs(tmp_path):
     assert (out / "contingency.csv").exists()
 
 
-def test_unknown_flag_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        run(["synth", "--bogus-flag", "1"])
+@pytest.mark.parametrize("argv", [
+    ["synth", "--bogus-flag", "1"],
+    # pose training draws every turn of every image: the flag would do nothing
+    ["orient-train", "--no-augment", "--manifest", "manifest.csv"],
+], ids=["synth", "orient-train"])
+def test_unknown_flag_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(["--out-dir", str(tmp_path / "run")] + argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -301,25 +308,30 @@ def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def standalone_report(trained):
+def standalone_reports(trained):
+    """The weighting report of in-process trainings, by augment setting."""
     data, _ = trained
     t = trainer.TrainConfig(epochs=2, seed=5)
     ts = trainer.training_set(load_manifest(data / "manifest.csv"), t)
-    _, weighted = trainer.train(ts, ModelConfig(), t)
-    _, uniform = trainer.train(ts, ModelConfig(), t, class_weights=np.ones(6))
-    return trainer.compare_weighting(ts, weighted, uniform)
+    reports = {}
+    for augment in (True, False):
+        _, weighted = trainer.train(ts, ModelConfig(), t, augment=augment)
+        _, uniform = trainer.train(ts, ModelConfig(), t, uniform=True, augment=augment)
+        reports[augment] = trainer.compare_weighting(ts, weighted, uniform)
+    return reports
 
 
+@pytest.mark.parametrize("augment", [True, False])
 @pytest.mark.parametrize("uniform", [False, True])
 def test_weighting_report_trains_each_mode_once(
-    trained, standalone_report, tmp_path, monkeypatch, uniform
+    trained, standalone_reports, tmp_path, monkeypatch, uniform, augment
 ):
     data, _ = trained
     calls = []
     real_train = trainer.train
 
     def counting_train(*args, **kwargs):
-        calls.append(kwargs.get("class_weights"))
+        calls.append((kwargs["uniform"], kwargs["augment"]))
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "train", counting_train)
@@ -327,10 +339,11 @@ def test_weighting_report_trains_each_mode_once(
     argv = ["--seed", "5", "--out-dir", str(tmp_path / "run"), "train",
             "--manifest", str(data / "manifest.csv"), "--epochs", "2",
             "--weighting-report", str(report)]
-    assert run(argv + (["--uniform-loss"] if uniform else [])) == 0
-    # one training per weighting mode: default weights (None) and all-ones
-    assert sorted("weighted" if w is None else "uniform" for w in calls) == ["uniform", "weighted"]
-    assert json.loads(report.read_text()) == standalone_report
+    flags = (["--uniform-loss"] if uniform else []) + ([] if augment else ["--no-augment"])
+    assert run(argv + flags) == 0
+    # one training per weighting mode, the twin with the same augmentation
+    assert sorted(calls) == [(False, augment), (True, augment)]
+    assert json.loads(report.read_text()) == standalone_reports[augment]
 
 
 def _two_same_named_images(root):
@@ -584,6 +597,38 @@ def test_eval_into_a_used_out_dir_leaves_no_stale_roc_curve(tmp_path):
     assert sorted(p.name for p in ev.iterdir()) == [
         "eval_report.json", "roc_class0.csv", "roc_class1.csv", "roc_class_notes.csv"]
     assert json.loads((ev / "eval_report.json").read_text())["per_class_auc"][2:] == [None] * 4
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--predictions", "roc_class9.csv"),
+    ("--manifest", "eval_report.json"),
+    ("--checkpoint", "roc_class0.csv"),
+])
+def test_eval_refuses_an_input_that_it_replaces(trained, tmp_path, capsys, flag, name):
+    _, out = trained
+    ev = tmp_path / "ev"
+    ev.mkdir()
+    if flag == "--checkpoint":
+        argv = ["--out-dir", str(ev), "eval", "--checkpoint", str(out / "checkpoint.bin"),
+                "--manifest", str(out / "val_manifest.csv")]
+    else:  # the --manifest case spells --out-dir another way
+        argv = _eval_predictions_case(tmp_path, ev if flag == "--predictions" else ev / ".." / "ev")[0]
+    at = argv.index(flag) + 1
+    target = ev / name
+    target.write_bytes(Path(argv[at]).read_bytes())
+    given = target
+    if flag == "--checkpoint":  # a link outside --out-dir to the file inside it
+        given = tmp_path / "link.bin"
+        given.symlink_to(target)
+    argv[at] = str(given)
+    before = target.read_bytes()
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {flag} {given} is a file that eval replaces in --out-dir\n"
+    )
+    assert [p.name for p in ev.iterdir()] == [name]
+    assert target.read_bytes() == before
 
 
 def _output_set(root) -> dict:
@@ -1054,7 +1099,7 @@ def test_images_not_of_the_input_size_are_refused_naming_file_and_size(
     data = tmp_path / "data"
     manifest = _class_manifest(data, [2] * 6, side=32 if split == "validation" else 40)
     if split == "validation":  # the validation images alone are 40 px
-        _, val = trainer.split_for_config(load_manifest(manifest), trainer.TrainConfig())
+        val = trainer.training_set(load_manifest(manifest), trainer.TrainConfig()).val
         for e in val.entries:
             save_pgm(np.zeros((40, 40), dtype=np.uint8), data / e.path)
     first = data / "c0_0.pgm"

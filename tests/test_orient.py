@@ -8,17 +8,24 @@ from dxpipe.trainer import TrainConfig, training_set
 
 
 def test_stream_covers_all_turns():
-    stream = orientation_stream(10, seed=0)
-    assert len(stream) == 40
-    labels = [label for _, _, label in stream]
-    assert sorted(labels) == sorted([0, 1, 2, 3] * 10)
-    for _, turn, label in stream:
-        assert turn == label
+    index, turns, labels = orientation_stream(10, seed=0)
+    assert [len(a) for a in (index, turns, labels)] == [40, 40, 40]
+    # every (image, turn) pair exactly once, labelled by its turn
+    pairs = sorted(zip(index.tolist(), turns.tolist()))
+    assert pairs == [(i, t) for i in range(10) for t in range(4)]
+    np.testing.assert_array_equal(labels, turns)
+    # the same draws as a shuffle of the list of every (image, turn, label) triple
+    triples = [(i, t, t) for i in range(10) for t in range(4)]
+    reference = [triples[k] for k in np.random.default_rng(0).permutation(len(triples))]
+    assert list(zip(index.tolist(), turns.tolist(), labels.tolist())) == reference
 
 
 def test_stream_deterministic():
-    assert orientation_stream(7, seed=4) == orientation_stream(7, seed=4)
-    assert orientation_stream(7, seed=4) != orientation_stream(7, seed=5)
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    assert same(orientation_stream(7, seed=4), orientation_stream(7, seed=4))
+    assert not same(orientation_stream(7, seed=4), orientation_stream(7, seed=5))
 
 
 def test_orientation_config_has_four_classes():

@@ -16,6 +16,7 @@ from dxpipe.orient import train_orient
 from dxpipe.synth import (
     DatasetManifest,
     ManifestEntry,
+    ManifestError,
     SynthParams,
     generate_dataset,
     save_manifest,
@@ -24,7 +25,6 @@ from dxpipe.trainer import (
     TrainConfig,
     augment_epoch,
     compute_class_weights,
-    split_for_config,
     stratified_split,
     train,
     training_set,
@@ -67,27 +67,25 @@ def test_weights_reject_empty_class():
 
 
 def test_augment_epoch_without_rotations_is_permutation():
-    m = manifest_with_counts([4, 4, 0, 0, 0, 0])
-    stream = augment_epoch(m, seed=1, rotations=False)
-    indices = [i for i, _ in stream]
-    assert sorted(indices) == list(range(8))
-    assert all(int(r) == 0 for _, r in stream)
+    order, turns = augment_epoch(8, seed=1, rotations=False)
+    assert sorted(order.tolist()) == list(range(8))
+    np.testing.assert_array_equal(turns, np.zeros(8, dtype=np.int64))
 
 
 def test_augment_epoch_length_and_determinism():
-    m = manifest_with_counts([5, 5, 5, 0, 0, 0])
-    a = augment_epoch(m, seed=9, rotations=True)
-    b = augment_epoch(m, seed=9, rotations=True)
-    assert len(a) == len(m.entries)
-    assert a == b
-    c = augment_epoch(m, seed=10, rotations=True)
-    assert a != c
+    a = augment_epoch(15, seed=9, rotations=True)
+    b = augment_epoch(15, seed=9, rotations=True)
+    assert [len(x) for x in a] == [15, 15]
+    assert all(x.dtype == np.int64 for x in a)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
+    c = augment_epoch(15, seed=10, rotations=True)
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_augment_epoch_draws_all_turns():
-    m = manifest_with_counts([40, 0, 0, 0, 0, 0])
-    stream = augment_epoch(m, seed=2, rotations=True)
-    assert {int(r) for _, r in stream} == {0, 1, 2, 3}
+    _, turns = augment_epoch(40, seed=2, rotations=True)
+    assert set(turns.tolist()) == {0, 1, 2, 3}
 
 
 def test_stratified_split_keeps_classes_in_both():
@@ -156,11 +154,8 @@ def test_train_log_shape(tiny_dataset):
 def test_overfits_small_subset(tmp_path):
     """Trainability check: loss collapses on a 10-image manifest."""
     manifest = generate_dataset([2, 2, 2, 2, 1, 1], SynthParams(rng_seed=21), tmp_path)
-    t = TrainConfig(
-        epochs=200, batch_size=8, lr=0.01, seed=2,
-        augment_rotations=False, validation_fraction=0.2,
-    )
-    _, log = train(training_set(manifest, t), ModelConfig(dropout_rate=0.0), t)
+    t = TrainConfig(epochs=200, batch_size=8, lr=0.01, seed=2, validation_fraction=0.2)
+    _, log = train(training_set(manifest, t), ModelConfig(dropout_rate=0.0), t, augment=False)
     assert min(e.train_loss for e in log.epochs) < 0.05
 
 
@@ -174,7 +169,7 @@ def test_best_checkpoint_is_best_val_epoch(tiny_dataset):
     # the model on the validation split reproduces the logged accuracy
     from dxpipe.trainer import evaluate_arrays, load_image_array
 
-    _, val_m = split_for_config(tiny_dataset, t)
+    val_m = training_set(tiny_dataset, t).val
     vx = load_image_array(val_m)
     vy = np.array([e.class_id for e in val_m.entries])
     _, acc, scores = evaluate_arrays(model, vx, vy, np.ones(6))
@@ -191,11 +186,8 @@ def test_train_rejects_empty_manifest():
 def test_split_without_validation_images_is_refused_before_any_image_is_read():
     # the manifest's images do not exist: loading one would raise OSError
     m = manifest_with_counts([1, 1, 1, 1, 1, 1])
-    with pytest.raises(ValueError, match="validation split is empty"):
-        split_for_config(m, TrainConfig(epochs=1))
-    t = TrainConfig(epochs=1)
-    with pytest.raises(ValueError, match="validation split is empty"):
-        train(training_set(m, t), ModelConfig(), t)
+    with pytest.raises(ManifestError, match="validation split is empty"):
+        training_set(m, TrainConfig(epochs=1))
 
 
 def test_train_config_validation():

@@ -21,7 +21,8 @@ benchmark uses), runs CLAHE alone with a 3x5 tile grid on the small ones
 (tile-band edges inside each stack, tiles of unequal sizes: a divisor per
 column), clusters the small images, trains the region classifier with a
 weighting report (a uniform-loss twin) and again under --uniform-loss with
-one (a class-weighted twin), trains the pose model, corrects the pose of
+one (a class-weighted twin), trains it for one epoch without rotation
+augmentation (--no-augment), trains the pose model, corrects the pose of
 one small image of each class and of 40 small images (eval passes of 16
 rows and a last one of 8), predicts and evaluates on the validation
 split, evaluates the predictions CSV too, and merges the two eval reports
@@ -85,6 +86,7 @@ def _script(out: Path) -> list[list[str]]:
          "--tiles", "3", "5", "--clip", "1.5"],
         weighted,
         uniform,
+        ["--out-dir", str(out / "train_no_augment"), "train", *fit, "1", "--no-augment"],
         ["--out-dir", str(out / "cluster"), "cluster", "--manifest", str(small / "manifest.csv")],
         ["--out-dir", str(out / "orient"), "orient-train", *fit, "1"],
         ["--out-dir", str(out / "posed"), "orient", "--checkpoint",
