@@ -3,7 +3,9 @@
 Subcommands: synth, enhance, cluster, train, orient-train, orient,
 predict, eval, report.  Every run prints its effective configuration and
 is reproducible from (inputs, flags, seed); all randomness flows from the
---seed flag, with fixed per-component offsets.
+--seed flag, with fixed per-component offsets.  `run(argv)` may be called
+any number of times in one process: the parser is built on the first call
+and reused.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import re
 import sys
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,12 @@ from dxpipe.image import load_pgm, load_pgms, save_pgm
 from dxpipe.nnet import ModelConfig
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  parse_args makes a new Namespace and
+    changes no action, so it is reused; the list defaults (--tiles,
+    --annotators) are shared by every run's Namespace, and no command
+    changes them."""
     parser = argparse.ArgumentParser(
         prog="dxpipe",
         description="grayscale radiograph pipeline: synthesize, enhance, "
@@ -136,6 +143,19 @@ def _write_text(path: Path, text: str) -> None:
     fileio.write_atomic(path, text.encode("ascii"))
 
 
+def _refuse_replaced_inputs(args, outputs, *flags: str) -> None:
+    """Refuse an input given by one of flags (any path of a list) that is one
+    of outputs, the files the command replaces in --out-dir (same_file);
+    called before the command reads anything."""
+    for flag in flags:
+        value = getattr(args, flag)
+        for path in value if isinstance(value, list) else [value]:
+            if path is not None and any(fileio.same_file(path, out) for out in outputs):
+                raise ValueError(
+                    f"--{flag} {path} is a file that {args.command} replaces in --out-dir"
+                )
+
+
 def _cmd_synth(args) -> int:
     params = synth_mod.SynthParams(
         image_size=args.image_size, noise_impulse_prob=args.noise, rng_seed=args.seed
@@ -191,10 +211,12 @@ def _load_manifest(path: Path) -> synth_mod.DatasetManifest:
 
 
 def _cmd_cluster(args) -> int:
+    clusters, contingency = args.out_dir / "clusters.csv", args.out_dir / "contingency.csv"
+    _refuse_replaced_inputs(args, [clusters, contingency], "manifest")
     manifest = _load_manifest(args.manifest)
     report = cluster_mod.cluster_report(manifest, args.k, seed=args.seed)
-    _write_text(args.out_dir / "clusters.csv", cluster_mod.report_to_csv(report))
-    _write_text(args.out_dir / "contingency.csv", cluster_mod.contingency_to_csv(report))
+    _write_text(clusters, cluster_mod.report_to_csv(report))
+    _write_text(contingency, cluster_mod.contingency_to_csv(report))
     print(
         f"clustered {len(report.rows)} images into {args.k} groups "
         f"(inertia {report.result.inertia:.3f}, {report.result.n_iter} iterations)"
@@ -237,6 +259,7 @@ def _save_training(args, what: str, model, log: trainer_mod.TrainLog, ckpt_name,
 
 def _cmd_train(args) -> int:
     outputs = [args.out_dir / name for name in _TRAIN_OUTPUTS]
+    _refuse_replaced_inputs(args, outputs, "manifest")
     if args.weighting_report is not None:
         fileio.refuse_same_file(args.weighting_report, outputs)
     train_path, val_path = outputs[2:]
@@ -257,10 +280,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
+_ORIENT_TRAIN_OUTPUTS = ("orient_checkpoint.bin", "orient_trainlog.csv")
+
+
 def _cmd_orient_train(args) -> int:
+    outputs = [args.out_dir / name for name in _ORIENT_TRAIN_OUTPUTS]
+    _refuse_replaced_inputs(args, outputs, "manifest")
     t, model_cfg = _train_config(args), _model_config(args)
     model, log = orient_mod.train_orient(_training_set(args, t), model_cfg, t)
-    _save_training(args, "pose model", model, log, "orient_checkpoint.bin", "orient_trainlog.csv")
+    _save_training(args, "pose model", model, log, *_ORIENT_TRAIN_OUTPUTS)
     return 0
 
 
@@ -326,14 +354,16 @@ def _predictions_to_csv(names: list[str], scores: np.ndarray) -> str:
 
 
 def _cmd_predict(args) -> int:
+    output = args.out_dir / "predictions.csv"
+    _refuse_replaced_inputs(args, [output], "checkpoint", "manifest")
     model = ckpt_io.load_model(args.checkpoint)
     paths = _predict_paths(args)
     names = _basenames(paths)
     images = load_pgms(paths)
     _check_input_size(args, model, paths[0], images.shape[1:])
     scores = model.predict(images)
-    _write_text(args.out_dir / "predictions.csv", _predictions_to_csv(names, scores))
-    print(f"predicted {len(paths)} image(s) -> {args.out_dir / 'predictions.csv'}")
+    _write_text(output, _predictions_to_csv(names, scores))
+    print(f"predicted {len(paths)} image(s) -> {output}")
     return 0
 
 
@@ -384,10 +414,7 @@ def _eval_outputs(args) -> list[Path]:
     outputs = [args.out_dir / "eval_report.json"]
     outputs += (p for p in args.out_dir.glob("roc_class*.csv")
                 if re.fullmatch(r"roc_class[0-9]+\.csv", p.name))
-    for flag in ("manifest", "predictions", "checkpoint"):
-        path = getattr(args, flag)
-        if path is not None and any(fileio.same_file(path, out) for out in outputs):
-            raise ValueError(f"--{flag} {path} is a file that eval replaces in --out-dir")
+    _refuse_replaced_inputs(args, outputs, "manifest", "predictions", "checkpoint")
     return outputs
 
 
@@ -448,13 +475,15 @@ def _read_report(path: Path) -> metrics_mod.EvalReport:
 
 
 def _cmd_report(args) -> int:
+    output = args.out_dir / "comparison.csv"
+    _refuse_replaced_inputs(args, [output], "model", "annotators")
     model_report = _read_report(args.model)
     annotators = [_read_report(p) for p in args.annotators]
     rows = metrics_mod.compare_report(
         model_report, annotators, model_name=args.model_name, annotators_name=args.annotators_name
     )
     text = metrics_mod.comparison_to_csv(rows)
-    _write_text(args.out_dir / "comparison.csv", text)
+    _write_text(output, text)
     print(text, end="")
     return 0
 

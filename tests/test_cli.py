@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import re
+import shutil
 import signal
 import struct
 import subprocess
@@ -637,14 +639,19 @@ def _output_set(root) -> dict:
             if not (p.name.startswith(".") and p.name.endswith(".tmp"))}
 
 
+def _cli_env() -> dict:
+    """The environment of a `python -m dxpipe.cli` subprocess of this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(dxpipe.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def _kill_at(argv, index: Path, delay: float) -> int:
     """Run the CLI with argv in a subprocess; once its old index is gone,
     that is once it has begun writing, wait delay seconds and SIGKILL it.
     Returns its exit status."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(dxpipe.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "dxpipe.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "dxpipe.cli", *argv], env=_cli_env(),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         while proc.poll() is None and index.exists():
@@ -1437,3 +1444,171 @@ def test_an_empty_manifest_is_refused_by_name(trained, tmp_path, capsys, command
     assert run(["--out-dir", str(tmp_path / "out"), *argv, "--manifest", str(manifest)]) == 1
     assert _one_error_line(capsys) == f"error: manifest {manifest}: no images\n"
     assert not (tmp_path / "out").exists()
+
+
+def _config_line(out: str) -> str:
+    lines = [line for line in out.splitlines() if line.startswith("config: ")]
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_a_second_run_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    save_pgm(constant_image(16, 16, 50), tmp_path / "c.pgm")
+    argv = ["--out-dir", str(tmp_path / "out"), "enhance", str(tmp_path / "c.pgm")]
+    assert run(argv) == 0
+    assert len(built) == 1 + len(cli._COMMANDS)  # the parser and one per subcommand
+    built.clear()
+    assert run(argv) == 0
+    missing = ["report", "--model", str(tmp_path / "no.json")]
+    assert run(["--out-dir", str(tmp_path / "cmp"), *missing]) == 1
+    assert built == []
+
+
+@pytest.mark.parametrize("bad, code", [
+    (["enhance", "--bogus"], 2),
+    (["enhance", "--tiles", "3"], 2),
+    (["report"], 2),
+    (["--help"], 0),
+    (["enhance", "--help"], 0),
+])
+def test_a_run_after_an_argument_error_matches_a_run_alone(tmp_path, capsys, bad, code):
+    src = tmp_path / "in"
+    src.mkdir()
+    rng = np.random.default_rng(1)
+    for i in range(3):
+        save_pgm(random_image(rng, 24, 24), src / f"i{i}.pgm")
+    out = tmp_path / "out"
+    argv = ["--out-dir", str(out), "enhance", str(src)]
+
+    def alone():
+        assert run(argv) == 0
+        tree = tree_bytes(out)
+        shutil.rmtree(out)
+        return tree, _config_line(capsys.readouterr().out)
+
+    cli._build_parser.cache_clear()
+    first = alone()
+    with pytest.raises(SystemExit) as exc:
+        run(["--out-dir", str(out), *bad])
+    assert exc.value.code == code
+    assert not out.exists()
+    capsys.readouterr()
+    assert alone() == first
+    assert "tiles=[8, 8]" in first[1]
+
+
+def test_no_command_changes_a_list_default(tmp_path, capsys):
+    save_pgm(constant_image(16, 16, 50), tmp_path / "c.pgm")
+    report = tmp_path / "r.json"
+    report.write_text(build_report([0, 1], [0, 1], 2).to_json())
+    for argv in (
+        ["enhance", str(tmp_path / "c.pgm")],
+        ["enhance", str(tmp_path / "c.pgm"), "--tiles", "2", "2"],
+        ["report", "--model", str(report)],
+        ["report", "--model", str(report), "--annotators", str(report)],
+    ):
+        assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 0
+    parser = cli._build_parser()
+    assert parser.parse_args(["enhance", "x"]).tiles == [8, 8]
+    assert parser.parse_args(["report", "--model", "m"]).annotators == []
+
+
+def test_orient_in_process_gives_the_bytes_of_a_fresh_process(trained, tmp_path):
+    data, out = trained
+    ckpt = _checkpoint(tmp_path, num_classes=4)
+    images = [str(p) for p in sorted(data.glob("*.pgm"))[:5]]
+
+    def orient(run_dir, in_process):
+        argv = ["--out-dir", str(run_dir), "orient", "--checkpoint", str(ckpt), *images]
+        if in_process:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run(argv) == 0
+            text = stdout.getvalue()
+        else:
+            proc = subprocess.run([sys.executable, "-m", "dxpipe.cli", *argv], env=_cli_env(),
+                                  capture_output=True, text=True, check=True)
+            text = proc.stdout
+        return tree_bytes(run_dir), _config_line(text)
+
+    fresh = orient(tmp_path / "o", in_process=False)
+    assert len(fresh[0]) == len(images) + 1
+    turns = [line.split(",")[1] for line in fresh[0]["orientation.csv"].decode().splitlines()[1:]]
+    assert set(turns) != {"0"}  # some image is turned back
+    for other in (
+        ["predict", "--checkpoint", str(out / "checkpoint.bin"), *images],
+        ["enhance", images[0], "--tiles", "2", "2"],
+    ):
+        assert run(["--out-dir", str(tmp_path / "other"), *other]) == 0
+    for _ in range(2):
+        shutil.rmtree(tmp_path / "o")
+        assert orient(tmp_path / "o", in_process=True) == fresh
+
+
+def _refusal_case(root, command, flag, name):
+    """argv of command with the input given by flag at <out-dir>/name, a
+    copy of a valid input, spelt with a '..'; the out-dir of a --manifest
+    case is the dataset's, since a manifest names its images relative to
+    its directory."""
+    data = root / "data"
+    assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
+    report = root / "r.json"
+    report.write_text(build_report([0, 1], [0, 1], 2).to_json())
+    model = _checkpoint(root)
+    inputs = {"--manifest": data / "manifest.csv", "--checkpoint": model, "--model": report,
+              "--annotators": report}
+    argv = {
+        "cluster": ["cluster"],
+        "train": ["train", "--epochs", "1"],
+        "orient-train": ["orient-train", "--epochs", "1"],
+        "predict": ["predict", "--checkpoint", str(model), "--manifest", str(data / "manifest.csv")],
+        "report": ["report", "--model", str(report)],
+    }[command]
+    out = data if flag == "--manifest" else root / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / name).write_bytes(inputs[flag].read_bytes())
+    given = out / "sub" / ".." / name
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(given)
+    else:
+        argv += [flag, str(given)]
+    return ["--out-dir", str(out), *argv], out, given
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    ("train", "--manifest", "train_manifest.csv"),
+    ("train", "--manifest", "checkpoint.bin"),
+    ("orient-train", "--manifest", "orient_trainlog.csv"),
+    ("cluster", "--manifest", "contingency.csv"),
+    ("predict", "--manifest", "predictions.csv"),
+    ("predict", "--checkpoint", "predictions.csv"),
+    ("report", "--model", "comparison.csv"),
+    ("report", "--annotators", "comparison.csv"),
+])
+def test_an_input_that_the_command_replaces_is_refused_before_it_is_read(
+    tmp_path, capsys, monkeypatch, command, flag, name
+):
+    argv, out, given = _refusal_case(tmp_path, command, flag, name)
+    before = tree_bytes(out)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    for module, reader in ((cli, "_load_manifest"), (cli.ckpt_io, "load_model"),
+                           (cli, "_read_report")):
+        monkeypatch.setattr(module, reader, no_read)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {flag} {given} is a file that {command} replaces in --out-dir\n"
+    )
+    assert tree_bytes(out) == before
