@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -143,17 +144,22 @@ def _write_text(path: Path, text: str) -> None:
     fileio.write_atomic(path, text.encode("ascii"))
 
 
-def _refuse_replaced_inputs(args, outputs, *flags: str) -> None:
-    """Refuse an input given by one of flags (any path of a list) that is one
-    of outputs, the files the command replaces in --out-dir (same_file);
-    called before the command reads anything."""
+def _claim(args, outputs, *flags: str) -> None:
+    """The up-front path rule, called before a command reads anything, with
+    every file it will write (outputs): two outputs that are one file, or an
+    input given by one of flags (any path of a list; "inputs" is the
+    positional paths) that is an output, is refused.  Each path is resolved
+    once, symlinks and '..' included."""
+    claimed = {}
+    for path in outputs:
+        if claimed.setdefault(os.path.realpath(path), path) is not path:
+            raise FileExistsError(f"{path} is written twice by one command")
     for flag in flags:
         value = getattr(args, flag)
         for path in value if isinstance(value, list) else [value]:
-            if path is not None and any(fileio.same_file(path, out) for out in outputs):
-                raise ValueError(
-                    f"--{flag} {path} is a file that {args.command} replaces in --out-dir"
-                )
+            if path is not None and os.path.realpath(path) in claimed:
+                name = "input" if flag == "inputs" else f"--{flag}"
+                raise ValueError(f"{name} {path} is a file that {args.command} replaces")
 
 
 def _cmd_synth(args) -> int:
@@ -212,7 +218,7 @@ def _load_manifest(path: Path) -> synth_mod.DatasetManifest:
 
 def _cmd_cluster(args) -> int:
     clusters, contingency = args.out_dir / "clusters.csv", args.out_dir / "contingency.csv"
-    _refuse_replaced_inputs(args, [clusters, contingency], "manifest")
+    _claim(args, [clusters, contingency], "manifest")
     manifest = _load_manifest(args.manifest)
     report = cluster_mod.cluster_report(manifest, args.k, seed=args.seed)
     _write_text(clusters, cluster_mod.report_to_csv(report))
@@ -259,9 +265,8 @@ def _save_training(args, what: str, model, log: trainer_mod.TrainLog, ckpt_name,
 
 def _cmd_train(args) -> int:
     outputs = [args.out_dir / name for name in _TRAIN_OUTPUTS]
-    _refuse_replaced_inputs(args, outputs, "manifest")
-    if args.weighting_report is not None:
-        fileio.refuse_same_file(args.weighting_report, outputs)
+    report_path = [] if args.weighting_report is None else [args.weighting_report]
+    _claim(args, outputs + report_path, "manifest")
     train_path, val_path = outputs[2:]
     t = _train_config(args)
     model_cfg = _model_config(args)
@@ -285,7 +290,7 @@ _ORIENT_TRAIN_OUTPUTS = ("orient_checkpoint.bin", "orient_trainlog.csv")
 
 def _cmd_orient_train(args) -> int:
     outputs = [args.out_dir / name for name in _ORIENT_TRAIN_OUTPUTS]
-    _refuse_replaced_inputs(args, outputs, "manifest")
+    _claim(args, outputs, "manifest")
     t, model_cfg = _train_config(args), _model_config(args)
     model, log = orient_mod.train_orient(_training_set(args, t), model_cfg, t)
     _save_training(args, "pose model", model, log, *_ORIENT_TRAIN_OUTPUTS)
@@ -314,19 +319,19 @@ def _basenames(paths) -> list[str]:
 
 def _cmd_orient(args) -> int:
     names = _basenames(args.inputs)
-    if "orientation.csv" in names:
-        raise ValueError("an input is named orientation.csv, the name of orient's results file")
+    index = args.out_dir / "orientation.csv"
+    _claim(args, [*(args.out_dir / name for name in names), index], "checkpoint")
     model = ckpt_io.load_model(args.checkpoint)
     images = load_pgms(args.inputs)
     _check_input_size(args, model, args.inputs[0], images.shape[1:])
     results = orient_mod.correct_orientation(model, images)
-    (args.out_dir / "orientation.csv").unlink(missing_ok=True)  # as in _cmd_synth
+    index.unlink(missing_ok=True)  # as in _cmd_synth
     rows = []
     for name, (corrected, detected, confidence) in zip(names, results):
         save_pgm(corrected, args.out_dir / name)
         rows.append([name, detected, f"{confidence:.6f}"])
     text = fileio.csv_text(["path", "detected_turns", "confidence"], rows)
-    _write_text(args.out_dir / "orientation.csv", text)
+    _write_text(index, text)
     print(f"corrected {len(args.inputs)} image(s) -> {args.out_dir}")
     return 0
 
@@ -355,7 +360,7 @@ def _predictions_to_csv(names: list[str], scores: np.ndarray) -> str:
 
 def _cmd_predict(args) -> int:
     output = args.out_dir / "predictions.csv"
-    _refuse_replaced_inputs(args, [output], "checkpoint", "manifest")
+    _claim(args, [output], "checkpoint", "manifest", "inputs")
     model = ckpt_io.load_model(args.checkpoint)
     paths = _predict_paths(args)
     names = _basenames(paths)
@@ -409,19 +414,14 @@ def _read_predictions(path: Path) -> dict[str, np.ndarray]:
     return by_name
 
 
-def _eval_outputs(args) -> list[Path]:
-    """The files eval replaces in --out-dir; an input that is one of them is refused."""
-    outputs = [args.out_dir / "eval_report.json"]
-    outputs += (p for p in args.out_dir.glob("roc_class*.csv")
-                if re.fullmatch(r"roc_class[0-9]+\.csv", p.name))
-    _refuse_replaced_inputs(args, outputs, "manifest", "predictions", "checkpoint")
-    return outputs
-
-
 def _cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
-    replaced = _eval_outputs(args)
+    # the report and the curves there now: a curve not there yet is no input
+    replaced = [args.out_dir / "eval_report.json"]
+    replaced += (p for p in args.out_dir.glob("roc_class*.csv")
+                 if re.fullmatch(r"roc_class[0-9]+\.csv", p.name))
+    _claim(args, replaced, "manifest", "predictions", "checkpoint")
     manifest = _load_manifest(args.manifest)
     labels = manifest.labels()
     if args.checkpoint is not None:
@@ -476,7 +476,7 @@ def _read_report(path: Path) -> metrics_mod.EvalReport:
 
 def _cmd_report(args) -> int:
     output = args.out_dir / "comparison.csv"
-    _refuse_replaced_inputs(args, [output], "model", "annotators")
+    _claim(args, [output], "model", "annotators")
     model_report = _read_report(args.model)
     annotators = [_read_report(p) for p in args.annotators]
     rows = metrics_mod.compare_report(

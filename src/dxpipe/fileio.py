@@ -1,5 +1,5 @@
-r"""The one function that writes files, the CLI's one-write-per-path rule,
-and the one CSV dialect and ASCII decode of every text artefact.
+r"""The one function that writes files, its check that a command writes no
+file twice, and the one CSV dialect and ASCII decode of every text artefact.
 
 A CSV file has a header row, minimal quoting and "\n" row ends; a row with
 a "\r" in a field has every field quoted.  Readers also take "\r\n" ends.
@@ -27,19 +27,6 @@ def one_write_per_path():
         yield
     finally:
         _written.reset(token)
-
-
-def same_file(a: Path | str, b: Path | str) -> bool:
-    """Whether paths a and b name one file, symlinks and '..' resolved."""
-    return os.path.realpath(a) == os.path.realpath(b)
-
-
-def refuse_same_file(path: Path | str, outputs) -> None:
-    """Raise the rule's FileExistsError at once if path names one of outputs
-    (same_file), for a command that would otherwise find out only when it
-    writes, after its long work."""
-    if any(same_file(path, out) for out in outputs):
-        raise FileExistsError(f"{path} is written twice by one command")
 
 
 def write_atomic(path: Path | str, data: bytes) -> None:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import constant_image, random_image
 import dxpipe
-from dxpipe import cli, enhance, nnet, synth, trainer
+from dxpipe import cli, enhance, fileio, nnet, synth, trainer
 from dxpipe.checkpoint import save_model
 from dxpipe.cli import PredictionsError, _predictions_to_csv, _read_predictions, run
 from dxpipe.enhance import MAX_MEDIAN_RADIUS
@@ -379,9 +379,7 @@ def test_orient_rejects_input_named_like_its_results_file(tmp_path, capsys):
     out = tmp_path / "fixed"
     code = run(["--out-dir", str(out), "orient", "--checkpoint", str(ckpt), str(named), str(other)])
     assert code == 1
-    assert capsys.readouterr().err == (
-        "error: an input is named orientation.csv, the name of orient's results file\n"
-    )
+    assert capsys.readouterr().err == f"error: {out}/orientation.csv is written twice by one command\n"
     assert not out.exists()
 
 
@@ -627,7 +625,7 @@ def test_eval_refuses_an_input_that_it_replaces(trained, tmp_path, capsys, flag,
     capsys.readouterr()
     assert run(argv) == 1
     assert _one_error_line(capsys) == (
-        f"error: {flag} {given} is a file that eval replaces in --out-dir\n"
+        f"error: {flag} {given} is a file that eval replaces\n"
     )
     assert [p.name for p in ev.iterdir()] == [name]
     assert target.read_bytes() == before
@@ -1609,6 +1607,157 @@ def test_an_input_that_the_command_replaces_is_refused_before_it_is_read(
     capsys.readouterr()
     assert run(argv) == 1
     assert _one_error_line(capsys) == (
-        f"error: {flag} {given} is a file that {command} replaces in --out-dir\n"
+        f"error: {flag} {given} is a file that {command} replaces\n"
     )
     assert tree_bytes(out) == before
+
+
+def _record_calls(monkeypatch, *targets) -> list:
+    """The names of the targets ((module, name) pairs) called while the
+    test runs, in order; each call still runs the real function."""
+    calls = []
+    for module, name in targets:
+        def recorded(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("spelling", ["m.csv", "sub/../m.csv"])
+def test_a_weighting_report_onto_the_manifest_is_refused_before_it_is_read(
+    tmp_path, capsys, monkeypatch, spelling
+):
+    data = tmp_path / "d"
+    assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
+    (data / "sub").mkdir()
+    manifest = data / "m.csv"
+    shutil.copy(data / "manifest.csv", manifest)
+    before = manifest.read_bytes()
+    calls = _record_calls(monkeypatch, (cli, "_load_manifest"), (trainer, "train"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = run(["--out-dir", str(out), "train", "--manifest", str(manifest), "--epochs", "1",
+                "--weighting-report", str(data / spelling)])
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: --manifest {manifest} is a file that train replaces\n"
+    assert calls == []
+    assert manifest.read_bytes() == before
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["orientation.csv", "x.pgm"])
+def test_orient_refuses_a_checkpoint_that_it_replaces(tmp_path, capsys, monkeypatch, name):
+    image = tmp_path / "in" / "x.pgm"
+    image.parent.mkdir()
+    save_pgm(constant_image(32, 32, 10), image)
+    out = tmp_path / "fixed"
+    out.mkdir()
+    target = out / name
+    shutil.copy(_checkpoint(tmp_path, num_classes=4), target)
+    given = target
+    if name == "x.pgm":  # a link outside --out-dir to the file that x.pgm's copy replaces
+        given = tmp_path / "link.bin"
+        given.symlink_to(target)
+    before = target.read_bytes()
+    calls = _record_calls(monkeypatch, (cli.ckpt_io, "load_model"), (cli, "load_pgms"))
+    capsys.readouterr()
+    assert run(["--out-dir", str(out), "orient", "--checkpoint", str(given), str(image)]) == 1
+    assert _one_error_line(capsys) == f"error: --checkpoint {given} is a file that orient replaces\n"
+    assert calls == []
+    assert tree_bytes(out) == {name: before}
+
+
+def test_predict_refuses_an_image_that_it_replaces(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "pp"
+    out.mkdir()
+    image = out / "predictions.csv"  # a PGM, whatever its name
+    save_pgm(constant_image(32, 32, 10), image)
+    before = image.read_bytes()
+    ckpt = _checkpoint(tmp_path)
+    calls = _record_calls(monkeypatch, (cli.ckpt_io, "load_model"), (cli, "load_pgms"))
+    capsys.readouterr()
+    assert run(["--out-dir", str(out), "predict", "--checkpoint", str(ckpt), str(image)]) == 1
+    assert _one_error_line(capsys) == f"error: input {image} is a file that predict replaces\n"
+    assert calls == []
+    assert tree_bytes(out) == {"predictions.csv": before}
+
+
+def _claims_and_writes(monkeypatch):
+    """Two lists that fill as commands run: the output lists given to
+    cli._claim, and the paths given to fileio.write_atomic by any module."""
+    claims, writes = [], []
+    real_claim = cli._claim
+
+    def claim(args, outputs, *flags):
+        claims.append(list(outputs))
+        return real_claim(args, outputs, *flags)
+
+    monkeypatch.setattr(cli, "_claim", claim)
+    real_write = fileio.write_atomic
+
+    def write(path, data):
+        writes.append(path)
+        return real_write(path, data)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dxpipe") and getattr(module, "write_atomic", None) is real_write:
+            monkeypatch.setattr(module, "write_atomic", write)
+    return claims, writes
+
+
+@pytest.mark.parametrize(
+    "command", ["cluster", "train", "orient-train", "orient", "predict", "eval", "report"]
+)
+def test_a_command_claims_every_file_that_it_writes(trained, tmp_path, monkeypatch, command):
+    data, run_dir = trained
+    model, val = str(run_dir / "checkpoint.bin"), str(run_dir / "val_manifest.csv")
+    ev = tmp_path / "ev"  # a used out-dir: eval claims the curves that are there
+    assert run(["--out-dir", str(ev), "eval", "--checkpoint", model, "--manifest", val]) == 0
+    manifest = str(data / "manifest.csv")
+    argv = {
+        "cluster": ["cluster", "--manifest", manifest],
+        "train": ["train", "--manifest", manifest, "--epochs", "1",
+                  "--weighting-report", str(tmp_path / "w" / "weighting.json")],
+        "orient-train": ["orient-train", "--manifest", manifest, "--epochs", "1"],
+        "orient": ["orient", "--checkpoint", str(_checkpoint(tmp_path, num_classes=4)),
+                   *(str(p) for p in sorted(data.glob("*.pgm"))[:3])],
+        "predict": ["predict", "--checkpoint", model, "--manifest", val],
+        "eval": ["eval", "--checkpoint", model, "--manifest", val],
+        "report": ["report", "--model", str(ev / "eval_report.json"),
+                   "--annotators", str(ev / "eval_report.json")],
+    }[command]
+    claims, writes = _claims_and_writes(monkeypatch)
+    out = ev if command == "eval" else tmp_path / "out"
+    assert run(["--out-dir", str(out), *argv]) == 0
+    assert len(claims) == 1
+    claimed = sorted(os.path.realpath(p) for p in claims[0])
+    if command == "eval":
+        assert len(claimed) > 1  # the report and the curves of the run before
+    assert sorted(os.path.realpath(p) for p in writes) == claimed
+
+
+def test_orient_resolves_each_path_once(tmp_path, monkeypatch):
+    images = []
+    for i in range(64):
+        images.append(tmp_path / "in" / f"i{i}.pgm")
+        save_pgm(constant_image(32, 32, i), images[-1])
+    ckpt = _checkpoint(tmp_path, num_classes=4)
+    counted, real_realpath, real_claim = [], os.path.realpath, cli._claim
+
+    def realpath(path, *args, **kwargs):
+        counted[-1] += 1
+        return real_realpath(path, *args, **kwargs)
+
+    def claim(*args):
+        counted.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(os.path, "realpath", realpath)
+            return real_claim(*args)
+
+    monkeypatch.setattr(cli, "_claim", claim)
+    argv = ["--out-dir", str(tmp_path / "out"), "orient", "--checkpoint", str(ckpt)]
+    assert run(argv + [str(p) for p in images]) == 0
+    assert len(counted) == 1
+    assert counted[0] <= 64 + 2  # 64 corrected images, orientation.csv and --checkpoint
