@@ -231,22 +231,14 @@ def _cmd_cluster(args) -> int:
 
 
 def _training_set(args, t: trainer_mod.TrainConfig) -> trainer_mod.TrainingSet:
-    """args.manifest split and read once; a manifest that training cannot
-    split is refused by name before any image is read, and one whose images
-    are not --input-size square before training starts."""
+    """args.manifest split and read once, for a model of --input-size; a
+    manifest that training cannot split is refused by name before any image
+    is read."""
     manifest = _load_manifest(args.manifest)
     try:
-        data = trainer_mod.training_set(manifest, t)
+        return trainer_mod.training_set(manifest, t, args.input_size)
     except synth_mod.ManifestError as exc:
         raise synth_mod.ManifestError(f"manifest {args.manifest}: {exc}") from None
-    s = args.input_size
-    for split, images in (("training", data.images), ("validation", data.val_images)):
-        h, w = images.shape[1:]
-        if (h, w) != (s, s):
-            raise ValueError(
-                f"manifest {args.manifest}: {split} images are {w}x{h}, but --input-size is {s}"
-            )
-    return data
 
 
 _TRAIN_OUTPUTS = ("checkpoint.bin", "trainlog.csv", "train_manifest.csv", "val_manifest.csv")
@@ -297,17 +289,6 @@ def _cmd_orient_train(args) -> int:
     return 0
 
 
-def _check_input_size(args, model, first: Path, shape) -> None:
-    """Refuse images of another size than the checkpoint's input, naming
-    the first image (the reader has already made them all one size)."""
-    s = model.config.input_size
-    h, w = shape
-    if (h, w) != (s, s):
-        raise ValueError(
-            f"{first}: image is {w}x{h}, but checkpoint {args.checkpoint} takes {s}x{s} input"
-        )
-
-
 def _basenames(paths) -> list[str]:
     """The file names that outputs are keyed by; they must be unique."""
     names = [Path(p).name for p in paths]
@@ -322,8 +303,7 @@ def _cmd_orient(args) -> int:
     index = args.out_dir / "orientation.csv"
     _claim(args, [*(args.out_dir / name for name in names), index], "checkpoint")
     model = ckpt_io.load_model(args.checkpoint)
-    images = load_pgms(args.inputs)
-    _check_input_size(args, model, args.inputs[0], images.shape[1:])
+    images = load_pgms(args.inputs, model.config.input_size)
     results = orient_mod.correct_orientation(model, images)
     index.unlink(missing_ok=True)  # as in _cmd_synth
     rows = []
@@ -364,9 +344,7 @@ def _cmd_predict(args) -> int:
     model = ckpt_io.load_model(args.checkpoint)
     paths = _predict_paths(args)
     names = _basenames(paths)
-    images = load_pgms(paths)
-    _check_input_size(args, model, paths[0], images.shape[1:])
-    scores = model.predict(images)
+    scores = model.predict(load_pgms(paths, model.config.input_size))
     _write_text(output, _predictions_to_csv(names, scores))
     print(f"predicted {len(paths)} image(s) -> {output}")
     return 0
@@ -442,12 +420,8 @@ def _cmd_eval(args) -> int:
             f"outside the classes 0..{num_classes - 1} of {source}"
         )
     if args.checkpoint is not None:
-        images = trainer_mod.load_image_array(manifest)
-        _check_input_size(args, model, manifest.resolve(manifest.entries[0]), images.shape[1:])
-        scores = model.predict(images)
-    report = metrics_mod.build_report(
-        labels, scores.argmax(axis=1), num_classes, score_matrix=scores
-    )
+        scores = model.predict(trainer_mod.load_image_array(manifest, model.config.input_size))
+    report = metrics_mod.build_report(labels, scores)
     index = report.to_json()
     # the report indexes the curves: it goes first with any old curve, comes back last
     for path in replaced:

@@ -582,11 +582,7 @@ def _interp_axis(bounds):
     return i0, i1, k, np.where(d > 0, d, max(d.max(), 1))
 
 
-def enhance_chain(img: np.ndarray, p: ClaheParams, median_radius: int = 1) -> np.ndarray:
-    """Full chain: sharpen, then median filter, then CLAHE."""
-    return _on_image(chain_stack, img, p, median_radius)
-
-
 def chain_stack(stack: np.ndarray, p: ClaheParams, median_radius: int = 1) -> np.ndarray:
-    """enhance_chain over an (N, H, W) uint8 stack."""
+    """The full chain over an (N, H, W) uint8 stack: sharpen, then median
+    filter, then CLAHE."""
     return clahe_stack(median_stack(sharpen_stack(stack), median_radius), p)

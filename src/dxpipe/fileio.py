@@ -38,11 +38,8 @@ def write_atomic(path: Path | str, data: bytes) -> None:
     file can be far slower than unlinking it first."""
     parent, name = os.path.split(os.fspath(path))
     parent = parent or "."
-    try:
-        st = os.stat(parent)
-    except FileNotFoundError:
-        os.makedirs(parent)
-        st = os.stat(parent)
+    os.makedirs(parent, exist_ok=True)  # a parent spelt "missing/.." is made as the OS walks it
+    st = os.stat(parent)
     if (written := _written.get()) is not None:
         if (key := (st.st_dev, st.st_ino, name)) in written:
             raise FileExistsError(f"{path} is written twice by one command")

@@ -1,9 +1,9 @@
 """8-bit grayscale images as (H, W) uint8 arrays: PGM file I/O and lossless
 quarter-turn rotation.
 
-The reader returns read-only arrays over the file's pixel bytes, a set of
-same-size images is one (N, H, W) stack, and the binary PGM writer is the
-canonical on-disk form (round-trips byte-for-byte).
+The reader returns read-only arrays over the file's pixel bytes, the images
+a model reads are one (N, S, S) stack of its input size S, and the binary
+PGM writer is the canonical on-disk form (round-trips byte-for-byte).
 """
 
 from __future__ import annotations
@@ -131,18 +131,16 @@ def load_pgm(path) -> np.ndarray:
             raise PgmError(f"{path}: {exc}") from None
 
 
-def load_pgms(paths) -> np.ndarray:
-    """The (N, H, W) stack of the PGM files at paths (at least one), which
-    must all be of the first one's size; the first file of another size is
-    refused by name."""
+def load_pgms(paths, side: int) -> np.ndarray:
+    """The (N, side, side) stack of the PGM files at paths (at least one), as
+    a model of that input size reads them; the first file of another size is
+    refused by name before any later file is read."""
     images = []
     for path in paths:
         img = load_pgm(path)
-        if images and img.shape != images[0].shape:
-            (h, w), (h0, w0) = img.shape, images[0].shape
-            raise ValueError(
-                f"{path}: image is {w}x{h}, expected {w0}x{h0} like the images before it"
-            )
+        if img.shape != (side, side):
+            h, w = img.shape
+            raise ValueError(f"{path}: image is {w}x{h}, but the model takes {side}x{side} input")
         images.append(img)
     return np.stack(images)
 

@@ -173,7 +173,7 @@ _RATIO_KEYS = (
 )
 _REPORT_KEYS = ("num_classes", "total", *_RATIO_KEYS, "per_class", "confusion",
                 "per_class_auc", "macro_auc")
-_ROW_KEYS = ("class_id", "support", "precision", "sensitivity", "specificity", "undefined")
+_ROW_KEYS = ("class_id", "support", "precision", "sensitivity", "specificity", "undefined", "auc")
 _UNDEFINED_FLAGS = ("auc", "precision", "sensitivity", "specificity")
 
 
@@ -218,18 +218,16 @@ def _check_layout(d) -> None:
         _require(_is_finite(d[key]), key, "a finite number")
     aucs = d["per_class_auc"]
     _require(
-        aucs is None or (isinstance(aucs, list) and len(aucs) == n and all(map(_is_auc, aucs))),
+        isinstance(aucs, list) and len(aucs) == n and all(map(_is_auc, aucs)),
         "per_class_auc",
-        f"null or a list of {n} AUCs, each null or in [0, 1]",
+        f"a list of {n} AUCs, each null or in [0, 1]",
     )
-    _require(_is_auc(d["macro_auc"]) and (aucs is not None or d["macro_auc"] is None),
-             "macro_auc", "null, or a number in [0, 1] when per_class_auc is a list")
+    _require(_is_auc(d["macro_auc"]), "macro_auc", "null or a number in [0, 1]")
     rows = d["per_class"]
     _require(isinstance(rows, list) and len(rows) == n, "per_class", f"a list of {n} rows")
-    row_keys = _ROW_KEYS if aucs is None else (*_ROW_KEYS, "auc")
     for c, row in enumerate(rows):
         field = f"per_class[{c}]"
-        _require(_is_object(row, row_keys), field, f"an object with keys {', '.join(row_keys)}")
+        _require(_is_object(row, _ROW_KEYS), field, f"an object with keys {', '.join(_ROW_KEYS)}")
         _require(type(row["class_id"]) is int and row["class_id"] == c, f"{field}.class_id", str(c))
         _require(_is_count(row["support"]), f"{field}.support", "an integer >= 0")
         for key in ("precision", "sensitivity", "specificity"):
@@ -242,8 +240,7 @@ def _check_layout(d) -> None:
             f"{field}.undefined",
             f"a sorted list of distinct names from {', '.join(_UNDEFINED_FLAGS)}",
         )
-        if aucs is not None:
-            _require(_is_auc(row["auc"]), f"{field}.auc", "null or a number in [0, 1]")
+        _require(_is_auc(row["auc"]), f"{field}.auc", "null or a number in [0, 1]")
     cm = d["confusion"]
     _require(
         isinstance(cm, list)
@@ -265,8 +262,8 @@ class EvalReport:
     weighted_specificity: float
     per_class: list[dict]
     confusion: list[list[int]]
-    per_class_auc: list[float | None] | None = None  # None: undefined, flagged
-    macro_auc: float | None = None  # mean of the defined per-class AUCs
+    per_class_auc: list[float | None]  # None: undefined, flagged
+    macro_auc: float | None  # mean of the defined per-class AUCs; None if there are none
     roc_curves: list[RocCurve | None] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
@@ -293,18 +290,23 @@ class EvalReport:
         return cls(**d)
 
 
-def build_report(
-    labels, predictions, num_classes: int, score_matrix: np.ndarray | None = None
-) -> EvalReport:
-    """Full evaluation report; AUC columns require the score matrix.
+def build_report(labels, scores: np.ndarray) -> EvalReport:
+    """Full evaluation report of an (N, C) score matrix against N labels:
+    each row predicts the class of its first largest score, and each class
+    has a one-vs-rest ROC curve.
 
     A class with no positives or no negatives among the labels has no ROC
     curve: its AUC is None and flagged "auc" in its undefined list, and the
     macro AUC is the mean over the other classes (None if there are none)."""
-    cm = confusion(labels, predictions, num_classes)
+    curves = _one_vs_rest_curves(scores, labels)
+    cm = confusion(labels, np.argmax(scores, axis=1), len(curves))
     m = per_class_metrics(cm)
+    per_class_auc = [None if cv is None else cv.auc for cv in curves]
     per_class = []
-    for c in range(num_classes):
+    for c, auc in enumerate(per_class_auc):
+        undefined = [k for k, v in m.undefined.items() if v[c]]
+        if auc is None:
+            undefined.append("auc")
         per_class.append(
             {
                 "class_id": c,
@@ -312,11 +314,13 @@ def build_report(
                 "precision": float(m.precision[c]),
                 "sensitivity": float(m.sensitivity[c]),
                 "specificity": float(m.specificity[c]),
-                "undefined": sorted(k for k, v in m.undefined.items() if v[c]),
+                "undefined": sorted(undefined),
+                "auc": auc,
             }
         )
-    report = EvalReport(
-        num_classes=num_classes,
+    defined = [a for a in per_class_auc if a is not None]
+    return EvalReport(
+        num_classes=len(curves),
         total=int(cm.sum()),
         accuracy=m.accuracy,
         balanced_precision=m.balanced_precision,
@@ -325,17 +329,10 @@ def build_report(
         weighted_specificity=m.weighted_specificity,
         per_class=per_class,
         confusion=[[int(v) for v in row] for row in cm],
+        per_class_auc=per_class_auc,
+        macro_auc=float(np.mean(defined)) if defined else None,
+        roc_curves=curves,
     )
-    if score_matrix is not None:
-        report.roc_curves = _one_vs_rest_curves(score_matrix, labels)
-        report.per_class_auc = [None if cv is None else cv.auc for cv in report.roc_curves]
-        defined = [a for a in report.per_class_auc if a is not None]
-        report.macro_auc = float(np.mean(defined)) if defined else None
-        for row, a in zip(report.per_class, report.per_class_auc):
-            row["auc"] = a
-            if a is None:
-                row["undefined"] = sorted(row["undefined"] + ["auc"])
-    return report
 
 
 def render_per_class_table(report: EvalReport) -> str:

@@ -364,10 +364,6 @@ class FusionNet:
                     params[name] = np.zeros(shape, dtype=np.float32)
         self.params: dict[str, np.ndarray] = params
 
-    def astype(self, dtype) -> "FusionNet":
-        """Copy with parameters cast to dtype (float64 for gradient checks)."""
-        return FusionNet(self.config, params={k: v.astype(dtype) for k, v in self.params.items()})
-
     def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
         """A branch's conv1 relu pool conv2 relu pool flatten fc: its
         features.  Each layer's output replaces its input in x, and what

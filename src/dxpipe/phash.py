@@ -106,7 +106,3 @@ def phash(img: np.ndarray) -> PHash:
             bits |= 1 << (63 - i)
     return PHash(bits)
 
-
-def hamming(a: PHash, b: PHash) -> int:
-    """Number of differing bits (0..64)."""
-    return (a.bits ^ b.bits).bit_count()

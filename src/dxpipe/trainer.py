@@ -125,9 +125,9 @@ def stratified_split(
     return manifest.subset(sorted(train_idx)), manifest.subset(sorted(val_idx))
 
 
-def load_image_array(manifest: DatasetManifest) -> np.ndarray:
-    """All manifest images as a uint8 array (N, S, S)."""
-    return load_pgms(map(manifest.resolve, manifest.entries))
+def load_image_array(manifest: DatasetManifest, side: int) -> np.ndarray:
+    """All manifest images as a uint8 array (N, side, side); see load_pgms."""
+    return load_pgms(map(manifest.resolve, manifest.entries), side)
 
 
 class TrainingSet(NamedTuple):
@@ -139,16 +139,19 @@ class TrainingSet(NamedTuple):
     val_images: np.ndarray
 
 
-def training_set(manifest: DatasetManifest, t: TrainConfig) -> TrainingSet:
-    """manifest split for t, then each of its images read once.  An empty
-    validation split, where no class has 2 or more images, is a ManifestError
-    raised before any image is read: training selects its model on that split."""
+def training_set(manifest: DatasetManifest, t: TrainConfig, side: int) -> TrainingSet:
+    """manifest split for t, then each of its images read once, for a model
+    of input size side.  An empty validation split, where no class has 2 or
+    more images, is a ManifestError raised before any image is read: training
+    selects its model on that split."""
     train_m, val_m = stratified_split(
         manifest, t.validation_fraction, np.random.SeedSequence([t.seed & (2**64 - 1), 0x57])
     )
     if not val_m.entries:
         raise ManifestError("the validation split is empty (no class has 2 or more images)")
-    return TrainingSet(train_m, val_m, load_image_array(train_m), load_image_array(val_m))
+    return TrainingSet(
+        train_m, val_m, load_image_array(train_m, side), load_image_array(val_m, side)
+    )
 
 
 def _posed(images: np.ndarray, index: np.ndarray, turns: np.ndarray) -> np.ndarray:

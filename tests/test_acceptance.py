@@ -16,9 +16,9 @@ from dxpipe.cli import run as cli_run
 from dxpipe.cluster import kmeans
 from dxpipe.enhance import (
     ClaheParams,
+    chain_stack,
     clahe,
     clip_histogram,
-    enhance_chain,
     laplacian,
     median_filter,
     sharpen,
@@ -147,7 +147,10 @@ def test_criterion_1_gradient_correctness():
     )
 
     # full fusion model in float64, dropout active with a fixed mask stream
-    model = FusionNet(ModelConfig(), seed=3).astype(np.float64)
+    seed3 = FusionNet(ModelConfig(), seed=3)
+    model = FusionNet(seed3.config, params={
+        k: v.astype(np.float64) for k, v in seed3.params.items()
+    })
     xm = np.random.default_rng(7).random((2, 1, 32, 32))
     ym = np.array([1, 4])
     wm = np.array([1.0, 2.0, 0.5, 1.0, 3.0, 1.0])
@@ -305,7 +308,7 @@ def test_criterion_4_enhancement_oracles():
         mask = trial_rng.random(clean.shape) < 0.05
         impulses = (trial_rng.integers(0, 2, clean.shape) * 255).astype(np.uint8)
         noisy[mask] = impulses[mask]
-        restored = enhance_chain(noisy, cp, 1)
+        restored = chain_stack(noisy[None], cp, 1)[0]
         if psnr(restored, clean) > psnr(noisy, clean):
             wins += 1
 
@@ -319,7 +322,7 @@ def test_criterion_5_end_to_end(default_dataset):
     t0 = time.time()
     t = TrainConfig(seed=42)
     cfg = ModelConfig()
-    data = training_set(default_dataset, t)
+    data = training_set(default_dataset, t, 32)
     model, log = train(data, cfg, t)
 
     vy = np.array([e.class_id for e in data.val.entries], dtype=np.int64)
@@ -335,7 +338,7 @@ def test_criterion_5_end_to_end(default_dataset):
 
 def test_criterion_6_weighting_report(default_dataset):
     t = TrainConfig(seed=42, epochs=6)
-    data = training_set(default_dataset, t)
+    data = training_set(default_dataset, t, 32)
     _, weighted = train(data, ModelConfig(), t)
     _, uniform = train(data, ModelConfig(), t, uniform=True)
     d = compare_weighting(data, weighted, uniform)
@@ -358,7 +361,7 @@ def test_criterion_6_weighting_report(default_dataset):
 
 def test_criterion_7_orientation(default_dataset):
     t = TrainConfig(seed=42, epochs=8)
-    data = training_set(default_dataset, t)
+    data = training_set(default_dataset, t, 32)
     model, _ = train_orient(data, ModelConfig(), t)
 
     hits = 0
@@ -431,6 +434,7 @@ def test_criterion_10_table_format():
             num_classes=6, total=138, accuracy=acc, balanced_precision=bp,
             weighted_precision=0.0, weighted_sensitivity=0.0,
             weighted_specificity=spec, per_class=[], confusion=[],
+            per_class_auc=[None] * 6, macro_auc=None,
         )
 
     rows = compare_report(rep(0.87, 0.88, 0.87), [rep(0.85, 0.87, 0.85)],

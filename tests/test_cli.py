@@ -251,7 +251,7 @@ def test_orient_train_and_correct(trained, tmp_path):
 def test_report_verbatim_rows(tmp_path):
     def report_json(acc, bp, spec):
         # a six-class report in eval's layout, with the three summary figures set
-        report = build_report(list(range(6)), list(range(6)), 6)
+        report = build_report(list(range(6)), np.eye(6))
         return replace(report, accuracy=acc, balanced_precision=bp,
                        weighted_specificity=spec).to_json()
 
@@ -280,7 +280,7 @@ def test_report_verbatim_rows(tmp_path):
     (None, "\xff", "ann.json: not ASCII text"),
 ])
 def test_report_names_the_file_it_refuses(tmp_path, capsys, model, annotator, message):
-    good = build_report([0, 1], [0, 1], 2).to_json()
+    good = build_report([0, 1], np.eye(2)).to_json()
     (tmp_path / "model.json").write_text(model or good, encoding="latin-1")
     (tmp_path / "ann.json").write_text(annotator or good, encoding="latin-1")
     capsys.readouterr()
@@ -292,7 +292,7 @@ def test_report_names_the_file_it_refuses(tmp_path, capsys, model, annotator, me
 
 
 def test_report_names_the_field_it_refuses(tmp_path, capsys):
-    d = json.loads(build_report([0, 1], [0, 1], 2).to_json())
+    d = json.loads(build_report([0, 1], np.eye(2)).to_json())
     d["accuracy"] = "x"
     (tmp_path / "a.json").write_text(json.dumps(d))
     capsys.readouterr()
@@ -301,6 +301,29 @@ def test_report_names_the_field_it_refuses(tmp_path, capsys):
     assert _one_error_line(capsys) == (
         f"error: eval report {tmp_path / 'a.json'}: field accuracy: expected a finite number\n"
     )
+
+
+def _without_aucs(d):
+    """d in the AUC-less layout that no dxpipe command has written."""
+    d.update(per_class_auc=None, macro_auc=None)
+    for row in d["per_class"]:
+        del row["auc"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without_aucs, "field per_class_auc: expected a list of 2 AUCs, each null or in [0, 1]"),
+    (lambda d: d["per_class"][1].pop("auc"), "field per_class[1]: expected an object with keys "
+     "class_id, support, precision, sensitivity, specificity, undefined, auc"),
+])
+def test_report_refuses_an_eval_report_without_aucs(tmp_path, capsys, edit, message):
+    d = json.loads(build_report([0, 1], np.eye(2)).to_json())
+    edit(d)
+    (tmp_path / "a.json").write_text(json.dumps(d))
+    capsys.readouterr()
+    argv = ["--out-dir", str(tmp_path / "cmp"), "report", "--model", str(tmp_path / "a.json")]
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == f"error: eval report {tmp_path / 'a.json'}: {message}\n"
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
@@ -314,7 +337,7 @@ def standalone_reports(trained):
     """The weighting report of in-process trainings, by augment setting."""
     data, _ = trained
     t = trainer.TrainConfig(epochs=2, seed=5)
-    ts = trainer.training_set(load_manifest(data / "manifest.csv"), t)
+    ts = trainer.training_set(load_manifest(data / "manifest.csv"), t, 32)
     reports = {}
     for augment in (True, False):
         _, weighted = trainer.train(ts, ModelConfig(), t, augment=augment)
@@ -510,6 +533,21 @@ def test_weighting_report_onto_any_train_output_is_refused_before_training(
         assert code == 1
         assert capsys.readouterr().err == f"error: {path} is written twice by one command\n"
     assert sorted(p.name for p in out.iterdir()) == ["link"]
+
+
+def test_a_weighting_report_through_a_missing_directory_lands_where_it_was_claimed(
+    trained, tmp_path
+):
+    data, _ = trained
+    d = tmp_path / "d"
+    d.mkdir()
+    report = d / "sub" / ".." / "r.json"  # d/sub is missing
+    claimed = os.path.realpath(report)  # as _claim resolves it, before the run
+    assert claimed == os.path.realpath(d / "r.json")
+    assert run(["--out-dir", str(tmp_path / "run"), "train", "--manifest",
+                str(data / "manifest.csv"), "--epochs", "1", "--weighting-report", str(report)]) == 0
+    assert json.loads(Path(claimed).read_text())["per_class"]
+    assert sorted(p.name for p in d.iterdir()) == ["r.json", "sub"]
 
 
 def _fail_on_call(monkeypatch, module, name, n, exc):
@@ -923,7 +961,7 @@ def _enhance_inputs(root, shapes, seed=3):
 
 
 _STAGE_FUNCTIONS = {
-    "chain": lambda img: enhance.enhance_chain(img, enhance.ClaheParams(1, 1, 1.5), 2),
+    "chain": lambda img: enhance.chain_stack(img[None], enhance.ClaheParams(1, 1, 1.5), 2)[0],
     "sharpen": enhance.sharpen,
     "median": lambda img: enhance.median_filter(img, 2),
     "equalize": enhance.hist_equalize,
@@ -953,7 +991,7 @@ def test_enhance_directory_of_mixed_shapes_matches_one_image_at_a_time(tmp_path,
 
 
 @pytest.mark.parametrize("stage, fn", [
-    ("chain", lambda img: enhance.enhance_chain(img, enhance.ClaheParams(), 1)),
+    ("chain", lambda img: enhance.chain_stack(img[None], enhance.ClaheParams(), 1)[0]),
     ("clahe", lambda img: enhance.clahe(img, enhance.ClaheParams())),
     ("equalize", enhance.hist_equalize),
 ])
@@ -987,17 +1025,16 @@ def test_enhance_stops_at_the_first_image_its_tile_grid_does_not_fit(tmp_path, c
     assert sorted(p.name for p in out.iterdir()) == ["a0.pgm", "a1.pgm"]
 
 
-def _class_manifest(root, counts, odd=None, side=32):
+def _class_manifest(root, counts, side=32):
     """A manifest of random side px PGMs, counts[c] of class c, in class
-    order; the file named odd is 40 px instead."""
+    order."""
     root.mkdir()
     rng = np.random.default_rng(0)
     rows = []
     for c, n in enumerate(counts):
         for i in range(n):
             name = f"c{c}_{i}.pgm"
-            size = (40, 40) if name == odd else (side, side)
-            save_pgm(rng.integers(0, 256, size, dtype=np.uint8), root / name)
+            save_pgm(rng.integers(0, 256, (side, side), dtype=np.uint8), root / name)
             rows.append(f"{name},{c},0\n")
     (root / "manifest.csv").write_text("# seed=0\npath,class_id,rotation\n" + "".join(rows))
     return root / "manifest.csv"
@@ -1074,41 +1111,24 @@ def test_a_malformed_image_is_one_error_line_naming_its_file(tmp_path, capsys, c
         assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "predict", "orient"])
-def test_images_of_two_sizes_are_refused_naming_the_first_that_differs(tmp_path, capsys, command):
-    # c5_1 is the manifest's last entry, so it is the last image of its split
-    manifest = _class_manifest(tmp_path / "data", [2] * 6, odd="c5_1.pgm")
-    images = [str(tmp_path / "data" / name) for name in ("c0_0.pgm", "c5_1.pgm", "c1_0.pgm")]
-    argv = {
-        "train": ["train", "--manifest", str(manifest), "--epochs", "1"],
-        "eval": ["eval", "--checkpoint", str(_checkpoint(tmp_path)), "--manifest", str(manifest)],
-        "predict": ["predict", "--checkpoint", str(_checkpoint(tmp_path))] + images,
-        "orient": ["orient", "--checkpoint", str(_checkpoint(tmp_path, 4))] + images,
-    }[command]
-    capsys.readouterr()
-    assert run(["--out-dir", str(tmp_path / "run")] + argv) == 1
-    assert _one_error_line(capsys) == (
-        f"error: {tmp_path / 'data' / 'c5_1.pgm'}: image is 40x40, "
-        "expected 32x32 like the images before it\n"
-    )
-    assert not (tmp_path / "run").exists()
-
-
 @pytest.mark.parametrize("command, split", [
     ("train", "training"), ("train", "validation"), ("orient-train", "training"),
     ("predict", None), ("eval", None), ("orient", None),
 ])
 def test_images_not_of_the_input_size_are_refused_naming_file_and_size(
-    tmp_path, capsys, command, split
+    tmp_path, capsys, monkeypatch, command, split
 ):
     data = tmp_path / "data"
-    manifest = _class_manifest(data, [2] * 6, side=32 if split == "validation" else 40)
-    if split == "validation":  # the validation images alone are 40 px
-        val = trainer.training_set(load_manifest(manifest), trainer.TrainConfig()).val
-        for e in val.entries:
-            save_pgm(np.zeros((40, 40), dtype=np.uint8), data / e.path)
+    side = 32 if split == "validation" else 40
+    manifest = _class_manifest(data, [2] * 6, side=side)
     first = data / "c0_0.pgm"
-    images = [str(first), str(data / "c1_0.pgm")]
+    if split is not None:  # a training command reads its training split, then validation
+        ts = trainer.training_set(load_manifest(manifest), trainer.TrainConfig(), side)
+        first = data / (ts.train if split == "training" else ts.val).entries[0].path
+    if split == "validation":  # the validation images alone are 40 px
+        for e in ts.val.entries:
+            save_pgm(np.zeros((40, 40), dtype=np.uint8), data / e.path)
+    images = [str(data / "c0_0.pgm"), str(data / "c1_0.pgm")]
     ckpt = _checkpoint(tmp_path, 4 if command == "orient" else 6)
     argv = {
         "train": ["train", "--manifest", str(manifest), "--epochs", "1"],
@@ -1117,13 +1137,43 @@ def test_images_not_of_the_input_size_are_refused_naming_file_and_size(
         "eval": ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)],
         "orient": ["orient", "--checkpoint", str(ckpt)] + images,
     }[command]
+    calls = _record_calls(monkeypatch, (dxpipe.image, "load_pgm"))
     capsys.readouterr()
     assert run(["--out-dir", str(tmp_path / "run")] + argv) == 1
-    if split is None:
-        expected = f"{first}: image is 40x40, but checkpoint {ckpt} takes 32x32 input"
-    else:
-        expected = f"manifest {manifest}: {split} images are 40x40, but --input-size is 32"
-    assert _one_error_line(capsys) == f"error: {expected}\n"
+    assert _one_error_line(capsys) == (
+        f"error: {first}: image is 40x40, but the model takes 32x32 input\n"
+    )
+    # the first image of another size is refused before any later one is read
+    assert len(calls) == (len(ts.train.entries) + 1 if split == "validation" else 1)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "orient"])
+def test_images_of_two_sizes_are_refused_naming_the_first_that_differs(
+    tmp_path, capsys, monkeypatch, command
+):
+    data = tmp_path / "data"
+    manifest = _class_manifest(data, [2] * 6)
+    second = data / "c0_1.pgm"  # the manifest's second entry
+    if command == "train":  # the second image of the training split, which is read first
+        ts = trainer.training_set(load_manifest(manifest), trainer.TrainConfig(), 32)
+        second = data / ts.train.entries[1].path
+    save_pgm(np.zeros((40, 40), dtype=np.uint8), second)
+    images = [str(data / "c0_0.pgm"), str(second), str(data / "c1_0.pgm")]
+    ckpt = _checkpoint(tmp_path, 4 if command == "orient" else 6)
+    argv = {
+        "train": ["train", "--manifest", str(manifest), "--epochs", "1"],
+        "eval": ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)],
+        "predict": ["predict", "--checkpoint", str(ckpt)] + images,
+        "orient": ["orient", "--checkpoint", str(ckpt)] + images,
+    }[command]
+    calls = _record_calls(monkeypatch, (dxpipe.image, "load_pgm"))
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "run")] + argv) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {second}: image is 40x40, but the model takes 32x32 input\n"
+    )
+    assert calls == ["load_pgm"] * 2  # no image after it is read
     assert not (tmp_path / "run").exists()
 
 
@@ -1226,7 +1276,7 @@ _MODEL_PGMS = [
     b"P2\n16 16\n15\n" + b" ".join(b"%d" % (v % 16) for v in range(256)) + b"\n",
 ]
 _READER_MANIFEST = b'# seed=0\npath,class_id,rotation\na.pgm,0,0\n"b,c.pgm",1,3\n'
-_READER_REPORT = build_report([0, 1], [0, 1], 2, score_matrix=np.eye(2)).to_json().encode()
+_READER_REPORT = build_report([0, 1], np.eye(2)).to_json().encode()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1507,7 +1557,7 @@ def test_a_run_after_an_argument_error_matches_a_run_alone(tmp_path, capsys, bad
 def test_no_command_changes_a_list_default(tmp_path, capsys):
     save_pgm(constant_image(16, 16, 50), tmp_path / "c.pgm")
     report = tmp_path / "r.json"
-    report.write_text(build_report([0, 1], [0, 1], 2).to_json())
+    report.write_text(build_report([0, 1], np.eye(2)).to_json())
     for argv in (
         ["enhance", str(tmp_path / "c.pgm")],
         ["enhance", str(tmp_path / "c.pgm"), "--tiles", "2", "2"],
@@ -1560,7 +1610,7 @@ def _refusal_case(root, command, flag, name):
     data = root / "data"
     assert run(["--out-dir", str(data), "synth", "--scale", "0.02"]) == 0
     report = root / "r.json"
-    report.write_text(build_report([0, 1], [0, 1], 2).to_json())
+    report.write_text(build_report([0, 1], np.eye(2)).to_json())
     model = _checkpoint(root)
     inputs = {"--manifest": data / "manifest.csv", "--checkpoint": model, "--model": report,
               "--annotators": report}

@@ -13,9 +13,9 @@ from dxpipe.enhance import (
     STRIP_PIXELS,
     ClaheParams,
     _median_network,
+    chain_stack,
     clahe,
     clip_histogram,
-    enhance_chain,
     equalize_lut,
     hist_equalize,
     laplacian,
@@ -299,7 +299,7 @@ def test_equalize_lut_monotone_nondecreasing():
 
 def test_chain_constant_unchanged():
     img = constant_image(16, 16, 60)
-    np.testing.assert_array_equal(enhance_chain(img, ClaheParams(2, 2, 2.0), 1), img)
+    np.testing.assert_array_equal(chain_stack(img[None], ClaheParams(2, 2, 2.0), 1)[0], img)
 
 
 def test_chain_equals_manual_composition():
@@ -307,7 +307,7 @@ def test_chain_equals_manual_composition():
     img = random_image(rng, 20, 20)
     p = ClaheParams(2, 2, 2.0)
     manual = clahe(median_filter(sharpen(img), 1), p)
-    np.testing.assert_array_equal(enhance_chain(img, p, 1), manual)
+    np.testing.assert_array_equal(chain_stack(img[None], p, 1)[0], manual)
 
 
 def test_chain_removes_sparse_impulses():
@@ -551,7 +551,7 @@ def test_chain_output_does_not_depend_on_strip_size(monkeypatch):
     outs = set()
     for pixels in (1, 499, 500, 501, 1000, STRIP_PIXELS, 1 << 20):
         monkeypatch.setattr(enhance, "STRIP_PIXELS", pixels)
-        outs.add(enhance_chain(arr, p, 2).tobytes())
+        outs.add(chain_stack(arr[None], p, 2)[0].tobytes())
     assert len(outs) == 1
     expected = _clahe_oracle(_median_network_oracle(_sharpen_oracle(arr), 2), p)
     assert outs == {expected.tobytes()}

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import errno
+import os
 import re
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def _save_trainlog(root, seed):
 def _save_eval_report(root, seed):
     labels = np.array([0, 1, 1, 0])
     scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.5 + 0.1 * seed, 0.5 - 0.1 * seed]])
-    report = build_report(labels, scores.argmax(axis=1), 2, score_matrix=scores)
+    report = build_report(labels, scores)
     cli._write_text(root / "eval_report.json", report.to_json())
     return "eval_report.json"
 
@@ -117,6 +118,19 @@ def test_scope_refuses_a_second_write_to_one_file(tmp_path):
     fileio.write_atomic(tmp_path / "f", b"fourth")
     assert (tmp_path / "f").read_bytes() == b"fourth"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "g", "sub"]
+
+
+def test_a_parent_through_a_missing_directory_and_dotdot_is_the_directory_above(tmp_path):
+    (tmp_path / "wa").mkdir()
+    path = tmp_path / "wa" / "sub" / ".." / "r.json"  # wa/sub is missing
+    claimed = os.path.realpath(path)  # as the CLI's up-front rule resolves it
+    assert claimed == os.path.realpath(tmp_path / "wa" / "r.json")
+    with fileio.one_write_per_path():
+        fileio.write_atomic(path, b"x")
+        with pytest.raises(FileExistsError, match="written twice"):
+            fileio.write_atomic(tmp_path / "wa" / "r.json", b"y")
+    assert Path(claimed).read_bytes() == b"x"
+    assert sorted(p.name for p in (tmp_path / "wa").iterdir()) == ["r.json", "sub"]
 
 
 _WRITE_METHODS = {"write_text", "write_bytes"}

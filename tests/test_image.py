@@ -65,21 +65,23 @@ def test_write_pgm_refuses_anything_but_a_nonempty_2d_uint8_array(img, message, 
 
 def test_load_pgms_stacks_same_size_files(tmp_path):
     rng = np.random.default_rng(4)
-    images = [random_image(rng, 3, 2) for _ in range(3)]
+    images = [random_image(rng, 3, 3) for _ in range(3)]
     paths = [tmp_path / f"{i}.pgm" for i in range(3)]
     for img, path in zip(images, paths):
         save_pgm(img, path)
-    stack = load_pgms(iter(paths))
-    assert stack.dtype == np.uint8 and stack.shape == (3, 2, 3)
+    stack = load_pgms(iter(paths), 3)
+    assert stack.dtype == np.uint8 and stack.shape == (3, 3, 3)
     np.testing.assert_array_equal(stack, np.stack(images))
 
 
-def test_load_pgms_refuses_the_first_file_of_another_size_by_name(tmp_path):
-    save_pgm(random_image(np.random.default_rng(5), 3, 2), tmp_path / "a.pgm")
+@pytest.mark.parametrize("wrong_first", [True, False])
+def test_load_pgms_refuses_the_first_file_of_another_size_by_name(tmp_path, wrong_first):
+    save_pgm(random_image(np.random.default_rng(5), 3, 3), tmp_path / "a.pgm")
     save_pgm(random_image(np.random.default_rng(6), 2, 3), tmp_path / "b.pgm")
-    message = f"{tmp_path / 'b.pgm'}: image is 2x3, expected 3x2 like the images before it"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_pgms([tmp_path / "a.pgm", tmp_path / "b.pgm"])
+    paths = [tmp_path / "a.pgm", tmp_path / "b.pgm"][wrong_first:]
+    message = f"{tmp_path / 'b.pgm'}: image is 2x3, but the model takes 3x3 input"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # missing.pgm is never read
+        load_pgms([*paths, tmp_path / "missing.pgm"], 3)
 
 
 def test_read_p2_ascii():

@@ -179,11 +179,11 @@ def test_multiclass_rejects_degenerate_class():
 
 def test_build_report_fields_and_json_round_trip():
     labels = [0, 0, 1, 1, 2, 2]
-    preds = [0, 1, 1, 1, 2, 0]
     rng = np.random.default_rng(6)
     scores = rng.random((6, 3))
-    report = build_report(labels, preds, 3, score_matrix=scores)
+    report = build_report(labels, scores)
     assert report.total == 6
+    assert report.num_classes == 3
     assert len(report.per_class) == 3
     assert report.macro_auc is not None
     assert all(0.0 <= row["auc"] <= 1.0 for row in report.per_class)
@@ -202,7 +202,7 @@ def test_build_report_flags_the_auc_of_a_class_the_labels_lack():
     labels = np.array([0, 0, 1, 1, 0])  # class 2 absent: no positives
     rng = np.random.default_rng(8)
     scores = rng.random((5, 3))
-    report = build_report(labels, scores.argmax(axis=1), 3, score_matrix=scores)
+    report = build_report(labels, scores)
     assert report.roc_curves[2] is None
     assert report.per_class_auc[2] is None and report.per_class[2]["auc"] is None
     assert "auc" in report.per_class[2]["undefined"]
@@ -223,7 +223,7 @@ def test_build_report_with_one_label_has_no_auc_at_all():
     # every class lacks positives or negatives: no curve, no macro AUC
     labels = np.array([1, 1, 1])
     scores = np.random.default_rng(9).random((3, 2))
-    report = build_report(labels, scores.argmax(axis=1), 2, score_matrix=scores)
+    report = build_report(labels, scores)
     assert report.roc_curves == [None, None]
     assert report.per_class_auc == [None, None]
     assert report.macro_auc is None
@@ -237,7 +237,7 @@ def test_balanced_precision_is_macro_mean():
 
 
 def test_render_per_class_table_shape():
-    report = build_report([0, 1], [0, 1], 2)
+    report = build_report([0, 1], np.eye(2))
     table = render_per_class_table(report)
     lines = table.strip().splitlines()
     assert lines[0].startswith("class")
@@ -255,6 +255,8 @@ def make_report(accuracy, balanced_precision, specificity, num_classes=6):
         weighted_specificity=specificity,
         per_class=[],
         confusion=[],
+        per_class_auc=[None] * num_classes,
+        macro_auc=None,
     )
 
 
@@ -301,8 +303,7 @@ def test_compare_report_rejects_mismatched_classes():
 def test_report_metrics_all_within_unit_interval():
     rng = np.random.default_rng(7)
     labels = rng.integers(0, 4, size=40)
-    preds = rng.integers(0, 4, size=40)
-    report = build_report(labels, preds, 4)
+    report = build_report(labels, rng.random((40, 4)))
     values = [report.accuracy, report.balanced_precision, report.weighted_precision,
               report.weighted_sensitivity, report.weighted_specificity]
     values += [row[k] for row in report.per_class for k in ("precision", "sensitivity", "specificity")]
@@ -311,16 +312,13 @@ def test_report_metrics_all_within_unit_interval():
 
 @st.composite
 def eval_reports(draw):
-    """build_report over drawn labels and predictions, with or without scores."""
+    """build_report over drawn labels and scores, ties and all-zero rows included."""
     n = draw(st.integers(1, 5))
     size = draw(st.integers(0, 12))
     labels = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
-    preds = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
-    scores = None
-    if draw(st.booleans()):
-        seed = draw(st.integers(0, 2**32 - 1))
-        scores = np.random.default_rng(seed).random((size, n))
-    return build_report(labels, preds, n, score_matrix=scores)
+    score = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    rows = draw(st.lists(st.lists(score, min_size=n, max_size=n), min_size=size, max_size=size))
+    return build_report(labels, np.array(rows, dtype=np.float64).reshape(size, n))
 
 
 def _accepted_report_is_usable(text: str) -> None:
@@ -393,7 +391,7 @@ def test_mutated_report_text_loads_usably_or_raises_report_error(report, data):
 
 
 def _edited(edit) -> str:
-    d = json.loads(build_report([0, 1, 1], [0, 1, 0], 2, score_matrix=np.eye(3, 2)).to_json())
+    d = json.loads(build_report([0, 1, 1], np.eye(3, 2)).to_json())  # predicts 0, 1, 0
     edit(d)
     return json.dumps(d)
 
@@ -409,11 +407,11 @@ def _edited(edit) -> str:
     (_edited(lambda d: d.update(accuracy=float("nan"))), "field accuracy: expected a finite"),
     (_edited(lambda d: d.update(weighted_specificity=1)), "field weighted_specificity:"),
     (_edited(lambda d: d.update(num_classes=True)), "field num_classes: expected an integer"),
-    (_edited(lambda d: d.update(num_classes=3)), "field per_class_auc: expected null or a list"),
+    (_edited(lambda d: d.update(num_classes=3)), "field per_class_auc: expected a list of 3 AUCs"),
     (_edited(lambda d: d.update(total=-1)), "field total: expected an integer >= 0"),
     (_edited(lambda d: d["per_class_auc"].__setitem__(1, 1.5)), "field per_class_auc:"),
     (_edited(lambda d: d.update(macro_auc=-0.1)), "field macro_auc:"),
-    (_edited(lambda d: d.update(per_class_auc=None)), "field macro_auc:"),
+    (_edited(lambda d: d.update(per_class_auc=None)), "field per_class_auc: expected a list of 2"),
     (_edited(lambda d: d["per_class"].pop()), "field per_class: expected a list of 2 rows"),
     (_edited(lambda d: d["per_class"][1].pop("auc")), "field per_class[1]: expected an object"),
     (_edited(lambda d: d["per_class"][1].update(class_id=0)), "field per_class[1].class_id:"),
@@ -441,8 +439,8 @@ def test_to_json_refuses_a_report_without_its_rows():
     (lambda d: d.update(accuracy=float("nan")), "field accuracy: expected a finite number"),
     (lambda d: d.update(weighted_precision=float("inf")), "field weighted_precision:"),
     (lambda d: d.update(total=-1), "field total: expected an integer >= 0"),
-    (lambda d: d.update(num_classes=3), "field per_class_auc: expected null or a list"),
-    (lambda d: d.update(per_class_auc=None), "field macro_auc:"),
+    (lambda d: d.update(num_classes=3), "field per_class_auc: expected a list of 3 AUCs"),
+    (lambda d: d.update(per_class_auc=None), "field per_class_auc: expected a list of 2"),
     (lambda d: d["per_class"].pop(), "field per_class: expected a list of 2 rows"),
     (lambda d: d["per_class"][1].pop("auc"), "field per_class[1]: expected an object"),
     (lambda d: d["per_class"][1].update(class_id=0), "field per_class[1].class_id:"),
@@ -450,7 +448,7 @@ def test_to_json_refuses_a_report_without_its_rows():
     (lambda d: d["confusion"][1].append(0), "field confusion: expected a 2x2 matrix"),
 ])
 def test_to_json_refuses_what_from_json_refuses(edit, message):
-    d = json.loads(build_report([0, 1, 1], [0, 1, 0], 2, score_matrix=np.eye(3, 2)).to_json())
+    d = json.loads(build_report([0, 1, 1], np.eye(3, 2)).to_json())
     edit(d)
     with pytest.raises(ReportError, match=re.escape(message)):
         EvalReport.from_json(json.dumps(d))
@@ -465,7 +463,6 @@ def test_every_build_report_output_round_trips():
             labels = rng.integers(0, n, size=size)
             one_class = np.full(size, n - 1)  # every other class lacks positives
             for truth in (labels, one_class):
-                preds = rng.integers(0, n, size=size)
-                for scores in (None, rng.random((size, n)), np.zeros((size, n))):
-                    text = build_report(truth, preds, n, score_matrix=scores).to_json()
+                for scores in (rng.random((size, n)), np.zeros((size, n))):
+                    text = build_report(truth, scores).to_json()
                     assert EvalReport.from_json(text).to_json() == text

@@ -547,10 +547,15 @@ def test_init_draw_is_pinned():
     assert h.hexdigest() == "269ff97f7c8c57c94b321b86f83542a6201f49a8985f93cb49a94bc24b33b722"
 
 
-def test_astype_casts_without_drawing(monkeypatch):
+def _cast(model: FusionNet, dtype) -> FusionNet:
+    """A model of model's config with its parameters cast to dtype."""
+    return FusionNet(model.config, params={k: v.astype(dtype) for k, v in model.params.items()})
+
+
+def test_a_model_of_given_parameters_draws_nothing(monkeypatch):
     model = FusionNet(ModelConfig(), seed=1)
     monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
-    clone = model.astype(np.float64)
+    clone = _cast(model, np.float64)
     assert clone.config is model.config
     for name, arr in model.params.items():
         assert clone.params[name].dtype == np.float64
@@ -708,7 +713,7 @@ def test_branch_backward_matches_the_full_resolution_relu_backward_bytes(monkeyp
     model = FusionNet(ModelConfig(), seed=n)
     for key in ("branch_a.conv1.b", "branch_b.conv1.b", "branch_b.conv2.b"):
         model.params[key] -= 0.05  # more all-nonpositive pool windows
-    model = model.astype(dtype)
+    model = _cast(model, dtype)
     x = rng.random((n, 1, 32, 32)).astype(dtype)
     x[:, :, 4:14, 6:20] = 0.0  # flat regions: windows of tied maxima
     x[:, :, 20:, :10] = 1.0

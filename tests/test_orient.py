@@ -60,7 +60,7 @@ def test_correct_orientation_confidence_and_inverse():
 @pytest.fixture(scope="module")
 def pose_model(tiny_dataset):
     t = TrainConfig(epochs=4, batch_size=32, seed=13)
-    model, _ = train_orient(training_set(tiny_dataset, t), ModelConfig(), t)
+    model, _ = train_orient(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     return model
 
 
@@ -87,8 +87,8 @@ def test_trained_model_restores_rotated_images(tiny_dataset, pose_model):
 
 def test_train_orient_deterministic(tiny_dataset):
     t = TrainConfig(epochs=1, batch_size=32, seed=8)
-    model1, _ = train_orient(training_set(tiny_dataset, t), ModelConfig(), t)
-    model2, _ = train_orient(training_set(tiny_dataset, t), ModelConfig(), t)
+    model1, _ = train_orient(training_set(tiny_dataset, t, 32), ModelConfig(), t)
+    model2, _ = train_orient(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     for name in model1.params:
         np.testing.assert_array_equal(model1.params[name], model2.params[name])
 

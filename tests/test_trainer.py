@@ -106,7 +106,7 @@ def test_stratified_split_singleton_goes_to_train():
 
 def test_lr_decay_schedule(tiny_dataset):
     t = TrainConfig(epochs=11, batch_size=32, lr=0.01, lr_decay_factor=0.5, lr_decay_every=10, seed=1)
-    _, log = train(training_set(tiny_dataset, t), ModelConfig(), t)
+    _, log = train(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     lrs = [e.lr for e in log.epochs]
     assert lrs[0] == 0.01
     assert lrs[9] == 0.01
@@ -116,7 +116,7 @@ def test_lr_decay_schedule(tiny_dataset):
 
 def test_zero_lr_keeps_initial_weights(tiny_dataset):
     t = TrainConfig(epochs=1, lr=0.0, seed=5)
-    model, _ = train(training_set(tiny_dataset, t), ModelConfig(), t)
+    model, _ = train(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     fresh = FusionNet(ModelConfig(), seed=5)
     for name, tensor in model.params.items():
         np.testing.assert_array_equal(tensor, fresh.params[name])
@@ -129,13 +129,13 @@ def test_non_finite_validation_names_the_epoch(tiny_dataset, monkeypatch):
     monkeypatch.setattr(trainer_mod, "evaluate_arrays", diverged)
     t = TrainConfig(epochs=1, seed=3)
     with pytest.raises(FloatingPointError, match="^epoch 0 validation: non-finite values in logits$"):
-        train(training_set(tiny_dataset, t), ModelConfig(), t)
+        train(training_set(tiny_dataset, t, 32), ModelConfig(), t)
 
 
 def test_train_deterministic_per_seed(tiny_dataset):
     t = TrainConfig(**FAST)
-    model1, log1 = train(training_set(tiny_dataset, t), ModelConfig(), t)
-    model2, log2 = train(training_set(tiny_dataset, t), ModelConfig(), t)
+    model1, log1 = train(training_set(tiny_dataset, t, 32), ModelConfig(), t)
+    model2, log2 = train(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     assert log1.to_csv() == log2.to_csv()
     for name in model1.params:
         np.testing.assert_array_equal(model1.params[name], model2.params[name])
@@ -143,7 +143,7 @@ def test_train_deterministic_per_seed(tiny_dataset):
 
 def test_train_log_shape(tiny_dataset):
     t = TrainConfig(**FAST)
-    _, log = train(training_set(tiny_dataset, t), ModelConfig(), t)
+    _, log = train(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     assert len(log.epochs) == t.epochs
     assert [e.epoch for e in log.epochs] == list(range(t.epochs))
     assert 0 <= log.best_epoch < t.epochs
@@ -155,13 +155,13 @@ def test_overfits_small_subset(tmp_path):
     """Trainability check: loss collapses on a 10-image manifest."""
     manifest = generate_dataset([2, 2, 2, 2, 1, 1], SynthParams(rng_seed=21), tmp_path)
     t = TrainConfig(epochs=200, batch_size=8, lr=0.01, seed=2, validation_fraction=0.2)
-    _, log = train(training_set(manifest, t), ModelConfig(dropout_rate=0.0), t, augment=False)
+    _, log = train(training_set(manifest, t, 32), ModelConfig(dropout_rate=0.0), t, augment=False)
     assert min(e.train_loss for e in log.epochs) < 0.05
 
 
 def test_best_checkpoint_is_best_val_epoch(tiny_dataset):
     t = TrainConfig(epochs=3, batch_size=16, seed=11)
-    model, log = train(training_set(tiny_dataset, t), ModelConfig(), t)
+    model, log = train(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     best = log.epochs[log.best_epoch].val_acc
     assert all(e.val_acc <= best for e in log.epochs)
 
@@ -169,8 +169,8 @@ def test_best_checkpoint_is_best_val_epoch(tiny_dataset):
     # the model on the validation split reproduces the logged accuracy
     from dxpipe.trainer import evaluate_arrays, load_image_array
 
-    val_m = training_set(tiny_dataset, t).val
-    vx = load_image_array(val_m)
+    val_m = training_set(tiny_dataset, t, 32).val
+    vx = load_image_array(val_m, 32)
     vy = np.array([e.class_id for e in val_m.entries])
     _, acc, scores = evaluate_arrays(model, vx, vy, np.ones(6))
     assert abs(acc - best) < 1e-9
@@ -180,14 +180,14 @@ def test_best_checkpoint_is_best_val_epoch(tiny_dataset):
 def test_train_rejects_empty_manifest():
     t = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="empty"):
-        train(training_set(DatasetManifest(), t), ModelConfig(), t)
+        train(training_set(DatasetManifest(), t, 32), ModelConfig(), t)
 
 
 def test_split_without_validation_images_is_refused_before_any_image_is_read():
     # the manifest's images do not exist: loading one would raise OSError
     m = manifest_with_counts([1, 1, 1, 1, 1, 1])
     with pytest.raises(ManifestError, match="validation split is empty"):
-        training_set(m, TrainConfig(epochs=1))
+        training_set(m, TrainConfig(epochs=1), 32)
 
 
 def test_train_config_validation():
@@ -249,7 +249,7 @@ def test_a_training_holds_one_forward_cache_at_a_time(tiny_dataset, monkeypatch,
     monkeypatch.setattr(FusionNet, "forward", traced_forward)
     monkeypatch.setattr(FusionNet, "eval_logits", traced_eval_logits)
     t = TrainConfig(**FAST)
-    fit(training_set(tiny_dataset, t), ModelConfig(), t)
+    fit(training_set(tiny_dataset, t, 32), ModelConfig(), t)
     assert [what for what, _ in alive].count("validation") == FAST["epochs"]
     assert len(columns) > FAST["epochs"]
     assert alive == [(what, 0) for what, _ in alive]
@@ -261,7 +261,7 @@ def test_checkpoint_bytes_do_not_depend_on_skipping_the_eval_pool_index(
     # validation passes pick the best epoch and no longer compute the
     # max-pool index; computing it there again must leave every byte as it is
     t = TrainConfig(**FAST)
-    data = training_set(tiny_dataset, t)
+    data = training_set(tiny_dataset, t, 32)
 
     def run(name):
         model, log = train(data, ModelConfig(), t)
