@@ -333,7 +333,7 @@ class FusionNet:
     """Dual-branch feature-fusion classifier over (N, 1, S, S) inputs in [0, 1].
 
     Each branch applies its ReLUs in place on the conv outputs, which the
-    forward cache keeps as c1/c2.  The branch backward takes each ReLU's
+    forward cache does not keep.  The branch backward takes each ReLU's
     gradient on the pooled map, dp * (pooled > 0), before the max-pool
     scatter.  pooled is the ReLU output at each window's first maximum, so
     this is the multiply the full-resolution relu_backward made there;
@@ -366,21 +366,23 @@ class FusionNet:
 
     def _forward_branch(self, branch: str, x: np.ndarray, cache: dict) -> np.ndarray:
         """A branch's conv1 relu pool conv2 relu pool flatten fc: its
-        features.  Each layer's output replaces its input in x, and what
-        backward needs goes only to c, so a _NoCache frees every column
-        matrix and activation once the next layer has used it."""
+        features.  Each layer's output replaces its input in x, and only
+        what backward reads goes to c: the column matrices, the pooled maps,
+        their first-max indices and the flat features.  So each conv output
+        is freed once its max-pool has read it, and a _NoCache frees every
+        column matrix and activation once the next layer has used it."""
         p = self.params
         name = f"branch_{branch}"
         c = cache[name] = type(cache)()
         eval_pass = isinstance(c, _NoCache)  # no backward reads its pool indices
         x, c["cols1"] = conv2d_forward(x, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
         _require_finite(f"{name}.conv1", x)
-        c["c1"] = np.maximum(x, 0, out=x)
+        np.maximum(x, 0, out=x)
         x, c["pool1"] = maxpool2_forward(x, not eval_pass)
         c["p1"] = x
         x, c["cols2"] = conv2d_forward(x, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
         _require_finite(f"{name}.conv2", x)
-        c["c2"] = np.maximum(x, 0, out=x)
+        np.maximum(x, 0, out=x)
         x, c["pool2"] = maxpool2_forward(x, not eval_pass)
         c["p2"] = x
         c["flat"] = flat = x.reshape(len(x), -1)

@@ -258,13 +258,17 @@ def train(
 def compare_weighting(data: TrainingSet, weighted: TrainLog, uniform: TrainLog) -> dict:
     """The weighting.json report of two same-seed trainings of data, with
     inverse-frequency and with uniform weights: the per-class validation
-    recall of each one's best-epoch scores, side by side, and the minority class."""
+    recall of each one's best-epoch scores, side by side, and the minority
+    class.  A class with no validation image has no recall: None (null)."""
     n = weighted.best_scores.shape[1]
     val_labels = data.val.labels()
     recall = {}
     for mode, log in (("weighted", weighted), ("uniform", uniform)):
-        cm = confusion(val_labels, log.best_scores.argmax(axis=1), n)
-        recall[mode] = [float(r) for r in per_class_metrics(cm).sensitivity]
+        m = per_class_metrics(confusion(val_labels, log.best_scores.argmax(axis=1), n))
+        recall[mode] = [
+            None if undefined else float(r)
+            for r, undefined in zip(m.sensitivity, m.undefined["sensitivity"])
+        ]
     counts = data.train.class_counts(n) + data.val.class_counts(n)
     minority = int(np.argmin(np.where(counts > 0, counts, np.iinfo(np.int64).max)))
     return {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dxpipe import synth
+from dxpipe import nnet, synth
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -30,6 +30,27 @@ def constant_image(w: int, h: int, value: int) -> np.ndarray:
 
 def random_image(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
     return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+
+
+def forward_with_conv_maps(model, x, train_mode=False, rng=None):
+    """model.forward(x, train_mode, rng) as (logits, cache, maps), where maps
+    holds each branch's post-ReLU conv maps, {"branch_a": (c1, c2),
+    "branch_b": (c1, c2)}.  The forward cache keeps none of them: they are
+    the four nnet.conv2d_forward outputs in call order (a.conv1, a.conv2,
+    b.conv1, b.conv2), which the forward's in-place ReLUs turn into c1/c2."""
+    outs = []
+    conv2d_forward = nnet.conv2d_forward
+
+    def recording(*args):
+        out, cols = conv2d_forward(*args)
+        outs.append(out)
+        return out, cols
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nnet, "conv2d_forward", recording)
+        logits, cache = model.forward(x, train_mode, rng)
+    assert len(outs) == 4
+    return logits, cache, {"branch_a": tuple(outs[:2]), "branch_b": tuple(outs[2:])}
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import time
 import mpmath
 import numpy as np
 
-from conftest import pairwise_auc, psnr
+from conftest import forward_with_conv_maps, pairwise_auc, psnr
 from dxpipe import synth
 from dxpipe.cli import run as cli_run
 from dxpipe.cluster import kmeans
@@ -52,14 +52,15 @@ def gate(num: int, description: str, ok: bool, detail: str = "") -> None:
 
 # -- criterion 1: gradient correctness ---------------------------------------
 
-def _gate_signature(cache) -> bytes:
-    """Activation gating pattern: relu masks and pool argmax selections."""
+def _gate_signature(cache, maps) -> bytes:
+    """Activation gating pattern: relu masks and pool argmax selections.
+    maps holds each branch's post-ReLU conv maps (see forward_with_conv_maps)."""
     parts = []
     for br in ("branch_a", "branch_b"):
-        c = cache[br]
-        parts.append((c["c1"] > 0).tobytes())
+        c, (c1, c2) = cache[br], maps[br]
+        parts.append((c1 > 0).tobytes())
         parts.append(c["pool1"][0].tobytes())
-        parts.append((c["c2"] > 0).tobytes())
+        parts.append((c2 > 0).tobytes())
         parts.append(c["pool2"][0].tobytes())
     parts.append((cache["fused"] > 0).tobytes())
     return b"".join(parts)
@@ -156,12 +157,13 @@ def test_criterion_1_gradient_correctness():
     wm = np.array([1.0, 2.0, 0.5, 1.0, 3.0, 1.0])
 
     def model_loss():
-        logits, cache = model.forward(xm, train_mode=True, rng=np.random.default_rng(99))
+        logits, cache, maps = forward_with_conv_maps(
+            model, xm, train_mode=True, rng=np.random.default_rng(99)
+        )
         loss, dlogits = weighted_ce(logits, ym, wm)
-        return loss, cache, dlogits
+        return loss, _gate_signature(cache, maps), cache, dlogits
 
-    loss0, cache0, dlogits0 = model_loss()
-    sig0 = _gate_signature(cache0)
+    loss0, sig0, cache0, dlogits0 = model_loss()
     grads = model.backward(cache0, dlogits0)
     names = sorted(model.params)
     valid = 0
@@ -173,11 +175,9 @@ def test_criterion_1_gradient_correctness():
         flat = p.ravel()
         orig = flat[i]
         flat[i] = orig + step
-        lp, cp, _ = model_loss()
-        sp = _gate_signature(cp)
+        lp, sp, _, _ = model_loss()
         flat[i] = orig - step
-        lm, cm, _ = model_loss()
-        sm = _gate_signature(cm)
+        lm, sm, _, _ = model_loss()
         flat[i] = orig
         if sp != sig0 or sm != sig0:
             rejected += 1

@@ -371,6 +371,22 @@ def test_weighting_report_trains_each_mode_once(
     assert json.loads(report.read_text()) == standalone_reports[augment]
 
 
+def test_a_class_with_no_validation_image_has_a_null_recall(tmp_path):
+    # class counts 7, 8, 6, 7, 3, 1: the one class-5 image goes to training
+    data, report = tmp_path / "data", tmp_path / "w.json"
+    assert run(["--seed", "1", "--out-dir", str(data), "synth", "--scale", "0.0125"]) == 0
+    argv = ["--out-dir", str(tmp_path / "run"), "train", "--manifest", str(data / "manifest.csv"),
+            "--epochs", "1", "--weighting-report", str(report)]
+    assert run(argv) == 0
+    assert sorted(load_manifest(tmp_path / "run" / "val_manifest.csv").labels()) == [0, 1, 2, 3, 4]
+    d = json.loads(report.read_text())
+    assert d["minority_class"] == 5
+    assert d["minority_recall"] == {"weighted": None, "uniform": None}
+    assert d["per_class"][5] == {"class_id": 5, "weighted_recall": None, "uniform_recall": None}
+    for row in d["per_class"][:5]:
+        assert all(isinstance(row[k], float) for k in ("weighted_recall", "uniform_recall"))
+
+
 def _two_same_named_images(root):
     paths = []
     for sub, value in (("d1", 10), ("d2", 200)):

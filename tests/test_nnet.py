@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import forward_with_conv_maps
 from dxpipe import nnet
 from dxpipe.nnet import (
     FusionNet,
@@ -485,9 +486,11 @@ def test_eval_pass_frees_each_layer_once_the_next_has_used_it(monkeypatch):
         finally:
             tracemalloc.stop()
     assert model.eval_logits(x).tobytes() == _alone(model, x).tobytes()
-    # the largest layer: branch b's conv1 columns (25 taps) and its output (8 maps)
+    # the largest layer: branch b's conv1 columns (25 taps) and its output (8
+    # maps); a cached forward holds at least the four column matrices
     largest = len(x) * (25 + 8) * 28 * 28 * 4
-    assert peaks["eval"] < 1.25 * largest < peaks["forward"] / 2
+    cols = len(x) * (9 * 30 * 30 + 72 * 13 * 13 + 25 * 28 * 28 + 72 * 12 * 12) * 4
+    assert peaks["eval"] < 1.25 * largest < cols < peaks["forward"]
 
 
 @pytest.mark.parametrize("n", [1, 31, 33, 129, 300])
@@ -684,26 +687,31 @@ def test_dcols_gemm_bytes_do_not_depend_on_row_order_or_width(n, x_hw, w_shape):
     assert flat.tobytes() == compact.reshape(n, c, kh, kw, oh, ow).tobytes()
 
 
-def _parent_backward_branch(self, branch, dfeat, cache, grads):
+def _parent_backward_branch(maps):
     """The branch backward before the ReLU gradient moved onto the pooled
     maps: max-pool scatter at full resolution, then relu_backward on the conv
-    output's mask, then the slice-scatter col2im."""
-    p = self.params
-    name = f"branch_{branch}"
-    c = cache[name]
-    dflat, grads[f"{name}.fc.w"], grads[f"{name}.fc.b"] = dense_backward(
-        dfeat, c["flat"], p[f"{name}.fc.w"]
-    )
-    dr2 = maxpool2_backward(dflat.reshape(c["p2"].shape), c["pool2"])
-    dc2 = relu_backward(dr2, c["c2"])
-    dp1, grads[f"{name}.conv2.w"], grads[f"{name}.conv2.b"] = _loop_conv2d_backward(
-        dc2, c["cols2"], c["p1"].shape, p[f"{name}.conv2.w"]
-    )
-    dr1 = maxpool2_backward(dp1, c["pool1"])
-    dc1 = relu_backward(dr1, c["c1"])
-    grads[f"{name}.conv1.w"], grads[f"{name}.conv1.b"] = conv2d_param_grads(
-        dc1, c["cols1"], p[f"{name}.conv1.w"]
-    )
+    output's mask, then the slice-scatter col2im.  The conv outputs c1/c2
+    come from maps (see forward_with_conv_maps), since the cache keeps none."""
+
+    def backward_branch(self, branch, dfeat, cache, grads):
+        p = self.params
+        name = f"branch_{branch}"
+        c, (c1, c2) = cache[name], maps[name]
+        dflat, grads[f"{name}.fc.w"], grads[f"{name}.fc.b"] = dense_backward(
+            dfeat, c["flat"], p[f"{name}.fc.w"]
+        )
+        dr2 = maxpool2_backward(dflat.reshape(c["p2"].shape), c["pool2"])
+        dc2 = relu_backward(dr2, c2)
+        dp1, grads[f"{name}.conv2.w"], grads[f"{name}.conv2.b"] = _loop_conv2d_backward(
+            dc2, c["cols2"], c["p1"].shape, p[f"{name}.conv2.w"]
+        )
+        dr1 = maxpool2_backward(dp1, c["pool1"])
+        dc1 = relu_backward(dr1, c1)
+        grads[f"{name}.conv1.w"], grads[f"{name}.conv1.b"] = conv2d_param_grads(
+            dc1, c["cols1"], p[f"{name}.conv1.w"]
+        )
+
+    return backward_branch
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -717,10 +725,10 @@ def test_branch_backward_matches_the_full_resolution_relu_backward_bytes(monkeyp
     x = rng.random((n, 1, 32, 32)).astype(dtype)
     x[:, :, 4:14, 6:20] = 0.0  # flat regions: windows of tied maxima
     x[:, :, 20:, :10] = 1.0
-    _, cache = model.forward(x)
+    _, cache, maps = forward_with_conv_maps(model, x)
     for br in ("branch_a", "branch_b"):
-        for k, conv in (("1", "c1"), ("2", "c2")):
-            taps = [cache[br][conv][tap] for tap in nnet._pool_taps(cache[br][conv].shape)]
+        for k, conv in zip("12", maps[br]):
+            taps = [conv[tap] for tap in nnet._pool_taps(conv.shape)]
             assert (taps[0] == taps[1]).any()  # ties inside windows
             assert (cache[br][f"p{k}"] == 0).any()  # all-nonpositive windows
     dfeat = {
@@ -728,10 +736,11 @@ def test_branch_backward_matches_the_full_resolution_relu_backward_bytes(monkeyp
         "b": _signed_zero_gradient((n, model.config.branch_b_dim), dtype, rng),
     }
     dfeat["a"][0] = -0.0  # a sample whose whole gradient is signed zeros
+    parent_backward_branch = _parent_backward_branch(maps)
     got, ref = {}, {}
     for branch, d in dfeat.items():
         model._backward_branch(branch, d, cache, got)
-        _parent_backward_branch(model, branch, d, cache, ref)
+        parent_backward_branch(model, branch, d, cache, ref)
     assert got.keys() == ref.keys()
     for key in ref:
         assert got[key].dtype == ref[key].dtype and got[key].tobytes() == ref[key].tobytes(), key
@@ -739,7 +748,7 @@ def test_branch_backward_matches_the_full_resolution_relu_backward_bytes(monkeyp
     # and through the whole model, from logit gradients with signed zeros
     dlogits = _signed_zero_gradient((n, model.config.num_classes), dtype, rng)
     grads = model.backward(cache, dlogits)
-    monkeypatch.setattr(FusionNet, "_backward_branch", _parent_backward_branch)
+    monkeypatch.setattr(FusionNet, "_backward_branch", parent_backward_branch)
     parent = model.backward(cache, dlogits)
     for key in parent:
         assert grads[key].tobytes() == parent[key].tobytes(), key
@@ -776,10 +785,37 @@ def test_training_caches_keep_the_pool_index_for_the_gate_signature():
     model = FusionNet(ModelConfig(), seed=12)
     x = np.random.default_rng(12).random((3, 1, 32, 32)).astype(np.float32)
     for train_mode in (True, False):
-        _, cache = model.forward(x, train_mode=train_mode, rng=np.random.default_rng(1))
+        _, cache, maps = forward_with_conv_maps(
+            model, x, train_mode=train_mode, rng=np.random.default_rng(1)
+        )
         for br in ("branch_a", "branch_b"):
             c = cache[br]
-            for pool, conv in (("pool1", "c1"), ("pool2", "c2")):
+            for pool, conv in zip(("pool1", "pool2"), maps[br]):
                 first, x_shape = c[pool]
-                assert x_shape == c[conv].shape
-                assert first.tobytes() == maxpool2_forward(c[conv])[1][0].tobytes()
+                assert x_shape == conv.shape
+                assert first.tobytes() == maxpool2_forward(conv)[1][0].tobytes()
+
+
+class _Reads(dict):
+    """A dict that records which keys were read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_a_training_cache_holds_exactly_what_the_branch_backward_reads():
+    model = FusionNet(ModelConfig(), seed=13)
+    x = np.random.default_rng(13).random((3, 1, 32, 32)).astype(np.float32)
+    logits, cache = model.forward(x, train_mode=True, rng=np.random.default_rng(1))
+    for br in ("branch_a", "branch_b"):
+        cache[br] = _Reads(cache[br])
+    model.backward(cache, np.ones_like(logits))
+    for br in ("branch_a", "branch_b"):
+        assert cache[br].read == cache[br].keys() == {
+            "cols1", "cols2", "p1", "p2", "flat", "pool1", "pool2"
+        }
