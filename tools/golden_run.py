@@ -35,18 +35,86 @@ It prints one `sha256  relpath` line per file written, in path order, and
 last the SHA-256 of those lines. Run it on two
 trees (each with its own `src/`) into two directories: the same last line
 means every artefact has the same bytes.
+
+    python tools/golden_run.py --record OUT_DIR
+
+also writes those lines as the record in tools/golden/ that
+tests/test_golden.py compares each run with, in two parts, and the build
+they were taken on (see ANY_BUILD_DIRS and build()).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from dxpipe.cli import run  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The directories that synth and enhance write, and (SPLIT_MANIFESTS) the
+# split manifests that train writes.  Their code takes integer and basic
+# float arithmetic only, with no BLAS call and no transcendental ufunc, so
+# these files have the same bytes on every build.  Every other file goes
+# through a GEMM (the network, or the pHash DCT, in clusters.csv and
+# contingency.csv) and is compared against the build it was recorded on.
+ANY_BUILD_DIRS = frozenset({
+    "small", "large", "mid", "amplified", "enhanced", "median2", "clahe_large", "clahe_mid",
+    "equalized_large", "equalized_mid", "enhanced_small", "enhanced_small_2x2", "clahe",
+})
+SPLIT_MANIFESTS = frozenset({"train_manifest.csv", "val_manifest.csv"})
+
+
+def _openblas_kernels() -> str:
+    """The kernels that the OpenBLAS loaded in this process chose for this
+    CPU at run time (it is built with DYNAMIC_ARCH), or "unknown"."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return "unknown"
+    fields = (line.split(maxsplit=5) for line in maps.splitlines())
+    for lib in sorted({f[5] for f in fields if len(f) == 6 and "openblas" in f[5]}):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(ctypes.CDLL(lib), name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode("ascii")
+    return "unknown"
+
+
+def build() -> str:
+    """The configuration that a GEMM's last bits depend on: numpy's version
+    and the SIMD extensions it dispatches to, the BLAS library and its
+    kernels for this CPU."""
+    config = np.show_config(mode="dicts")
+    simd = config["SIMD Extensions"]
+    blas = config["Build Dependencies"]["blas"]
+    return (
+        f"numpy {np.__version__}; SIMD {' '.join(simd['baseline'] + simd['found'])}; "
+        f"BLAS {blas['name']} {blas['version']}, kernels {_openblas_kernels()}"
+    )
+
+
+def _record(lines: list[str]) -> None:
+    """Write the record: the any-build part, the recorded-build part and the build."""
+    def any_build(line: str) -> bool:
+        path = Path(line.split("  ", 1)[1])
+        return path.parts[0] in ANY_BUILD_DIRS or path.name in SPLIT_MANIFESTS
+
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "any_build.sha256").write_text("".join(f"{x}\n" for x in lines if any_build(x)))
+    (GOLDEN / "recorded_build.sha256").write_text(
+        "".join(f"{x}\n" for x in lines if not any_build(x))
+    )
+    (GOLDEN / "build.txt").write_text(build() + "\n")
 
 
 def _script(out: Path) -> list[list[str]]:
@@ -107,8 +175,11 @@ def _script(out: Path) -> list[list[str]]:
 
 
 def main(argv: list[str]) -> int:
+    record = argv[:1] == ["--record"]
+    if record:
+        argv = argv[1:]
     if len(argv) != 1:
-        print("usage: python tools/golden_run.py OUT_DIR", file=sys.stderr)
+        print("usage: python tools/golden_run.py [--record] OUT_DIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
     if out.exists() and any(out.iterdir()):
@@ -124,6 +195,8 @@ def main(argv: list[str]) -> int:
         f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
         for path in sorted(p for p in out.rglob("*") if p.is_file())
     ]
+    if record:
+        _record(lines)
     summary = "\n".join(lines) + "\n"
     sys.stdout.write(summary)
     print(hashlib.sha256(summary.encode("ascii")).hexdigest())
