@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from collections import Counter
+from dataclasses import fields
 from functools import cache, partial
 from pathlib import Path
 
@@ -128,15 +129,9 @@ def _model_config(args) -> ModelConfig:
 
 
 def _train_config(args) -> trainer_mod.TrainConfig:
+    """Each TrainConfig field from the flag of its name (seed: the global --seed)."""
     return trainer_mod.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        momentum=args.momentum,
-        lr_decay_factor=args.lr_decay_factor,
-        lr_decay_every=args.lr_decay_every,
-        seed=args.seed,
-        validation_fraction=args.validation_fraction,
+        **{f.name: getattr(args, f.name) for f in fields(trainer_mod.TrainConfig)}
     )
 
 
@@ -303,6 +298,11 @@ def _cmd_orient(args) -> int:
     index = args.out_dir / "orientation.csv"
     _claim(args, [*(args.out_dir / name for name in names), index], "checkpoint")
     model = ckpt_io.load_model(args.checkpoint)
+    if model.config.num_classes != 4:
+        raise ValueError(
+            f"checkpoint {args.checkpoint}: a pose model has 4 output classes, "
+            f"this one has {model.config.num_classes}"
+        )
     images = load_pgms(args.inputs, model.config.input_size)
     results = orient_mod.correct_orientation(model, images)
     index.unlink(missing_ok=True)  # as in _cmd_synth

@@ -16,7 +16,7 @@ import numpy as np
 
 from dxpipe.fileio import csv_text
 from dxpipe.image import load_pgm
-from dxpipe.phash import PHash, phash
+from dxpipe.phash import phash
 from dxpipe.synth import NUM_CLASSES, DatasetManifest
 
 
@@ -37,9 +37,9 @@ class ClusterResult:
     inertia_history: list[float] = field(default_factory=list)
 
 
-def hash_to_vector(h: PHash) -> np.ndarray:
+def hash_to_vector(h: int) -> np.ndarray:
     """Embed the 64 hash bits as a float vector (bit i -> coordinate i)."""
-    return np.array([(h.bits >> (63 - i)) & 1 for i in range(64)], dtype=np.float64)
+    return np.array([(h >> (63 - i)) & 1 for i in range(64)], dtype=np.float64)
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -124,7 +124,7 @@ def cluster_report(manifest: DatasetManifest, k: int, seed: int = 0) -> ClusterR
     vectors = np.stack([hash_to_vector(h) for h in hashes])
     result = kmeans(vectors, k, seed=seed)
     rows = [
-        (e.path, e.class_id, int(result.assignments[i]), hashes[i].hex())
+        (e.path, e.class_id, int(result.assignments[i]), f"{hashes[i]:016x}")
         for i, e in enumerate(manifest.entries)
     ]
     contingency = np.zeros((k, NUM_CLASSES), dtype=np.int64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -171,8 +171,6 @@ _RATIO_KEYS = (
     "weighted_sensitivity",
     "weighted_specificity",
 )
-_REPORT_KEYS = ("num_classes", "total", *_RATIO_KEYS, "per_class", "confusion",
-                "per_class_auc", "macro_auc")
 _ROW_KEYS = ("class_id", "support", "precision", "sensitivity", "specificity", "undefined", "auc")
 _UNDEFINED_FLAGS = ("auc", "precision", "sensitivity", "specificity")
 
@@ -264,7 +262,7 @@ class EvalReport:
     confusion: list[list[int]]
     per_class_auc: list[float | None]  # None: undefined, flagged
     macro_auc: float | None  # mean of the defined per-class AUCs; None if there are none
-    roc_curves: list[RocCurve | None] | None = field(default=None, repr=False)
+    roc_curves: list[RocCurve | None] | None = field(default=None, repr=False)  # not in the JSON
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _REPORT_KEYS}
@@ -288,6 +286,9 @@ class EvalReport:
             raise ReportError(f"not JSON: {exc}") from None
         _check_layout(d)
         return cls(**d)
+
+
+_REPORT_KEYS = tuple(f.name for f in fields(EvalReport) if f.name != "roc_curves")
 
 
 def build_report(labels, scores: np.ndarray) -> EvalReport:
@@ -322,11 +323,7 @@ def build_report(labels, scores: np.ndarray) -> EvalReport:
     return EvalReport(
         num_classes=len(curves),
         total=int(cm.sum()),
-        accuracy=m.accuracy,
-        balanced_precision=m.balanced_precision,
-        weighted_precision=m.weighted_precision,
-        weighted_sensitivity=m.weighted_sensitivity,
-        weighted_specificity=m.weighted_specificity,
+        **{key: getattr(m, key) for key in _RATIO_KEYS},
         per_class=per_class,
         confusion=[[int(v) for v in row] for row in cm],
         per_class_auc=per_class_auc,
@@ -336,13 +333,13 @@ def build_report(labels, scores: np.ndarray) -> EvalReport:
 
 
 def render_per_class_table(report: EvalReport) -> str:
-    """Plain-text per-class table (precision / sensitivity / specificity)."""
+    """Plain-text per-class table (precision / sensitivity / specificity);
+    a ratio flagged undefined (0/0) reads n/a."""
     lines = ["class  precision  sensitivity  specificity"]
     for row in report.per_class:
-        lines.append(
-            f"{row['class_id']:>5}  {row['precision']:>9.2f}  "
-            f"{row['sensitivity']:>11.2f}  {row['specificity']:>11.2f}"
-        )
+        p, se, sp = ("n/a" if key in row["undefined"] else f"{row[key]:.2f}"
+                     for key in ("precision", "sensitivity", "specificity"))
+        lines.append(f"{row['class_id']:>5}  {p:>9}  {se:>11}  {sp:>11}")
     lines.append(
         f"w_avg  {report.weighted_precision:>9.2f}  "
         f"{report.weighted_sensitivity:>11.2f}  {report.weighted_specificity:>11.2f}"
@@ -358,6 +355,11 @@ class ComparisonRow:
     specificity: float
 
 
+# the report fields a ComparisonRow holds, in its order: each row is their
+# mean over a group of reports (a group of one for the model)
+_COMPARED = ("accuracy", "balanced_precision", "weighted_specificity")
+
+
 def compare_report(
     model_report: EvalReport,
     annotator_reports: list[EvalReport],
@@ -369,29 +371,11 @@ def compare_report(
     for r in annotator_reports:
         if r.num_classes != model_report.num_classes:
             raise ValueError("annotator report class count differs from model report")
-    rows = []
-    if annotator_reports:
-        rows.append(
-            ComparisonRow(
-                name=annotators_name,
-                accuracy=float(np.mean([r.accuracy for r in annotator_reports])),
-                balanced_precision=float(
-                    np.mean([r.balanced_precision for r in annotator_reports])
-                ),
-                specificity=float(
-                    np.mean([r.weighted_specificity for r in annotator_reports])
-                ),
-            )
-        )
-    rows.append(
-        ComparisonRow(
-            name=model_name,
-            accuracy=model_report.accuracy,
-            balanced_precision=model_report.balanced_precision,
-            specificity=model_report.weighted_specificity,
-        )
-    )
-    return rows
+    groups = [(annotators_name, annotator_reports)] if annotator_reports else []
+    return [
+        ComparisonRow(name, *(float(np.mean([getattr(r, key) for r in group])) for key in _COMPARED))
+        for name, group in [*groups, (model_name, [model_report])]
+    ]
 
 
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:

@@ -486,8 +486,3 @@ class FusionNet:
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Eval-mode softmax scores (N, C) for uint8 images (N, S, S)."""
         return softmax(self.eval_logits(images))
-
-
-def config_for_orientation(cfg: ModelConfig) -> ModelConfig:
-    """Same architecture, four pose classes."""
-    return replace(cfg, num_classes=4)

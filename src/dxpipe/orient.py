@@ -9,10 +9,12 @@ image exactly.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from dxpipe.image import rotate
-from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation
+from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.trainer import TrainConfig, TrainingSet, TrainLog, _fit, _posed
 
 
@@ -35,7 +37,7 @@ def train_orient(
 
     picks = np.arange(4 * len(data.val_images))  # validation: every image under every turn
     val_images = _posed(data.val_images, picks // 4, picks % 4)
-    cfg = config_for_orientation(model_cfg)
+    cfg = replace(model_cfg, num_classes=4)
     return _fit(cfg, data.images, stream_fn, val_images, picks % 4, np.ones(4), t)
 
 
@@ -43,15 +45,13 @@ def correct_orientation(
     model: FusionNet, images: np.ndarray
 ) -> list[tuple[np.ndarray, int, float]]:
     """Detect the quarter-turn pose of each image of an (N, H, W) uint8 stack
-    and rotate it back to canonical.
+    with a pose model (4 output classes) and rotate it back to canonical.
 
     All images are scored together by the batched eval loop.  Returns one
     (corrected image, detected clockwise turns 0..3, confidence) per image,
     where the confidence is the max softmax score.  Ties resolve to the
     lowest index.
     """
-    if model.config.num_classes != 4:
-        raise ValueError("pose model must have 4 output classes")
     scores = model.predict(images)
     turns = [int(t) for t in scores.argmax(axis=1)]
     return [(rotate(img, -t), t, float(row.max())) for img, t, row in zip(images, turns, scores)]

@@ -4,31 +4,19 @@ Pipeline: area-average resize to 32x32, orthonormal 2-D DCT-II,
 keep the top-left 8x8 coefficient block.  The DC coefficient is zeroed
 (overall brightness must not influence the hash), then bit i is set iff
 coefficient i exceeds the mean of the 63 non-DC coefficients.  Bits are
-packed most-significant-first, so the hex rendering reads in row-major
+packed most-significant-first into the 64-bit int that phash returns, so
+its 16-digit hex rendering (cluster writes it) reads in row-major
 coefficient order.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 _RESIZE = 32
 _BLOCK = 8
-
-
-@dataclass(frozen=True)
-class PHash:
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < 2**64:
-            raise ValueError("hash must fit in 64 bits")
-
-    def hex(self) -> str:
-        return f"{self.bits:016x}"
 
 
 def _area_resize(arr: np.ndarray, size: int) -> np.ndarray:
@@ -91,8 +79,8 @@ _DCT32 = _dct_matrix(_RESIZE)
 _NOISE_FLOOR = 1e-8  # well below any real coefficient, above float64 residue
 
 
-def phash(img: np.ndarray) -> PHash:
-    """The hash of an (H, W) image."""
+def phash(img: np.ndarray) -> int:
+    """The 64-bit hash of an (H, W) image."""
     small = _area_resize(img, _RESIZE)
     small -= small.mean()  # brightness never influences the hash
     coeffs = _DCT32 @ small @ _DCT32.T
@@ -104,5 +92,5 @@ def phash(img: np.ndarray) -> PHash:
     for i, c in enumerate(flat):
         if c > mean_ac + _NOISE_FLOOR:
             bits |= 1 << (63 - i)
-    return PHash(bits)
+    return bits
 

@@ -232,21 +232,13 @@ def amplify_minority(
 _MANIFEST_HEADER = "path,class_id,rotation"
 
 
-def manifest_to_csv(manifest: DatasetManifest, relative_to: Path | None = None) -> str:
-    """CSV text; paths are rewritten relative to `relative_to` when given."""
-    rows = []
-    for e in manifest.entries:
-        rel = e.path
-        if relative_to is not None:
-            rel = os.path.relpath(manifest.root / e.path, relative_to)
-        rows.append([rel, e.class_id, e.rotation])
-    return f"# seed={manifest.seed}\n" + csv_text(_MANIFEST_HEADER.split(","), rows)
-
-
 def save_manifest(manifest: DatasetManifest, path: Path | str) -> None:
     """Write the manifest so its image paths resolve from the file's directory."""
     path = Path(path)
-    write_atomic(path, manifest_to_csv(manifest, relative_to=path.parent).encode("ascii"))
+    rows = ([os.path.relpath(manifest.root / e.path, path.parent), e.class_id, e.rotation]
+            for e in manifest.entries)
+    text = f"# seed={manifest.seed}\n" + csv_text(_MANIFEST_HEADER.split(","), rows)
+    write_atomic(path, text.encode("ascii"))
 
 
 class ManifestError(ValueError):

@@ -1193,6 +1193,24 @@ def test_images_of_two_sizes_are_refused_naming_the_first_that_differs(
     assert not (tmp_path / "run").exists()
 
 
+def test_orient_refuses_a_region_checkpoint_by_name_before_reading_an_image(
+    tmp_path, capsys, monkeypatch
+):
+    ckpt = _checkpoint(tmp_path, 6)
+    images = []
+    for i in range(3):
+        images.append(str(tmp_path / f"p{i}.pgm"))
+        save_pgm(constant_image(32, 32, i), images[-1])
+    calls = _record_calls(monkeypatch, (dxpipe.image, "load_pgm"))
+    capsys.readouterr()
+    assert run(["--out-dir", str(tmp_path / "run"), "orient", "--checkpoint", str(ckpt), *images]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: checkpoint {ckpt}: a pose model has 4 output classes, this one has 6\n"
+    )
+    assert calls == []
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("uniform", [False, True])
 def test_training_without_images_of_a_class_names_it(tmp_path, capsys, uniform):
     manifest = _class_manifest(tmp_path / "data", [2, 2, 2, 2, 3, 0])

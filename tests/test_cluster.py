@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import constant_image
 from dxpipe import cluster
 from dxpipe.cli import run
 from dxpipe.cluster import (
@@ -11,7 +12,9 @@ from dxpipe.cluster import (
     kmeans,
     report_to_csv,
 )
-from dxpipe.phash import PHash
+from dxpipe.image import load_pgm, save_pgm
+from dxpipe.phash import phash
+from dxpipe.synth import DatasetManifest, ManifestEntry
 
 
 def test_k_equals_n_gives_zero_inertia():
@@ -90,9 +93,9 @@ def test_kmeans_input_validation():
 
 
 def test_hash_to_vector_bit_order():
-    v = hash_to_vector(PHash(1 << 63))
+    v = hash_to_vector(1 << 63)
     assert v[0] == 1.0 and v[1:].sum() == 0.0
-    v = hash_to_vector(PHash(1))
+    v = hash_to_vector(1)
     assert v[63] == 1.0 and v[:63].sum() == 0.0
 
 
@@ -105,6 +108,15 @@ def test_cluster_report_counts(tiny_dataset):
         report.contingency.sum(axis=0), tiny_dataset.class_counts()
     )
     assert report.contingency.sum() == len(tiny_dataset.entries)
+
+
+def test_cluster_report_writes_each_hash_as_16_hex_digits(tmp_path, tiny_dataset):
+    save_pgm(constant_image(20, 20, 7), tmp_path / "flat.pgm")
+    flat = DatasetManifest([ManifestEntry("flat.pgm", 0)], root=tmp_path)
+    assert cluster_report(flat, k=1).rows[0][3] == "0" * 16  # leading zeros kept
+    for path, _, _, digits in cluster_report(tiny_dataset, k=4, seed=11).rows:
+        assert len(digits) == 16
+        assert int(digits, 16) == phash(load_pgm(tiny_dataset.root / path))
 
 
 def test_cluster_report_deterministic(tiny_dataset):

@@ -244,6 +244,20 @@ def test_render_per_class_table_shape():
     assert len(lines) == 4  # header + 2 classes + weighted avg
 
 
+def test_render_per_class_table_prints_a_flagged_ratio_as_n_a():
+    # class 2 has no members and is never predicted: its precision and
+    # sensitivity are 0/0, flagged, while class 0's and 1's are measured
+    report = build_report([0, 1, 1], np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0]]))
+    assert report.per_class[2]["undefined"] == ["auc", "precision", "sensitivity"]
+    assert render_per_class_table(report) == (
+        "class  precision  sensitivity  specificity\n"
+        "    0       0.50         1.00         0.50\n"
+        "    1       1.00         0.50         1.00\n"
+        "    2        n/a          n/a         1.00\n"
+        "w_avg       0.83         0.67         0.83\n"
+    )
+
+
 def make_report(accuracy, balanced_precision, specificity, num_classes=6):
     return EvalReport(
         num_classes=num_classes,

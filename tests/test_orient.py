@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dxpipe.image import load_pgm, rotate
-from dxpipe.nnet import FusionNet, ModelConfig, config_for_orientation
+from dxpipe.nnet import FusionNet, ModelConfig
 from dxpipe.orient import correct_orientation, orientation_stream, train_orient
 from dxpipe.trainer import TrainConfig, training_set
 
@@ -28,17 +28,9 @@ def test_stream_deterministic():
     assert not same(orientation_stream(7, seed=4), orientation_stream(7, seed=5))
 
 
-def test_orientation_config_has_four_classes():
-    cfg = config_for_orientation(ModelConfig())
-    assert cfg.num_classes == 4
-    assert cfg.branch_a_dim == 66
-
-
-def test_correct_orientation_requires_pose_model():
-    model = FusionNet(ModelConfig(num_classes=6), seed=0)
-    img = load_img_stub()
-    with pytest.raises(ValueError, match="4 output"):
-        correct_orientation(model, img[None])
+def test_orientation_config_has_four_classes(pose_model):
+    # the architecture of the given config (ModelConfig()), four pose classes
+    assert pose_model.config == ModelConfig(num_classes=4)
 
 
 def load_img_stub():
